@@ -166,29 +166,6 @@ def emitted_occupations(bog: BogoliubovMap, state: FockExcitation) -> np.ndarray
     return b2.sum(axis=0) + n @ (bog.alpha ** 2 + b2)
 
 
-def moments_pre_to_joint(bog, a1, a4, a3, a2):
-    """Map generic pre-quench quadratic moments to joint-mode correlators.
-
-    Arguments are <a^dag a>, <a a^dag>, <a a>, <a^dag a^dag> as matrices.
-    """
-    a, b = bog.alpha, bog.beta
-    c1 = a.T @ a1 @ a - a.T @ a2 @ b - b.T @ a3 @ a + b.T @ a4 @ b
-    c4 = a.T @ a4 @ a - a.T @ a3 @ b - b.T @ a2 @ a + b.T @ a1 @ b
-    c3 = a.T @ a3 @ a - a.T @ a4 @ b - b.T @ a1 @ a + b.T @ a2 @ b
-    c2 = a.T @ a2 @ a - a.T @ a1 @ b - b.T @ a4 @ a + b.T @ a3 @ b
-    return c1, c4, c3, c2
-
-
-def moments_joint_to_pre(bog, c1, c4, c3, c2):
-    """Inverse of moments_pre_to_joint, via a_l = sum_k alpha c_k + beta c_k^dag."""
-    a, b = bog.alpha, bog.beta
-    a1 = a @ c1 @ a.T + a @ c2 @ b.T + b @ c3 @ a.T + b @ c4 @ b.T
-    a4 = a @ c4 @ a.T + a @ c3 @ b.T + b @ c2 @ a.T + b @ c1 @ b.T
-    a3 = a @ c3 @ a.T + a @ c4 @ b.T + b @ c1 @ a.T + b @ c2 @ b.T
-    a2 = a @ c2 @ a.T + a @ c1 @ b.T + b @ c4 @ a.T + b @ c3 @ b.T
-    return a1, a4, a3, a2
-
-
 def pre_quench_energy(spec: QuenchSpec) -> float:
     """<H> of the joint Hamiltonian in the pre-quench Fock state.
 
@@ -207,7 +184,3 @@ def joint_energy(bog: BogoliubovMap, corr: CorrelationSet) -> float:
     """<H> from the joint-mode side, sum_k hbar w'_k (<n'_k> + 1/2)."""
     return float(bog.hbar * np.sum(bog.omega_joint * (np.diagonal(corr.cdag_c) + 0.5)))
 
-
-def mirror_permutation(K):
-    """Site-reflection permutation matrix for a joint chain of K sites."""
-    return np.eye(K)[::-1]

@@ -46,10 +46,9 @@ def _tagged(name, spec, ext):
     return f"{name}_N{spec.n_left}_M{spec.n_right}.{ext}"
 
 
-def _dump_bogoliubov(spec, outdir, files):
-    from .bogoliubov import build_bogoliubov, f_matrix
+def _dump_bogoliubov(spec, bog, outdir, files):
+    from .bogoliubov import f_matrix
 
-    bog = build_bogoliubov(spec)
     K = spec.total_size
     joint_cols = [f"joint_{k}" for k in range(1, K + 1)]
     for name, mat in (("alpha", bog.alpha), ("beta", bog.beta)):
@@ -64,12 +63,11 @@ def _dump_bogoliubov(spec, outdir, files):
     files.append(fname)
 
 
-def _run_dynamics(spec, outdir, files, threshold=0.5, skip=50.0):
-    from .bogoliubov import build_bogoliubov, initial_correlations
+def _run_dynamics(spec, bog, outdir, files, threshold=0.5, skip=50.0):
+    from .bogoliubov import initial_correlations
     from .dynamics import evolve_occupations, fluctuation_series, per_mode_energy
     from .gge import conserved_charges, build_gge, gge_expectations
 
-    bog = build_bogoliubov(spec)
     corr = initial_correlations(bog, spec.initial_state)
     series = evolve_occupations(spec, bog, corr)
 
@@ -118,11 +116,9 @@ def _run_dynamics(spec, outdir, files, threshold=0.5, skip=50.0):
     return fluct.first_recurrence_time
 
 
-def _run_gge(spec, outdir, files):
-    from .bogoliubov import build_bogoliubov
+def _run_gge(spec, bog, outdir, files):
     from .gge import gge_summary_json
 
-    bog = build_bogoliubov(spec)
     fname = _tagged("gge", spec, "json")
     with open(os.path.join(outdir, fname), "w", newline="\n") as fh:
         fh.write(gge_summary_json(bog, spec.initial_state, indent=2))
@@ -149,10 +145,10 @@ def _run_covariance(spec, outdir, files):
     files.append(fname)
 
 
-def _run_oracle(spec, outdir, files, cutoff, order):
+def _run_oracle(spec, bog, outdir, files, cutoff, order):
     import numpy as np
 
-    from .bogoliubov import build_bogoliubov, f_matrix, initial_correlations
+    from .bogoliubov import f_matrix, initial_correlations
     from .fock_oracle import (CutoffExceeded, expand_initial_state,
                               oracle_correlators, annihilation_residual,
                               constraint_residual)
@@ -163,7 +159,6 @@ def _run_oracle(spec, outdir, files, cutoff, order):
             "modes; the brute-force basis is only practical for <= 8")
     from .model import FockExcitation, QuenchSpec
 
-    bog = build_bogoliubov(spec)
     f = f_matrix(bog)
     state = expand_initial_state(spec, bog, f, order=order, cutoff=cutoff)
     exact = initial_correlations(bog, spec.initial_state)
@@ -195,11 +190,10 @@ def _run_oracle(spec, outdir, files, cutoff, order):
     files.append(fname)
 
 
-def _run_delocalization(spec, outdir, files, floor):
-    from .bogoliubov import build_bogoliubov, f_matrix
+def _run_delocalization(spec, bog, outdir, files, floor):
+    from .bogoliubov import f_matrix
     from .fock_oracle import expand_initial_state, delocalization_count
 
-    bog = build_bogoliubov(spec)
     f = f_matrix(bog)
     order = 1
     big = 4 * order + 2 * spec.initial_state.total + 2
@@ -247,12 +241,15 @@ def _preset_specs(name):
 
 def _run_preset(name, outdir, files, args):
     if name == "fig1":
+        from .bogoliubov import build_bogoliubov
+
         recurrences = {}
         for spec in _preset_specs(name):
-            t_rec = _run_dynamics(spec, outdir, files)
+            bog = build_bogoliubov(spec)
+            t_rec = _run_dynamics(spec, bog, outdir, files)
             recurrences[f"M={spec.n_right}"] = t_rec
             if args.dump_bogoliubov:
-                _dump_bogoliubov(spec, outdir, files)
+                _dump_bogoliubov(spec, bog, outdir, files)
         _write_json(os.path.join(outdir, "recurrence_times.json"), recurrences)
         files.append("recurrence_times.json")
     elif name == "table1":
@@ -268,6 +265,24 @@ def _run_preset(name, outdir, files, args):
         files.append("delocalization_table.csv")
     elif name == "sweep":
         _run_sweep(outdir, files)
+
+
+def _config_number(cfg, key, default, kind, low, strict=False):
+    """cfg[key] as a finite int or float, >= low (> low when strict)."""
+    from .model import ConfigError
+
+    try:
+        val = kind(cfg.get(key, default))
+    except ValueError:
+        val = None
+    # nan fails both comparisons; inf is named
+    ok = val is not None and val != float("inf") and (
+        val > low if strict else val >= low)
+    if not ok:
+        raise ConfigError(f"{key} must be a finite {kind.__name__} "
+                          f"{'>' if strict else '>='} {low:g}, "
+                          f"got {cfg.get(key, default)!r}")
+    return val
 
 
 def _versions():
@@ -301,8 +316,6 @@ def main(argv=None) -> int:
                         help="also write alpha, beta and F matrices as CSV")
     parser.add_argument("--floor", type=float, default=1e-12,
                         help="amplitude floor for delocalization counts")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; no randomized paths exist yet")
     args = parser.parse_args(argv)
 
     if args.threads is not None:
@@ -327,7 +340,6 @@ def main(argv=None) -> int:
             "symplectic_tol": 1e-10,
             "alpha_condition_limit": 1e12,
         },
-        "seed": args.seed,
         "threads": args.threads,
         "status": "error",
         "error": None,
@@ -353,27 +365,32 @@ def main(argv=None) -> int:
             for name in requested:
                 if name not in ANALYSES:
                     raise ConfigError(f"unknown analysis {name!r}")
-            spec = None
+            threshold = _config_number(cfg, "recurrence_threshold", 0.5,
+                                       float, 0.0, strict=True)
+            skip = _config_number(cfg, "relaxation_skip", 50.0, float, 0.0)
+            cutoff = _config_number(cfg, "cutoff", 8, int, 1)
+            order = _config_number(cfg, "order", 12, int, 1)
+            floor = _config_number(cfg, "floor", args.floor, float, 0.0,
+                                   strict=True)
+            spec = bog = None
             if set(requested) - {"sweep"} or args.dump_bogoliubov:
+                from .bogoliubov import build_bogoliubov
+
                 spec = quench_from_config(cfg)
-            threshold = float(cfg.get("recurrence_threshold", 0.5))
-            skip = float(cfg.get("relaxation_skip", 50.0))
-            cutoff = int(cfg.get("cutoff", 8))
-            order = int(cfg.get("order", 12))
-            floor = float(cfg.get("floor", args.floor))
+                bog = build_bogoliubov(spec)
             if args.dump_bogoliubov:
-                _dump_bogoliubov(spec, outdir, files)
+                _dump_bogoliubov(spec, bog, outdir, files)
             for name in requested:
                 if name == "dynamics":
-                    _run_dynamics(spec, outdir, files, threshold, skip)
+                    _run_dynamics(spec, bog, outdir, files, threshold, skip)
                 elif name == "gge":
-                    _run_gge(spec, outdir, files)
+                    _run_gge(spec, bog, outdir, files)
                 elif name == "covariance":
                     _run_covariance(spec, outdir, files)
                 elif name == "fock-oracle":
-                    _run_oracle(spec, outdir, files, cutoff, order)
+                    _run_oracle(spec, bog, outdir, files, cutoff, order)
                 elif name == "delocalization":
-                    _run_delocalization(spec, outdir, files, floor)
+                    _run_delocalization(spec, bog, outdir, files, floor)
                 elif name == "sweep":
                     _run_sweep(outdir, files)
         manifest["status"] = "ok"

@@ -13,7 +13,6 @@ Basis tags: "disjoint-normal-modes" -> "configuration" -> "joint-normal-modes".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -62,12 +61,6 @@ def _require(cov, tag):
         raise BasisError(f"expected basis {tag!r}, got {cov.basis_tag!r}")
 
 
-def _disjoint_frequencies(spec):
-    left = normal_modes(spec.left)
-    right = normal_modes(spec.right)
-    return np.concatenate([left.frequencies, right.frequencies])
-
-
 def initial_covariance(spec: QuenchSpec) -> CovarianceMatrix:
     """Second moments of the pre-quench Fock state in disjoint normal modes.
 
@@ -75,7 +68,7 @@ def initial_covariance(spec: QuenchSpec) -> CovarianceMatrix:
     and all cross correlations vanish for energy eigenstates.
     """
     n = spec.initial_state.as_array()
-    w = _disjoint_frequencies(spec)
+    w = np.concatenate([normal_modes(c).frequencies for c in (spec.left, spec.right)])
     m, hbar = spec.left.mass, spec.left.hbar
     K = spec.total_size
     sig = np.zeros((2 * K, 2 * K))
@@ -113,21 +106,45 @@ def joint_covariance(spec: QuenchSpec) -> CovarianceMatrix:
     return to_joint_modes(to_configuration(initial_covariance(spec), spec), spec)
 
 
-def evolve_covariance(cov: CovarianceMatrix, spec: QuenchSpec, t: float) -> CovarianceMatrix:
-    """Free evolution in the joint modes, the symplectic congruence
-    sigma(t) = U sigma U^T with per-mode rotation blocks
-    (cos wt, sin wt/(m w); -m w sin wt, cos wt)."""
-    _require(cov, JOINT)
+def _rotate(xx, xp, pp, c, s, d, mean=False):
+    """xx, xp and pp blocks of R sigma R^T for the free rotation R = (c, s; d, c),
+    per mode c = cos wt, s = sin wt/(m w), d = -m w sin wt.
+
+    R is diagonal per mode, so each block is elementwise in the factor
+    products u_j v_k.  Factors of shape (..., K) give one rotation per leading
+    index; mean=True averages the products of (S, K) factors over the S
+    samples (Gram means), which averages R sigma R^T.
+    """
+    if mean:
+        def prod(u, v):
+            return u.T @ v / len(u)
+    else:
+        def prod(u, v):
+            return u[..., :, None] * v[..., None, :]
+    cc, cs, cd = prod(c, c), prod(c, s), prod(c, d)
+    sc, dc, px = cs.swapaxes(-1, -2), cd.swapaxes(-1, -2), xp.T
+    return (cc * xx + cs * xp + sc * px + prod(s, s) * pp,
+            cd * xx + cc * xp + prod(s, d) * px + sc * pp,
+            prod(d, d) * xx + dc * xp + cd * px + cc * pp)
+
+
+def _factors(spec, ts):
+    """Rotation factors c, s, d of the joint modes at the times ts."""
     w = normal_modes(spec.joint_chain).frequencies
-    m = spec.left.mass
-    K = cov.n_modes
-    c, s = np.cos(w * t), np.sin(w * t)
-    U = np.zeros((2 * K, 2 * K))
-    U[:K, :K] = np.diag(c)
-    U[:K, K:] = np.diag(s / (m * w))
-    U[K:, :K] = np.diag(-m * w * s)
-    U[K:, K:] = np.diag(c)
-    return CovarianceMatrix(sigma=U @ cov.sigma @ U.T, basis_tag=JOINT)
+    mw = spec.left.mass * w
+    wt = np.multiply.outer(ts, w)
+    c = np.cos(wt)
+    sn = np.sin(wt, out=wt)     # a window holds S x K factors; reuse the buffer
+    return c, sn / mw, sn * -mw
+
+
+def evolve_covariance(cov: CovarianceMatrix, spec: QuenchSpec, t: float) -> CovarianceMatrix:
+    """Free evolution in the joint modes, sigma(t) = R(t) sigma R(t)^T."""
+    _require(cov, JOINT)
+    xx, xp, pp = _rotate(cov.block("xx"), cov.block("xp"), cov.block("pp"),
+                         *_factors(spec, float(t)))
+    return CovarianceMatrix(sigma=np.block([[xx, xp], [xp.T, pp]]),
+                            basis_tag=JOINT)
 
 
 def occupations_from_covariance(cov: CovarianceMatrix, spec: QuenchSpec) -> np.ndarray:
@@ -168,37 +185,18 @@ def uncertainty_defect(cov: CovarianceMatrix, hbar=1.0) -> float:
 
 # ---------------------------------------------------------------------------
 # Window averaging.  Averaging the evolved matrix over a uniform grid only
-# needs the Gram matrices of the cos/sin factors, so a window costs
+# needs the Gram matrices of the rotation factors, so a window costs
 # O(samples K^2) instead of samples full congruences.
 
 def mean_evolved_covariance(cov: CovarianceMatrix, spec: QuenchSpec,
                             window: float, dt: float = 0.5) -> CovarianceMatrix:
     """Uniform-grid time average of sigma(t) over [0, window)."""
     _require(cov, JOINT)
-    w = normal_modes(spec.joint_chain).frequencies
-    m = spec.left.mass
-    ts = np.arange(0.0, window, dt)
-    c = np.cos(np.outer(ts, w))
-    s = np.sin(np.outer(ts, w)) / (m * w)[None, :]    # position response
-    d = -np.sin(np.outer(ts, w)) * (m * w)[None, :]   # momentum response
-    S = len(ts)
-    cc = c.T @ c / S
-    cs = c.T @ s / S
-    cd = c.T @ d / S
-    ss = s.T @ s / S
-    sd = s.T @ d / S
-    dd = d.T @ d / S
-    axx, axp, app = cov.block("xx"), cov.block("xp"), cov.block("pp")
-    xx = cc * axx + cs * axp + cs.T * axp.T + ss * app
-    pp = dd * axx + cd.T * axp + cd * axp.T + cc * app
-    xp = cd * axx + cc * axp + sd * axp.T + cs.T * app
-    K = cov.n_modes
-    out = np.zeros((2 * K, 2 * K))
-    out[:K, :K] = 0.5 * (xx + xx.T)
-    out[K:, K:] = 0.5 * (pp + pp.T)
-    out[:K, K:] = xp
-    out[K:, :K] = xp.T
-    return CovarianceMatrix(sigma=out, basis_tag=JOINT)
+    xx, xp, pp = _rotate(cov.block("xx"), cov.block("xp"), cov.block("pp"),
+                         *_factors(spec, np.arange(0.0, window, dt)), mean=True)
+    return CovarianceMatrix(sigma=np.block([[0.5 * (xx + xx.T), xp],
+                                            [xp.T, 0.5 * (pp + pp.T)]]),
+                            basis_tag=JOINT)
 
 
 def max_offdiagonal(cov: CovarianceMatrix) -> float:

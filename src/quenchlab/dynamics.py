@@ -1,10 +1,10 @@
 """Time evolution of occupation numbers and subsystem energies.
 
-The quadruple mode sums collapse to bilinear forms: for each disjoint mode m
-the four correlator channels are contracted against precomputed coefficient
-rows, with the time dependence isolated in K x K phase matrices.  Per time
-sample the cost is O(K^2) after the one-off setup, which is what makes the
-long averaging windows (T up to several thousand) cheap.
+Occupations use the covariance route's propagator (`covariance._rotate`):
+the joint-mode covariance of the initial correlators rotates elementwise,
+O(K^2) per time sample, and each pre-quench occupation is read back with
+one real O(K^3) product per block and sample, in chunks under a fixed
+byte budget.  Phases are e^{-i w' t}; energies are hbar w'.
 """
 
 from __future__ import annotations
@@ -14,8 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .model import QuenchSpec, normal_modes
+from .model import QuenchSpec
 from .bogoliubov import BogoliubovMap, CorrelationSet, ConsistencyError, joint_energy
+
+
+# Working-set budget of one kernel chunk, at about 16 K x K arrays a sample.
+_CHUNK_BYTES = 4 << 20
 
 
 class NumericalError(ArithmeticError):
@@ -58,51 +62,36 @@ class PerModeEnergy:
     right_avg: float
 
 
-def _phase_kernel(bog, corr, times, chunk=256, imag_tol=1e-8):
-    """<n_m(t)> for all m and t.  Channels: two co-rotating (particle
-    conserving) and two counter-rotating (pair) terms with phases
-    exp(+-i (w_l +- w_k) t / hbar)."""
-    a, b = bog.alpha, bog.beta
-    w = bog.omega_joint / bog.hbar
-    wm = w[:, None] - w[None, :]
-    wp = w[:, None] + w[None, :]
-    c1, c2 = corr.cdag_c, corr.cdag_cdag
-    c3, c4 = corr.c_c, corr.c_cdag
-    times = np.asarray(times, dtype=float)
-    out = np.empty((times.size, bog.total_size))
-    worst_imag = 0.0
-    for start in range(0, times.size, chunk):
-        ts = times[start:start + chunk]
-        pm = np.exp(1j * ts[:, None, None] * wm[None, :, :])
-        pp = np.exp(1j * ts[:, None, None] * wp[None, :, :])
-        vals = np.einsum("ml,tlk,mk->tm", a, pm * c1, a, optimize=True)
-        vals += np.einsum("ml,tlk,mk->tm", a, pp * c2, b, optimize=True)
-        vals += np.einsum("ml,tlk,mk->tm", b, np.conj(pp) * c3, a, optimize=True)
-        vals += np.einsum("ml,tlk,mk->tm", b, np.conj(pm) * c4, b, optimize=True)
-        worst_imag = max(worst_imag, float(np.max(np.abs(vals.imag))))
-        out[start:start + chunk] = vals.real
-    if worst_imag > imag_tol:
-        raise NumericalError(f"imaginary residue {worst_imag:.3e} exceeds {imag_tol:g}")
-    return out
+def _phase_kernel(bog, corr, times, imag_tol=1e-8):
+    """<n_m(t)> for all pre-quench modes m and times t.
 
+    Rotates the covariance of the scaled quadratures xi = (c + c^dag)/sqrt2,
+    pi = i(c^dag - c)/sqrt2 and reads n_m = ((A s_xx A^T + B s_pp B^T)_mm - 1)/2,
+    A = alpha + beta, B = alpha - beta.  Non-Hermitian correlators, which
+    would leave an imaginary part in <n_m(t)>, are refused.
+    """
+    from .covariance import _rotate
 
-def evolve_occupations_direct(bog, corr, times):
-    """Direct evaluation of the mode sums, kept as a slow reference for tests."""
-    K = bog.total_size
-    a, b = bog.alpha, bog.beta
-    w = bog.omega_joint / bog.hbar
-    times = np.asarray(times, dtype=float)
-    out = np.zeros((times.size, K))
-    for it, t in enumerate(times):
-        for m in range(K):
-            acc = 0.0 + 0.0j
-            for l in range(K):
-                for k in range(K):
-                    acc += a[m, l] * a[m, k] * np.exp(1j * (w[l] - w[k]) * t) * corr.cdag_c[l, k]
-                    acc += a[m, l] * b[m, k] * np.exp(1j * (w[l] + w[k]) * t) * corr.cdag_cdag[l, k]
-                    acc += b[m, l] * a[m, k] * np.exp(-1j * (w[l] + w[k]) * t) * corr.c_c[l, k]
-                    acc += b[m, l] * b[m, k] * np.exp(-1j * (w[l] - w[k]) * t) * corr.c_cdag[l, k]
-            out[it, m] = acc.real
+    c1, c2, c3, c4 = corr.cdag_c, corr.cdag_cdag, corr.c_c, corr.c_cdag
+    defect = max(float(np.max(np.abs(x - np.conj(y).T)))
+                 for x, y in ((c1, c1), (c4, c4), (c2, c3)))
+    if defect > imag_tol:
+        raise NumericalError(
+            f"imaginary residue: correlator Hermiticity defect {defect:.3e} "
+            f"exceeds {imag_tol:g}")
+    xx = 0.5 * np.real(c1 + c2 + c3 + c4)
+    pp = 0.5 * np.real(c1 + c4 - c2 - c3)
+    xp = 0.5 * np.imag(c1 + c3 - c2 - c4)
+    a, b = bog.alpha + bog.beta, bog.alpha - bog.beta
+    w, times = bog.omega_joint, np.asarray(times, dtype=float)
+    out = np.empty((times.size, w.size))
+    step = max(1, _CHUNK_BYTES // (16 * 8 * w.size ** 2))
+    for start in range(0, times.size, step):
+        wt = np.multiply.outer(times[start:start + step], w)
+        sn = np.sin(wt)
+        xx_t, _, pp_t = _rotate(xx, xp, pp, np.cos(wt), sn, -sn)
+        out[start:start + step] = 0.5 * (np.sum((a @ xx_t) * a, axis=-1)
+                                         + np.sum((b @ pp_t) * b, axis=-1)) - 0.5
     return out
 
 
@@ -113,13 +102,13 @@ def long_time_average(bog: BogoliubovMap, corr: CorrelationSet) -> np.ndarray:
 
 
 def evolve_occupations(spec: QuenchSpec, bog: BogoliubovMap, corr: CorrelationSet,
-                       times=None, chunk=256) -> ObservableSeries:
+                       times=None) -> ObservableSeries:
     """Occupation numbers and subsystem energies on a time grid."""
     corr.validate()
     if bog.total_size != spec.total_size:
         raise ConsistencyError("spec and map sizes differ")
     times = spec.time_grid if times is None else np.asarray(times, dtype=float)
-    n_t = _phase_kernel(bog, corr, times, chunk=chunk)
+    n_t = _phase_kernel(bog, corr, times)
     if np.min(n_t) < -1e-8:
         raise NumericalError(f"negative occupancy {np.min(n_t):.3e}")
 
@@ -187,9 +176,9 @@ def occupation_time_mean(series: ObservableSeries) -> np.ndarray:
 
 
 def beat_set(bog: BogoliubovMap):
-    """All |w'_l +- w'_k| / hbar values, the only frequencies that can appear
+    """All |w'_l +- w'_k| values, the only frequencies that can appear
     in the spectrum of <n_m(t)>."""
-    w = bog.omega_joint / bog.hbar
+    w = bog.omega_joint
     diffs = np.abs(w[:, None] - w[None, :]).ravel()
     sums = np.abs(w[:, None] + w[None, :]).ravel()
     return np.unique(np.round(np.concatenate([diffs, sums]), 12))

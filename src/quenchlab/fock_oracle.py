@@ -213,10 +213,9 @@ def delocalization_count(state: ExpandedState, floor: float) -> int:
 
 
 def exact_evolve(state: ExpandedState, spec: QuenchSpec, t: float) -> ExpandedState:
-    """Diagonal evolution: each amplitude picks up e^{-i sum w'_k (n_k+1/2) t/hbar}."""
+    """Diagonal evolution: each amplitude picks up e^{-i sum w'_k (n_k+1/2) t}."""
     w = normal_modes(spec.joint_chain).frequencies
-    hbar = spec.left.hbar
-    amps = {occ: v * np.exp(-1j * np.dot(w, np.asarray(occ) + 0.5) * t / hbar)
+    amps = {occ: v * np.exp(-1j * np.dot(w, np.asarray(occ) + 0.5) * t)
             for occ, v in state.amplitudes.items()}
     return ExpandedState(amplitudes=amps, modes=state.modes, cutoff=state.cutoff,
                          truncation_order=state.truncation_order,

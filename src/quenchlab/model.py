@@ -282,5 +282,9 @@ def quench_from_config(cfg) -> QuenchSpec:
             occupations = [int(tok) for tok in str(occ_raw).split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad numeric value: {exc}") from None
+    if not np.isfinite(t_max):
+        raise ConfigError(f"t_max must be finite, got {t_max!r}")
+    if t_steps < 1:
+        raise ConfigError(f"t_steps must be >= 1, got {t_steps}")
     return QuenchSpec.build(N, M, occupations=occupations, mass=mass,
                             omega0=omega0, hbar=hbar, t_max=t_max, t_steps=t_steps)

@@ -56,6 +56,26 @@ def eigh_bogoliubov(spec):
     return alpha, beta, w_pre, w_joint, overlap
 
 
+def evolve_occupations_direct(bog, corr, times):
+    """Direct evaluation of the mode sums, a slow reference for the kernel."""
+    K = bog.total_size
+    a, b = bog.alpha, bog.beta
+    w = bog.omega_joint
+    times = np.asarray(times, dtype=float)
+    out = np.zeros((times.size, K))
+    for it, t in enumerate(times):
+        for m in range(K):
+            acc = 0.0 + 0.0j
+            for l in range(K):
+                for k in range(K):
+                    acc += a[m, l] * a[m, k] * np.exp(1j * (w[l] - w[k]) * t) * corr.cdag_c[l, k]
+                    acc += a[m, l] * b[m, k] * np.exp(1j * (w[l] + w[k]) * t) * corr.cdag_cdag[l, k]
+                    acc += b[m, l] * a[m, k] * np.exp(-1j * (w[l] + w[k]) * t) * corr.c_c[l, k]
+                    acc += b[m, l] * b[m, k] * np.exp(-1j * (w[l] - w[k]) * t) * corr.c_cdag[l, k]
+            out[it, m] = acc.real
+    return out
+
+
 @pytest.fixture(scope="session")
 def spec22():
     return make_spec(2, 2, t_max=50.0, t_steps=51)

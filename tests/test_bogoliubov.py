@@ -5,8 +5,7 @@ from quenchlab.bogoliubov import (BogoliubovMap, ConsistencyError,
                                   CorrelationSet, SingularAlpha,
                                   build_bogoliubov, emitted_occupations,
                                   f_matrix, initial_correlations,
-                                  joint_energy, moments_joint_to_pre,
-                                  moments_pre_to_joint, pre_quench_energy)
+                                  joint_energy, pre_quench_energy)
 from quenchlab.model import FockExcitation
 
 from conftest import eigh_bogoliubov, make_spec
@@ -114,21 +113,6 @@ def test_energy_identity(modes):
     bog = build_bogoliubov(spec)
     corr = initial_correlations(bog, spec.initial_state)
     assert abs(joint_energy(bog, corr) - pre_quench_energy(spec)) < 1e-8
-
-
-def test_moment_transforms_roundtrip(spec22):
-    bog = build_bogoliubov(spec22)
-    rng = np.random.default_rng(7)
-    K = 4
-    a1 = rng.normal(size=(K, K))
-    a3 = rng.normal(size=(K, K))
-    a3 = a3 + a3.T
-    a4 = a1.T + np.eye(K)
-    a2 = a3.copy()
-    c1, c4, c3, c2 = moments_pre_to_joint(bog, a1, a4, a3, a2)
-    b1, b4, b3, b2 = moments_joint_to_pre(bog, c1, c4, c3, c2)
-    for got, want in [(b1, a1), (b4, a4), (b3, a3), (b2, a2)]:
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 def test_initial_correlations_rejects_size_mismatch(spec22):

@@ -88,10 +88,24 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert man["error"]["type"] == "ConfigError"
 
 
-def test_invalid_value_exits_2(tmp_path):
-    cfg = _write_config(tmp_path, "N = -3\nM = 2\n")
+@pytest.mark.parametrize("lines, key", [
+    ("N = -3", "size"),
+    ("N = 2\ncutoff = abc", "cutoff"),
+    ("N = 2\norder = 1.5", "order"),
+    ("N = 2\nfloor = 0", "floor"),
+    ("N = 2\nrelaxation_skip = x", "relaxation_skip"),
+    ("N = 2\nrecurrence_threshold = nan", "recurrence_threshold"),
+    ("N = 2\nt_max = inf", "t_max"),
+    ("N = 2\nt_steps = 0", "t_steps"),
+], ids=["negative-N", "cutoff-abc", "order-1.5", "floor-0", "skip-x",
+        "threshold-nan", "t_max-inf", "t_steps-0"])
+def test_invalid_value_exits_2(tmp_path, lines, key):
+    cfg = _write_config(tmp_path, f"M = 2\n{lines}\n")
     out = tmp_path / "out"
     assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["error"]["type"] == "ConfigError"
+    assert key in man["error"]["message"]
 
 
 def test_unknown_analysis_exits_2(tmp_path):

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from quenchlab.bogoliubov import (ConsistencyError, CorrelationSet,
-                                  build_bogoliubov, initial_correlations,
-                                  pre_quench_energy)
+                                  build_bogoliubov, f_matrix,
+                                  initial_correlations, pre_quench_energy)
+from quenchlab.covariance import evolve_covariance, joint_covariance
 from quenchlab.dynamics import (DegenerateInitial, NumericalError,
                                 ObservableSeries, beat_set,
-                                evolve_occupations, evolve_occupations_direct,
-                                fluctuation_series, long_time_average,
-                                occupation_time_mean, per_mode_energy)
+                                evolve_occupations, fluctuation_series,
+                                long_time_average, occupation_time_mean,
+                                per_mode_energy)
+from quenchlab.fock_oracle import expand_initial_state, occupation_series
 
-from conftest import make_spec
+from conftest import evolve_occupations_direct, make_spec
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +39,31 @@ def test_kernel_matches_direct_sum_excited():
     fast = evolve_occupations(spec, bog, corr, times=ts).n_expect
     slow = evolve_occupations_direct(bog, corr, ts)
     np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-10)
+
+
+def test_phases_ignore_hbar_and_mass():
+    # every route evolves with e^{-i w' t}; at hbar != 1 a stray 1/hbar in
+    # one of them shows up as an O(0.1) occupation gap
+    m, hbar = 1.3, 0.7
+    spec = make_spec(2, 2, modes=(2, 3), t_max=50.0, t_steps=26,
+                     mass=m, hbar=hbar)
+    bog = build_bogoliubov(spec)
+    corr = initial_correlations(bog, spec.initial_state)
+    ts = spec.time_grid
+    exact = evolve_occupations(spec, bog, corr, times=ts).n_expect
+    joint = joint_covariance(spec)
+    o, w = bog.overlap, bog.omega_pre
+    via_cov = []
+    for t in ts:
+        sig = evolve_covariance(joint, spec, t)
+        xx = np.diagonal(o @ sig.block("xx") @ o.T)
+        pp = np.diagonal(o @ sig.block("pp") @ o.T)
+        via_cov.append(0.5 * (m * w * xx + pp / (m * w)) / hbar - 0.5)
+    np.testing.assert_allclose(exact, via_cov, rtol=0, atol=1e-10)
+    state = expand_initial_state(spec, bog, f_matrix(bog), order=12, cutoff=8)
+    picks = [0, 7, 19]
+    oracle = occupation_series(state, spec, bog, ts[picks])
+    assert np.max(np.abs(oracle - exact[picks])) < 2e-3
 
 
 def test_initial_occupations_match_state(bundle_5_10):
