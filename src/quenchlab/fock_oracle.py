@@ -1,27 +1,27 @@
 """Truncated-Fock brute force for small joint chains.
 
-Everything here represents states as sparse dictionaries mapping occupation
-tuples (one entry per joint mode) to amplitudes. The pre-quench eigenstate
-is reconstructed in the joint basis by expanding the squeezed-vacuum
-exponential as a power series and applying the Bogoliubov-expanded creation
-operators on top. Evolution is a diagonal phase. This is the independent
-reference implementation used to certify the quadratic (correlator) route;
-it is deliberately simple and only viable for a handful of modes.
+A state is an (S, K) int16 array of unique occupation rows, one column per
+joint mode, plus an (S,) amplitude vector. Two helpers do all the work:
+`_ladder` applies sum_k x_k c+_k + y_k c_k and returns the raw rows, and
+`_merge` sorts rows on their bytes and sums the amplitudes of equal rows.
+Merged rows whose amplitudes cancel are kept, so a support counts every
+occupation an operator reached. The pre-quench eigenstate is reconstructed
+in the joint basis by expanding the squeezed-vacuum exponential as a power
+series and applying the Bogoliubov-expanded creation operators on top.
+Evolution is a diagonal phase. This is the independent reference used to
+certify the quadratic (correlator) route; it is only viable for a handful
+of modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import QuenchSpec, FockExcitation, normal_modes
 from .bogoliubov import BogoliubovMap, FMatrix, CorrelationSet
-
-Amplitudes = Dict[Tuple[int, ...], complex]
-
-MAX_BASIS_STATES = 500_000
 
 
 class CutoffExceeded(Exception):
@@ -29,150 +29,89 @@ class CutoffExceeded(Exception):
 
 
 @dataclass(frozen=True)
-class TruncatedBasis:
-    """Explicit occupation-tuple enumeration with per-mode and total caps."""
+class ExpandedState:
+    """Normalized state: unique (S, K) occupation rows and (S,) amplitudes."""
 
-    modes: int
-    cutoff: int
-    max_total: Optional[int] = None
-    states: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.modes < 1 or self.cutoff < 0:
-            raise ValueError("modes must be >= 1 and cutoff >= 0")
-        if self.max_total is not None and self.max_total < 0:
-            raise ValueError("max_total must be nonnegative")
-        nominal = (self.cutoff + 1) ** self.modes
-        if self.max_total is None and nominal > MAX_BASIS_STATES:
-            raise CutoffExceeded(
-                f"basis of {nominal} states exceeds the {MAX_BASIS_STATES} cap")
-        out = []
-        self._walk((), 0, out)
-        if len(out) > MAX_BASIS_STATES:
-            raise CutoffExceeded(
-                f"basis of {len(out)} states exceeds the {MAX_BASIS_STATES} cap")
-        object.__setattr__(self, "states", tuple(out))
-
-    def _walk(self, prefix, total, out):
-        if len(prefix) == self.modes:
-            out.append(prefix)
-            return
-        top = self.cutoff
-        if self.max_total is not None:
-            top = min(top, self.max_total - total)
-        for n in range(top + 1):
-            self._walk(prefix + (n,), total + n, out)
+    occupations: np.ndarray
+    amplitudes: np.ndarray
+    leakage: float
 
     @property
-    def size(self):
-        return len(self.states)
-
-    def __contains__(self, occ):
-        if len(occ) != self.modes or any(n < 0 or n > self.cutoff for n in occ):
-            return False
-        return self.max_total is None or sum(occ) <= self.max_total
-
-    def index(self):
-        """Occupation tuple -> position in the lexicographic enumeration."""
-        return {occ: i for i, occ in enumerate(self.states)}
-
-
-@dataclass(frozen=True)
-class ExpandedState:
-    """Normalized sparse state vector over joint-mode occupation tuples."""
-
-    amplitudes: Amplitudes
-    modes: int
-    cutoff: int
-    truncation_order: int
-    leakage: float
-    source: Optional[FockExcitation] = None
-    max_total: Optional[int] = None
+    def modes(self):
+        return self.occupations.shape[1]
 
     def norm(self):
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.amplitudes.values())))
-
-    def amplitude(self, occ):
-        return self.amplitudes.get(tuple(occ), 0.0)
+        return float(np.linalg.norm(self.amplitudes))
 
     def support_size(self):
         return len(self.amplitudes)
 
 
-def _add_scaled(dst: Amplitudes, src: Amplitudes, s) -> None:
-    for occ, v in src.items():
-        dst[occ] = dst.get(occ, 0.0) + s * v
+def _merge(*parts):
+    """Stack (rows, amplitudes) parts; unique rows, sorted on their bytes,
+    with the summed amplitudes (which may carry a trailing axis)."""
+    if len(parts) > 1:  # a lone part is not copied: the rows dominate memory
+        parts = [(np.concatenate([o for o, _ in parts]),
+                  np.concatenate([a for _, a in parts]))]
+    occ, amp = parts[0]
+    occ = np.ascontiguousarray(occ)
+    key = occ.view(np.dtype((np.void, occ.dtype.itemsize * occ.shape[1])))
+    key = key.ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    first = np.flatnonzero(first)
+    return occ[order[first]], np.add.reduceat(amp[order], first, axis=0)
 
 
-def _norm(amps: Amplitudes) -> float:
-    return float(np.sqrt(sum(abs(v) ** 2 for v in amps.values())))
+def _ladder(psi, x, y):
+    """Unmerged rows of (sum_k x_k c+_k + y_k c_k) psi for psi = (rows, amps).
+
+    Modes with a zero coefficient add no rows and lowering drops rows with
+    n_k = 0, so the result holds exactly the occupations the operator reaches.
+    """
+    occ, amp = psi
+    shift = np.eye(occ.shape[1], dtype=occ.dtype)
+    up, down = np.flatnonzero(x), np.flatnonzero(y)
+    n_up, n_down = occ[:, up].T + 1.0, occ[:, down].T.astype(float)
+    live = n_down > 0
+    rows = np.concatenate([(occ + shift[up, None]).reshape(-1, occ.shape[1]),
+                           (occ - shift[down, None])[live]])
+    amps = np.concatenate([(x[up, None] * np.sqrt(n_up) * amp).ravel(),
+                           (y[down, None] * np.sqrt(n_down) * amp)[live]])
+    return rows, amps
 
 
-def _inner(x: Amplitudes, y: Amplitudes):
-    if len(x) <= len(y):
-        return sum(np.conj(v) * y.get(occ, 0.0) for occ, v in x.items())
-    return sum(np.conj(x.get(occ, 0.0)) * v for occ, v in y.items())
+def expand_squeezed_vacuum(f: np.ndarray, order: int):
+    """Power series for exp(-1/2 sum_lk F_lk c+_l c+_k)|0> up to the given
+    order, as (rows, amplitudes).
 
-
-def _apply_cdag(amps: Amplitudes, k, cutoff=None, max_total=None) -> Amplitudes:
-    out: Amplitudes = {}
-    for occ, amp in amps.items():
-        n = occ[k]
-        if cutoff is not None and n + 1 > cutoff:
-            continue
-        if max_total is not None and sum(occ) + 1 > max_total:
-            continue
-        key = occ[:k] + (n + 1,) + occ[k + 1:]
-        out[key] = out.get(key, 0.0) + amp * np.sqrt(n + 1.0)
-    return out
-
-
-def _apply_c(amps: Amplitudes, k) -> Amplitudes:
-    out: Amplitudes = {}
-    for occ, amp in amps.items():
-        n = occ[k]
-        if n == 0:
-            continue
-        key = occ[:k] + (n - 1,) + occ[k + 1:]
-        out[key] = out.get(key, 0.0) + amp * np.sqrt(float(n))
-    return out
-
-
-def expand_squeezed_vacuum(f: np.ndarray, order: int,
-                           cutoff=None, max_total=None) -> Amplitudes:
-    """Power series for exp(-1/2 sum_lk F_lk c+_l c+_k)|0> up to the given order.
-
-    The pair-creation operator only raises occupations, so applying the caps
-    during the recursion drops exactly the terms an end projection would.
-    Unnormalized on purpose: callers stack creation operators first.
+    Unnormalized and uncapped on purpose: callers stack creation operators
+    first and project once at the end.
     """
     K = f.shape[0]
-    vac = (0,) * K
-    psi: Amplitudes = {vac: 1.0}
-    term: Amplitudes = {vac: 1.0}
+    unit, zero = np.eye(K), np.zeros(K)
+    # int16 rows exhaust memory long before they wrap; uint8 would wrap at
+    # occupation 256, which order 128 reaches on a 1+1 chain
+    term = (np.zeros((1, K), dtype=np.int16), np.ones(1))
+    terms = [term]
     for p in range(1, order + 1):
-        new: Amplitudes = {}
-        for l in range(K):
-            tl = _apply_cdag(term, l, cutoff, max_total)
-            for k in range(K):
-                if f[l, k] == 0.0:
-                    continue
-                _add_scaled(new, _apply_cdag(tl, k, cutoff, max_total),
-                            -0.5 * f[l, k] / p)
-        term = new
-        _add_scaled(psi, term, 1.0)
-    return psi
+        term = _merge(*(_ladder(_ladder(term, unit[l], zero), -0.5 * f[l] / p,
+                                zero) for l in range(K)))
+        terms.append(term)
+    return _merge(*terms)
 
 
 def expand_initial_state(spec: QuenchSpec, bog: BogoliubovMap, f: FMatrix,
-                         order: int, cutoff: int = 8, max_total=None,
+                         order: int, cutoff: int = 8,
                          max_leakage: float = 0.01) -> ExpandedState:
     """Pre-quench Fock eigenstate written out in joint-mode amplitudes.
 
-    Works in an uncapped scratch space so the annihilation parts of the
-    stacked a+ operators can move weight back below the cutoff, then
-    projects once at the end. Leakage is the squared-norm fraction the
-    projection discards; above max_leakage the truncation is refused.
+    Works uncapped so the annihilation parts of the stacked a+ operators can
+    move weight back below the cutoff, then projects once at the end.
+    Leakage is the squared-norm fraction the projection discards; above
+    max_leakage the truncation is refused.
     """
     if order < 1:
         raise ValueError("expansion order must be >= 1")
@@ -181,148 +120,86 @@ def expand_initial_state(spec: QuenchSpec, bog: BogoliubovMap, f: FMatrix,
     psi = expand_squeezed_vacuum(f.f, order)
     for j, nj in enumerate(spec.initial_state.occupations):
         for _ in range(nj):
-            lifted: Amplitudes = {}
-            for k in range(spec.total_size):
-                if bog.alpha[j, k] != 0.0:
-                    _add_scaled(lifted, _apply_cdag(psi, k), bog.alpha[j, k])
-                if bog.beta[j, k] != 0.0:
-                    _add_scaled(lifted, _apply_c(psi, k), bog.beta[j, k])
-            psi = lifted
-    total = sum(abs(v) ** 2 for v in psi.values())
-    kept = {occ: v for occ, v in psi.items()
-            if max(occ) <= cutoff
-            and (max_total is None or sum(occ) <= max_total)}
-    kept_weight = sum(abs(v) ** 2 for v in kept.values())
-    leakage = 1.0 - kept_weight / total
+            psi = _merge(_ladder(psi, bog.alpha[j], bog.beta[j]))
+    occ, amp = psi
+    kept = occ.max(axis=1) <= cutoff
+    weight = np.abs(amp) ** 2
+    kept_weight = weight[kept].sum()
+    leakage = 1.0 - kept_weight / weight.sum()
     if leakage > max_leakage:
         raise CutoffExceeded(
             f"projection to cutoff {cutoff} discards {leakage:.3e} of the "
             f"squared norm (limit {max_leakage:.3e})")
-    scale = 1.0 / np.sqrt(kept_weight)
-    amps = {occ: v * scale for occ, v in kept.items()}
-    return ExpandedState(amplitudes=amps, modes=spec.total_size, cutoff=cutoff,
-                         truncation_order=order, leakage=leakage,
-                         source=spec.initial_state, max_total=max_total)
+    return ExpandedState(occ[kept], amp[kept] / np.sqrt(kept_weight),
+                         float(leakage))
 
 
 def delocalization_count(state: ExpandedState, floor: float) -> int:
     """Number of basis amplitudes at or above the floor."""
     if floor <= 0.0:
         raise ValueError("floor must be positive")
-    return sum(1 for v in state.amplitudes.values() if abs(v) >= floor)
+    return int(np.count_nonzero(np.abs(state.amplitudes) >= floor))
 
 
 def exact_evolve(state: ExpandedState, spec: QuenchSpec, t: float) -> ExpandedState:
     """Diagonal evolution: each amplitude picks up e^{-i sum w'_k (n_k+1/2) t}."""
     w = normal_modes(spec.joint_chain).frequencies
-    amps = {occ: v * np.exp(-1j * np.dot(w, np.asarray(occ) + 0.5) * t)
-            for occ, v in state.amplitudes.items()}
-    return ExpandedState(amplitudes=amps, modes=state.modes, cutoff=state.cutoff,
-                         truncation_order=state.truncation_order,
-                         leakage=state.leakage, source=state.source,
-                         max_total=state.max_total)
+    phase = np.exp(-1j * ((state.occupations + 0.5) @ w) * t)
+    return dataclasses.replace(state, amplitudes=state.amplitudes * phase)
 
 
-def apply_joint_annihilation(state: ExpandedState, k: int) -> Amplitudes:
-    """c_k on the state; annihilation never leaves the truncated basis."""
-    return _apply_c(state.amplitudes, k)
-
-
-def apply_joint_creation(state: ExpandedState, k: int, strict: bool = True,
-                         departure_tol: float = 1e-10) -> Amplitudes:
-    """c+_k on the state, kept inside the cutoff.
-
-    The component pushed past the cutoff is dropped; in strict mode a dropped
-    norm above departure_tol raises instead of silently truncating.
-    """
-    full = _apply_cdag(state.amplitudes, k)
-    kept = {occ: v for occ, v in full.items() if occ[k] <= state.cutoff
-            and (state.max_total is None or sum(occ) <= state.max_total)}
-    if strict:
-        lost = np.sqrt(sum(abs(v) ** 2 for occ, v in full.items()
-                           if occ not in kept))
-        if lost > departure_tol:
-            raise CutoffExceeded(
-                f"creation on mode {k + 1} leaves the basis with amplitude "
-                f"{lost:.3e} (tolerance {departure_tol:.1e})")
-    return kept
-
-
-def apply_pre_annihilation(state_amps: Amplitudes, bog: BogoliubovMap,
-                           m: int) -> Amplitudes:
-    """a_m = sum_k alpha_mk c_k + beta_mk c+_k, applied without any cap.
-
-    The creation half may exceed the nominal cutoff; that is intentional,
-    the result is exact for the truncated input vector.
-    """
-    out: Amplitudes = {}
-    for k in range(bog.alpha.shape[1]):
-        if bog.alpha[m, k] != 0.0:
-            _add_scaled(out, _apply_c(state_amps, k), bog.alpha[m, k])
-        if bog.beta[m, k] != 0.0:
-            _add_scaled(out, _apply_cdag(state_amps, k), bog.beta[m, k])
-    return out
+def _pre_annihilated_norms(state: ExpandedState, bog: BogoliubovMap):
+    """||a_m psi|| for a_m = sum_k alpha_mk c_k + beta_mk c+_k, uncapped."""
+    psi = state.occupations, state.amplitudes
+    return [np.linalg.norm(_merge(_ladder(psi, bog.beta[m], bog.alpha[m]))[1])
+            for m in range(bog.alpha.shape[0])]
 
 
 def annihilation_residual(state: ExpandedState, bog: BogoliubovMap) -> float:
     """max_m ||a_m psi||: zero in exact arithmetic for the expanded vacuum."""
-    n_pre = bog.alpha.shape[0]
-    return max(_norm(apply_pre_annihilation(state.amplitudes, bog, m))
-               for m in range(n_pre))
+    return float(max(_pre_annihilated_norms(state, bog)))
 
 
 def constraint_residual(state: ExpandedState, f: FMatrix) -> float:
     """max_k ||(c_k + sum_l F_kl c+_l) psi||, the defining property of the
     squeezed vacuum. Creation parts are evaluated uncapped."""
-    K = f.f.shape[0]
-    worst = 0.0
-    for k in range(K):
-        r = _apply_c(state.amplitudes, k)
-        for l in range(K):
-            if f.f[k, l] != 0.0:
-                _add_scaled(r, _apply_cdag(state.amplitudes, l), f.f[k, l])
-        worst = max(worst, _norm(r))
-    return worst
+    psi = state.occupations, state.amplitudes
+    unit = np.eye(state.modes)
+    return float(max(np.linalg.norm(_merge(_ladder(psi, f.f[k], unit[k]))[1])
+                     for k in range(state.modes)))
 
 
 def oracle_correlators(state: ExpandedState) -> CorrelationSet:
-    """All four quadratic correlators by direct ladder matrix elements.
+    """All four quadratic correlators as one Gram matrix of ladder images.
 
-    Every entry reduces to inner products of annihilated vectors:
-    <c+_l c_k> = (c_l psi, c_k psi), <c_l c_k> = (psi, c_l c_k psi), and
-    <c_l c+_k> = <c+_k c_l> + delta_lk, whose diagonal is the exact weight
-    sum (n_l + 1)|amp|^2. No ladder ever leaves the truncated basis, so
-    the result is exact for the stored vector.
+    With L_k = c_k psi and R_k = c+_k psi merged onto common rows,
+    <c+_l c_k> = (L_l, L_k), <c+_l c+_k> = (L_l, R_k), <c_l c_k> = (R_l, L_k)
+    and <c_l c+_k> = (R_l, R_k): the four blocks of [L R]^H [L R]. No
+    ladder is capped, so the result is exact for the stored vector.
     """
     K = state.modes
-    lowered = [apply_joint_annihilation(state, k) for k in range(K)]
-    c1 = np.zeros((K, K), dtype=complex)
-    c3 = np.zeros((K, K), dtype=complex)
-    for l in range(K):
-        for k in range(K):
-            c1[l, k] = _inner(lowered[l], lowered[k])
-            c3[l, k] = _inner(state.amplitudes, _apply_c(lowered[k], l))
-    c2 = np.conj(c3).T
-    c4 = c1.T.copy()
-    for l in range(K):
-        c4[l, l] = sum((occ[l] + 1) * abs(v) ** 2
-                       for occ, v in state.amplitudes.items())
-    if max(np.max(np.abs(x.imag)) for x in (c1, c2, c3, c4)) < 1e-14:
-        c1, c2, c3, c4 = (x.real.copy() for x in (c1, c2, c3, c4))
-    return CorrelationSet(cdag_c=c1, cdag_cdag=c2, c_c=c3, c_cdag=c4)
+    psi = state.occupations, state.amplitudes
+    unit, zero, onehot = np.eye(K), np.zeros(K), np.eye(2 * K)
+    images = ([_ladder(psi, zero, unit[k]) for k in range(K)]
+              + [_ladder(psi, unit[k], zero) for k in range(K)])
+    _, vecs = _merge(*((o, a[:, None] * onehot[j])
+                       for j, (o, a) in enumerate(images)))
+    g = vecs.conj().T @ vecs
+    if np.max(np.abs(g.imag)) < 1e-14:
+        g = g.real
+    return CorrelationSet(cdag_c=g[:K, :K].copy(), cdag_cdag=g[:K, K:].copy(),
+                          c_c=g[K:, :K].copy(), c_cdag=g[K:, K:].copy())
 
 
 def occupation_series(state: ExpandedState, spec: QuenchSpec,
                       bog: BogoliubovMap, times) -> np.ndarray:
-    """<n_m(t)> for every pre-quench mode m, via ||a_m psi(t)||^2."""
+    """<n_m(t)> for every pre-quench mode m, via ||a_m psi(t)||^2, one
+    sample at a time."""
     times = np.asarray(times, dtype=float)
-    n_pre = bog.alpha.shape[0]
-    out = np.empty((len(times), n_pre))
+    out = np.empty((len(times), bog.alpha.shape[0]))
     for i, t in enumerate(times):
-        psit = exact_evolve(state, spec, t)
-        for m in range(n_pre):
-            am = apply_pre_annihilation(psit.amplitudes, bog, m)
-            out[i, m] = sum(abs(v) ** 2 for v in am.values())
+        out[i] = np.square(_pre_annihilated_norms(exact_evolve(state, spec, t),
+                                                  bog))
     return out
 
 

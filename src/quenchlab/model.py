@@ -269,22 +269,28 @@ def quench_from_config(cfg) -> QuenchSpec:
         raise ConfigError(f"missing required key {exc.args[0]!r}") from None
     except ValueError as exc:
         raise ConfigError(f"bad integer: {exc}") from None
+    num = {}
+    for key, default, kind in (("mass", 1.0, float), ("omega0", 1.0, float),
+                               ("hbar", 1.0, float), ("t_max", 2000.0, float),
+                               ("t_steps", 2001, int)):
+        try:
+            num[key] = kind(cfg.get(key, default))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: bad numeric value: {exc}") from None
+    occ_raw = cfg.get("occupations")
+    occ_raw = "" if occ_raw is None else str(occ_raw).strip()
     try:
-        mass = float(cfg.get("mass", 1.0))
-        omega0 = float(cfg.get("omega0", 1.0))
-        hbar = float(cfg.get("hbar", 1.0))
-        t_max = float(cfg.get("t_max", 2000.0))
-        t_steps = int(cfg.get("t_steps", 2001))
-        occ_raw = cfg.get("occupations")
-        if occ_raw is None or str(occ_raw).strip() == "":
-            occupations = None
-        else:
-            occupations = [int(tok) for tok in str(occ_raw).split(",")]
+        occupations = ([int(tok) for tok in occ_raw.split(",")]
+                       if occ_raw else None)
     except ValueError as exc:
-        raise ConfigError(f"bad numeric value: {exc}") from None
+        raise ConfigError(f"occupations: bad integer: {exc}") from None
+    t_max, t_steps = num["t_max"], num["t_steps"]
     if not np.isfinite(t_max):
         raise ConfigError(f"t_max must be finite, got {t_max!r}")
     if t_steps < 1:
         raise ConfigError(f"t_steps must be >= 1, got {t_steps}")
-    return QuenchSpec.build(N, M, occupations=occupations, mass=mass,
-                            omega0=omega0, hbar=hbar, t_max=t_max, t_steps=t_steps)
+    if t_steps > 1 and t_max <= 0.0:
+        raise ConfigError(f"t_max must be > 0 when t_steps > 1, got {t_max!r}")
+    return QuenchSpec.build(N, M, occupations=occupations, mass=num["mass"],
+                            omega0=num["omega0"], hbar=num["hbar"],
+                            t_max=t_max, t_steps=t_steps)

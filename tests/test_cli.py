@@ -97,8 +97,12 @@ def test_unknown_config_key_exits_2(tmp_path):
     ("N = 2\nrecurrence_threshold = nan", "recurrence_threshold"),
     ("N = 2\nt_max = inf", "t_max"),
     ("N = 2\nt_steps = 0", "t_steps"),
+    ("N = 2\nt_max = -5", "t_max"),
+    ("N = 2\nt_max = 0", "t_max"),
+    ("N = 2\noccupations = 0, 1.5, 0, 0", "occupations"),
 ], ids=["negative-N", "cutoff-abc", "order-1.5", "floor-0", "skip-x",
-        "threshold-nan", "t_max-inf", "t_steps-0"])
+        "threshold-nan", "t_max-inf", "t_steps-0", "t_max-negative",
+        "t_max-0", "occupations-1.5"])
 def test_invalid_value_exits_2(tmp_path, lines, key):
     cfg = _write_config(tmp_path, f"M = 2\n{lines}\n")
     out = tmp_path / "out"

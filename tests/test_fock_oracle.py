@@ -4,14 +4,14 @@ import pytest
 from quenchlab.bogoliubov import (BogoliubovMap, FMatrix, build_bogoliubov,
                                   f_matrix, initial_correlations)
 from quenchlab.dynamics import evolve_occupations
-from quenchlab.fock_oracle import (CutoffExceeded, ExpandedState,
-                                   TruncatedBasis, annihilation_residual,
-                                   apply_joint_annihilation,
-                                   apply_joint_creation, constraint_residual,
-                                   delocalization_count, delocalization_table,
-                                   exact_evolve, expand_initial_state,
+from quenchlab.fock_oracle import (CutoffExceeded, ExpandedState, _ladder,
+                                   _merge, annihilation_residual,
+                                   constraint_residual, delocalization_count,
+                                   delocalization_table, exact_evolve,
+                                   expand_initial_state,
                                    expand_squeezed_vacuum, occupation_series,
                                    oracle_correlators)
+from quenchlab.model import normal_modes
 
 from conftest import make_spec
 
@@ -34,44 +34,19 @@ def map22(spec22):
     return bog, f_matrix(bog)
 
 
-def test_basis_enumeration():
-    basis = TruncatedBasis(modes=4, cutoff=8)
-    assert basis.size == 9 ** 4
-    assert basis.states[0] == (0, 0, 0, 0)
-    assert list(basis.states) == sorted(basis.states)
-    idx = basis.index()
-    assert idx[(0, 0, 0, 1)] == 1
-    assert (3, 8, 0, 2) in basis
-    assert (3, 9, 0, 2) not in basis
-    assert (3, 8, 0) not in basis
-
-
-def test_basis_total_cap():
-    basis = TruncatedBasis(modes=3, cutoff=2, max_total=2)
-    assert basis.size == 10
-    assert (1, 1, 0) in basis
-    assert (1, 1, 1) not in basis
-
-
-def test_basis_size_limit():
-    with pytest.raises(CutoffExceeded):
-        TruncatedBasis(modes=4, cutoff=30)
-
-
-def test_basis_validation():
-    with pytest.raises(ValueError):
-        TruncatedBasis(modes=0, cutoff=4)
-    with pytest.raises(ValueError):
-        TruncatedBasis(modes=2, cutoff=-1)
-    with pytest.raises(ValueError):
-        TruncatedBasis(modes=2, cutoff=4, max_total=-3)
+def _basis_state(*occ):
+    """One Fock row in the oracle's array layout."""
+    return ExpandedState(occupations=np.array([occ], dtype=np.int16),
+                         amplitudes=np.ones(1), leakage=0.0)
 
 
 def test_squeezed_vacuum_first_order():
     rng = np.random.default_rng(11)
     f = rng.uniform(-0.2, 0.2, size=(3, 3))
     f = 0.5 * (f + f.T)
-    psi = expand_squeezed_vacuum(f, order=1)
+    rows, amps = expand_squeezed_vacuum(f, order=1)
+    assert rows.dtype == np.int16 and len(np.unique(rows, axis=0)) == len(rows)
+    psi = dict(zip(map(tuple, rows.tolist()), amps))
     assert psi[(0, 0, 0)] == 1.0
     assert abs(psi[(1, 1, 0)] - (-f[0, 1])) < 1e-14
     assert abs(psi[(1, 0, 1)] - (-f[0, 2])) < 1e-14
@@ -144,10 +119,7 @@ def test_correlators_converge_at_higher_cutoff(map22, modes):
 
 
 def test_fock_basis_state_correlators():
-    amps = {(0, 1, 1, 0): 1.0}
-    state = ExpandedState(amplitudes=amps, modes=4, cutoff=8,
-                          truncation_order=0, leakage=0.0)
-    oc = oracle_correlators(state)
+    oc = oracle_correlators(_basis_state(0, 1, 1, 0))
     np.testing.assert_allclose(oc.cdag_c, np.diag([0.0, 1.0, 1.0, 0.0]),
                                rtol=0, atol=1e-14)
     np.testing.assert_allclose(oc.c_c, np.zeros((4, 4)), rtol=0, atol=1e-14)
@@ -160,11 +132,31 @@ def test_exact_evolution_is_diagonal_and_unitary(spec22, map22):
     moved = exact_evolve(state, spec22, 17.3)
     assert abs(moved.norm() - 1.0) < 1e-14
     assert moved.support_size() == state.support_size()
-    for occ, v in state.amplitudes.items():
-        assert abs(abs(moved.amplitudes[occ]) - abs(v)) < 1e-14
+    assert np.array_equal(moved.occupations, state.occupations)
+    assert np.max(np.abs(np.abs(moved.amplitudes)
+                         - np.abs(state.amplitudes))) < 1e-14
     frozen = exact_evolve(state, spec22, 0.0)
-    for occ, v in state.amplitudes.items():
-        assert abs(frozen.amplitudes[occ] - v) < 1e-15
+    assert np.max(np.abs(frozen.amplitudes - state.amplitudes)) < 1e-15
+
+
+def test_evolved_correlators_pick_up_mode_phases(map22):
+    # exact for the stored vector at any cutoff: each ladder image of
+    # psi(t) is the t = 0 image times one phase per mode
+    bog, f = map22
+    spec = make_spec(2, 2, modes=(2, 3), t_max=1.0, t_steps=2)
+    state = expand_initial_state(spec, bog, f, order=12, cutoff=8)
+    t = 17.3
+    w = normal_modes(spec.joint_chain).frequencies
+    c0 = oracle_correlators(state)
+    ct = oracle_correlators(exact_evolve(state, spec, t))
+    assert np.iscomplexobj(ct.cdag_c) and np.iscomplexobj(ct.c_c)
+    hop = np.exp(1j * (w[:, None] - w[None, :]) * t)
+    pair = np.exp(-1j * (w[:, None] + w[None, :]) * t)
+    for got, want in ((ct.cdag_c, c0.cdag_c * hop),
+                      (ct.c_cdag, c0.c_cdag * np.conj(hop)),
+                      (ct.c_c, c0.c_c * pair),
+                      (ct.cdag_cdag, c0.cdag_cdag * np.conj(pair))):
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_occupations_match_quadratic_dynamics_at_cutoff8(map22):
@@ -226,25 +218,17 @@ def test_trivial_map_stays_on_vacuum(spec22):
                                  order=3, cutoff=8)
     assert state.support_size() == 1
     assert delocalization_count(state, 1e-12) == 1
-    assert abs(state.amplitude((0, 0, 0, 0)) - 1.0) < 1e-14
-
-
-def test_creation_respects_cutoff():
-    edge = ExpandedState(amplitudes={(8, 0, 0, 0): 1.0}, modes=4, cutoff=8,
-                         truncation_order=0, leakage=0.0)
-    with pytest.raises(CutoffExceeded):
-        apply_joint_creation(edge, 0)
-    assert apply_joint_creation(edge, 0, strict=False) == {}
-    low = ExpandedState(amplitudes={(1, 0, 0, 0): 1.0}, modes=4, cutoff=8,
-                        truncation_order=0, leakage=0.0)
-    lifted = apply_joint_creation(low, 0)
-    assert abs(lifted[(2, 0, 0, 0)] - np.sqrt(2.0)) < 1e-14
+    assert state.occupations.tolist() == [[0, 0, 0, 0]]
+    assert abs(state.amplitudes[0] - 1.0) < 1e-14
 
 
 def test_annihilation_never_leaves_basis():
-    low = ExpandedState(amplitudes={(1, 0, 0, 0): 1.0}, modes=4, cutoff=8,
-                        truncation_order=0, leakage=0.0)
-    assert apply_joint_annihilation(low, 0) == {(0, 0, 0, 0): 1.0}
-    vac = ExpandedState(amplitudes={(0, 0, 0, 0): 1.0}, modes=4, cutoff=8,
-                        truncation_order=0, leakage=0.0)
-    assert apply_joint_annihilation(vac, 0) == {}
+    unit, zero = np.eye(4), np.zeros(4)
+    low = _basis_state(1, 0, 0, 0)
+    rows, amps = _merge(_ladder((low.occupations, low.amplitudes), zero,
+                                unit[0]))
+    assert rows.tolist() == [[0, 0, 0, 0]] and amps.tolist() == [1.0]
+    vac = _basis_state(0, 0, 0, 0)
+    rows, amps = _merge(_ladder((vac.occupations, vac.amplitudes), zero,
+                                unit[0]))
+    assert rows.shape == (0, 4) and amps.shape == (0,)
