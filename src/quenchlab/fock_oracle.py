@@ -15,8 +15,7 @@ of modes.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,7 +144,7 @@ def exact_evolve(state: ExpandedState, spec: QuenchSpec, t: float) -> ExpandedSt
     """Diagonal evolution: each amplitude picks up e^{-i sum w'_k (n_k+1/2) t}."""
     w = normal_modes(spec.joint_chain).frequencies
     phase = np.exp(-1j * ((state.occupations + 0.5) @ w) * t)
-    return dataclasses.replace(state, amplitudes=state.amplitudes * phase)
+    return replace(state, amplitudes=state.amplitudes * phase)
 
 
 def _pre_annihilated_norms(state: ExpandedState, bog: BogoliubovMap):
