@@ -16,24 +16,19 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, replace
 
-ANALYSES = ("dynamics", "gge", "covariance", "fock-oracle", "delocalization",
-            "sweep")
 PRESETS = ("fig1", "table1", "sweep")
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
+def _write_csv(path, header, table):
+    import numpy as np
 
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _write_json(path, payload):
@@ -47,23 +42,25 @@ def _tagged(name, spec, ext):
 
 
 def _dump_bogoliubov(spec, bog, outdir, files):
+    import numpy as np
+
     from .bogoliubov import f_matrix
 
     K = spec.total_size
     joint_cols = [f"joint_{k}" for k in range(1, K + 1)]
-    for name, mat in (("alpha", bog.alpha), ("beta", bog.beta)):
+    modes = np.arange(1.0, K + 1)
+    for name, first, mat in (("alpha", "pre_mode", bog.alpha),
+                             ("beta", "pre_mode", bog.beta),
+                             ("f_matrix", "joint_mode", f_matrix(bog).f)):
         fname = _tagged(name, spec, "csv")
-        _write_csv(os.path.join(outdir, fname), ["pre_mode"] + joint_cols,
-                   ([float(i + 1)] + list(mat[i]) for i in range(K)))
+        _write_csv(os.path.join(outdir, fname), [first] + joint_cols,
+                   np.column_stack([modes, mat]))
         files.append(fname)
-    f = f_matrix(bog)
-    fname = _tagged("f_matrix", spec, "csv")
-    _write_csv(os.path.join(outdir, fname), ["joint_mode"] + joint_cols,
-               ([float(i + 1)] + list(f.f[i]) for i in range(K)))
-    files.append(fname)
 
 
-def _run_dynamics(spec, bog, outdir, files, threshold=0.5, skip=50.0):
+def _run_dynamics(spec, bog, outdir, files, threshold, skip):
+    import numpy as np
+
     from .bogoliubov import initial_correlations
     from .dynamics import evolve_occupations, fluctuation_series, per_mode_energy
     from .gge import conserved_charges, build_gge, gge_expectations
@@ -74,26 +71,26 @@ def _run_dynamics(spec, bog, outdir, files, threshold=0.5, skip=50.0):
     K = spec.total_size
     header = (["t"] + [f"n_{m}" for m in range(1, K + 1)]
               + ["E_N", "E_M", "E_N_plus_E_M", "E_total_joint"])
-    rows = ([series.times[i]] + list(series.n_expect[i])
-            + [series.e_left[i], series.e_right[i],
-               series.e_left[i] + series.e_right[i], series.e_total_joint]
-            for i in range(len(series.times)))
+    table = np.column_stack([
+        series.times, series.n_expect, series.e_left, series.e_right,
+        series.e_left + series.e_right,
+        np.full(len(series.times), series.e_total_joint)])
     fname = _tagged("dynamics", spec, "csv")
-    _write_csv(os.path.join(outdir, fname), header, rows)
+    _write_csv(os.path.join(outdir, fname), header, table)
     files.append(fname)
 
     fluct = fluctuation_series(series, threshold=threshold,
                                relaxation_skip=skip)
     fname = _tagged("fluctuations", spec, "csv")
     _write_csv(os.path.join(outdir, fname), ["t", "ratio"],
-               zip(fluct.times, fluct.ratio))
+               np.column_stack([fluct.times, fluct.ratio]))
     files.append(fname)
 
     pme = per_mode_energy(series, spec)
     fname = _tagged("permode", spec, "csv")
     _write_csv(os.path.join(outdir, fname),
                ["t", "e_left_per_site", "e_right_per_site"],
-               zip(pme.times, pme.left, pme.right))
+               np.column_stack([pme.times, pme.left, pme.right]))
     files.append(fname)
 
     ens = build_gge(conserved_charges(bog, spec.initial_state))
@@ -226,63 +223,58 @@ def _run_sweep(outdir, files):
     files.append("sweep.json")
 
 
-def _preset_specs(name):
-    from .model import ChainSpec, FockExcitation, QuenchSpec, default_time_grid
-
-    specs = []
-    if name in ("fig1", "table1"):
-        for M in (10, 16, 20):
-            total = 5 + M
-            state = FockExcitation.from_modes(total, [3, 4])
-            specs.append(QuenchSpec(ChainSpec(5), ChainSpec(M), state,
-                                    default_time_grid()))
-    return specs
-
-
-def _run_preset(name, outdir, files, args):
-    if name == "fig1":
+def _run_config(cfg, outdir, files, dump):
+    """Run cfg's analyses in order; return the first recurrence time that
+    the dynamics analysis found (None without it)."""
+    spec = bog = t_rec = None
+    if set(cfg.analyses) - {"sweep"} or dump:
         from .bogoliubov import build_bogoliubov
+        from .model import quench_from_config
 
+        spec = quench_from_config(cfg)
+        bog = build_bogoliubov(spec)
+    if dump:
+        _dump_bogoliubov(spec, bog, outdir, files)
+    for name in cfg.analyses:
+        if name == "dynamics":
+            t_rec = _run_dynamics(spec, bog, outdir, files,
+                                  cfg.recurrence_threshold,
+                                  cfg.relaxation_skip)
+        elif name == "gge":
+            _run_gge(spec, bog, outdir, files)
+        elif name == "covariance":
+            _run_covariance(spec, outdir, files)
+        elif name == "fock-oracle":
+            _run_oracle(spec, bog, outdir, files, cfg.cutoff, cfg.order)
+        elif name == "delocalization":
+            _run_delocalization(spec, bog, outdir, files, cfg.floor)
+        elif name == "sweep":
+            _run_sweep(outdir, files)
+    return t_rec
+
+
+def _run_preset(name, base, outdir, files, dump):
+    if name == "fig1":
         recurrences = {}
-        for spec in _preset_specs(name):
-            bog = build_bogoliubov(spec)
-            t_rec = _run_dynamics(spec, bog, outdir, files)
-            recurrences[f"M={spec.n_right}"] = t_rec
-            if args.dump_bogoliubov:
-                _dump_bogoliubov(spec, bog, outdir, files)
+        for M in (10, 16, 20):
+            cfg = replace(base, N=5, M=M,
+                          occupations=(0, 0, 1, 1, 0) + (0,) * M)
+            recurrences[f"M={M}"] = _run_config(cfg, outdir, files, dump)
         _write_json(os.path.join(outdir, "recurrence_times.json"), recurrences)
         files.append("recurrence_times.json")
     elif name == "table1":
         from .fock_oracle import delocalization_table
 
-        rows = delocalization_table(floor=args.floor)
+        rows = delocalization_table(floor=base.floor)
         _write_json(os.path.join(outdir, "delocalization_table.json"), rows)
         files.append("delocalization_table.json")
         _write_csv(os.path.join(outdir, "delocalization_table.csv"),
                    ["n_left", "n_right", "single_count", "pair_count"],
-                   ([r["n_left"], r["n_right"], r["single_count"],
-                     r["pair_count"]] for r in rows))
+                   [[r["n_left"], r["n_right"], r["single_count"],
+                     r["pair_count"]] for r in rows])
         files.append("delocalization_table.csv")
     elif name == "sweep":
         _run_sweep(outdir, files)
-
-
-def _config_number(cfg, key, default, kind, low, strict=False):
-    """cfg[key] as a finite int or float, >= low (> low when strict)."""
-    from .model import ConfigError
-
-    try:
-        val = kind(cfg.get(key, default))
-    except ValueError:
-        val = None
-    # nan fails both comparisons; inf is named
-    ok = val is not None and val != float("inf") and (
-        val > low if strict else val >= low)
-    if not ok:
-        raise ConfigError(f"{key} must be a finite {kind.__name__} "
-                          f"{'>' if strict else '>='} {low:g}, "
-                          f"got {cfg.get(key, default)!r}")
-    return val
 
 
 def _versions():
@@ -314,8 +306,9 @@ def main(argv=None) -> int:
                         help="pin BLAS/OpenMP thread pools to this count")
     parser.add_argument("--dump-bogoliubov", action="store_true",
                         help="also write alpha, beta and F matrices as CSV")
-    parser.add_argument("--floor", type=float, default=1e-12,
-                        help="amplitude floor for delocalization counts")
+    parser.add_argument("--floor", type=float,
+                        help="amplitude floor for delocalization counts "
+                             "(the config's floor key wins)")
     args = parser.parse_args(argv)
 
     if args.threads is not None:
@@ -335,7 +328,7 @@ def main(argv=None) -> int:
         "outputs": files,
         "versions": _versions(),
         "tolerances": {
-            "floor": args.floor,
+            "floor": None,
             "imag_tol": 1e-8,
             "symplectic_tol": 1e-10,
             "alpha_condition_limit": 1e12,
@@ -349,50 +342,18 @@ def main(argv=None) -> int:
     code = 0
     try:
         os.makedirs(outdir, exist_ok=True)
-        if args.preset:
-            _run_preset(args.preset, outdir, files, args)
-        elif args.config:
-            from .model import parse_config, quench_from_config, ConfigError
+        from .model import RunConfig, parse_config
 
+        cfg = RunConfig() if args.floor is None else RunConfig(floor=args.floor)
+        if args.config and not args.preset:
             with open(args.config) as fh:
-                cfg = parse_config(fh.read())
-            manifest["config"] = dict(cfg)
-            if "analyses" in cfg:
-                requested = [tok.strip() for tok in cfg["analyses"].split(",")
-                             if tok.strip()]
-            else:
-                requested = ["dynamics"]
-            for name in requested:
-                if name not in ANALYSES:
-                    raise ConfigError(f"unknown analysis {name!r}")
-            threshold = _config_number(cfg, "recurrence_threshold", 0.5,
-                                       float, 0.0, strict=True)
-            skip = _config_number(cfg, "relaxation_skip", 50.0, float, 0.0)
-            cutoff = _config_number(cfg, "cutoff", 8, int, 1)
-            order = _config_number(cfg, "order", 12, int, 1)
-            floor = _config_number(cfg, "floor", args.floor, float, 0.0,
-                                   strict=True)
-            spec = bog = None
-            if set(requested) - {"sweep"} or args.dump_bogoliubov:
-                from .bogoliubov import build_bogoliubov
-
-                spec = quench_from_config(cfg)
-                bog = build_bogoliubov(spec)
-            if args.dump_bogoliubov:
-                _dump_bogoliubov(spec, bog, outdir, files)
-            for name in requested:
-                if name == "dynamics":
-                    _run_dynamics(spec, bog, outdir, files, threshold, skip)
-                elif name == "gge":
-                    _run_gge(spec, bog, outdir, files)
-                elif name == "covariance":
-                    _run_covariance(spec, outdir, files)
-                elif name == "fock-oracle":
-                    _run_oracle(spec, bog, outdir, files, cutoff, order)
-                elif name == "delocalization":
-                    _run_delocalization(spec, bog, outdir, files, floor)
-                elif name == "sweep":
-                    _run_sweep(outdir, files)
+                cfg = parse_config(fh.read(), cfg)
+            manifest["config"] = asdict(cfg)
+        manifest["tolerances"]["floor"] = cfg.floor
+        if args.preset:
+            _run_preset(args.preset, cfg, outdir, files, args.dump_bogoliubov)
+        elif args.config:
+            _run_config(cfg, outdir, files, args.dump_bogoliubov)
         manifest["status"] = "ok"
     except Exception as exc:
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}

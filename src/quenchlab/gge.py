@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,20 +80,13 @@ class DeviationReport:
     The per-site densities are reported in the mode-normalization-stripped
     convention (squared coefficients divided by the sine prefactors
     2/(L+1) and 2/(N_tot+1)), the convention in which the vacuum density
-    approaches a size-independent constant in the bulk of the band.  Both
-    the total-size and left-size normalizations of the vacuum density are
-    included since either reading of "per lattice point" occurs.
+    approaches a size-independent constant in the bulk of the band.
     """
 
     delta_g: np.ndarray
     vacuum_term_per_site: float
     stimulated_term_per_site: float
-    lattice_size: int
     observation_mode: int       # 1-based joint mode used for scalar reporting
-    density_mode: int           # 1-based joint mode where densities are taken
-    vacuum_term_per_site_left: float = 0.0
-    numerator: np.ndarray = field(default=None, repr=False)
-    denominator: np.ndarray = field(default=None, repr=False)
 
 
 def _nearest_odd_mode(K, fraction):
@@ -141,12 +134,7 @@ def deviation_delta_g(bog: BogoliubovMap, state: FockExcitation,
         delta_g=delta,
         vacuum_term_per_site=vac_col / K,
         stimulated_term_per_site=stim_col / K,
-        lattice_size=K,
         observation_mode=k_obs,
-        density_mode=k_den,
-        vacuum_term_per_site_left=vac_col / bog.n_left,
-        numerator=numerator,
-        denominator=denominator,
     )
 
 
@@ -158,7 +146,6 @@ class SweepResult:
     vacuum_densities: list
     density_rel_change: float   # over the top octave of sizes
     energy_gaps: list           # |E_N/N - E_M/M| long-time averages
-    reports: list
 
 
 def single_excitation_sweep(total_sizes=(10, 20, 40, 80), mass=1.0, omega0=1.0,
@@ -174,7 +161,7 @@ def single_excitation_sweep(total_sizes=(10, 20, 40, 80), mass=1.0, omega0=1.0,
     from .dynamics import evolve_occupations, per_mode_energy  # local to avoid cycle
 
     sizes = sorted(int(s) for s in total_sizes)
-    reports, deltas, densities, gaps = [], [], [], []
+    deltas, densities, gaps = [], [], []
     for size in sizes:
         if size % 2 or size < 4:
             raise ValueError("sweep sizes must be even and at least 4")
@@ -186,7 +173,6 @@ def single_excitation_sweep(total_sizes=(10, 20, 40, 80), mass=1.0, omega0=1.0,
                                 t_max=1.0, t_steps=2)
         bog = build_bogoliubov(spec)
         rep = deviation_delta_g(bog, state)
-        reports.append(rep)
         deltas.append(float(rep.delta_g[rep.observation_mode - 1]))
         densities.append(rep.vacuum_term_per_site)
 
@@ -205,7 +191,6 @@ def single_excitation_sweep(total_sizes=(10, 20, 40, 80), mass=1.0, omega0=1.0,
         vacuum_densities=densities,
         density_rel_change=float(rel),
         energy_gaps=gaps,
-        reports=reports,
     )
 
 

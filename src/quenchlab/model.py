@@ -8,7 +8,7 @@ normal-mode bases constructed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -234,16 +234,93 @@ def joint_hamiltonian_check(spec: QuenchSpec) -> float:
     return float(np.max(np.abs(disjoint - stiffness_matrix(spec.joint_chain))))
 
 
-_CONFIG_KEYS = {"N", "M", "mass", "omega0", "hbar", "occupations", "t_max",
-                "t_steps", "analyses", "preset", "sweep", "floor", "cutoff",
-                "order", "recurrence_threshold", "relaxation_skip"}
+ANALYSES = ("dynamics", "gge", "covariance", "fock-oracle", "delocalization",
+            "sweep")
 
 
-def parse_config(text):
-    """Parse a plain `key = value` config document into a dict of strings.
+def _key(default, kind, low=None, strict=False):
+    """A numeric config key: its default, its type and its lower bound."""
+    return field(default=default,
+                 metadata={"kind": kind, "low": low, "strict": strict})
 
-    Lines starting with # are comments.  Unknown keys raise ConfigError.
+
+def _number(key, value, kind, low, strict):
+    """value as a finite `kind`, >= low (> low when strict, unbounded when
+    low is None); a ConfigError naming `key` otherwise."""
+    try:
+        val = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        val = None
+    # nan fails every comparison; inf is named
+    ok = val is not None and val != float("inf") and (
+        low is None or (val > low if strict else val >= low))
+    if not ok:
+        bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
+        raise ConfigError(f"{key} must be a finite {kind.__name__}{bound}, "
+                          f"got {value!r}")
+    return val
+
+
+def _items(value):
+    """The items of a comma-separated string (none if it is blank), or of a
+    sequence, as a tuple; an empty item stays and fails its key's check."""
+    if isinstance(value, str):
+        value = [tok.strip() for tok in value.split(",")] if value.strip() else []
+    return tuple(value)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run of the command line: every config key, typed, with its default.
+
+    Values given as strings (as `parse_config` passes them) are converted
+    and range-checked here, so every RunConfig is valid.  N and M may be
+    left out when only the sweep runs; their range is ChainSpec's to check.
+    Empty `occupations` mean the vacuum.
     """
+
+    N: int | None = _key(None, int)
+    M: int | None = _key(None, int)
+    mass: float = _key(1.0, float, 0.0, strict=True)
+    omega0: float = _key(1.0, float, 0.0, strict=True)
+    hbar: float = _key(1.0, float, 0.0, strict=True)
+    occupations: tuple = ()
+    t_max: float = _key(2000.0, float, 0.0, strict=True)
+    t_steps: int = _key(2001, int, 1)
+    analyses: tuple = ("dynamics",)
+    cutoff: int = _key(8, int, 1)
+    order: int = _key(12, int, 1)
+    floor: float = _key(1e-12, float, 0.0, strict=True)
+    recurrence_threshold: float = _key(0.5, float, 0.0, strict=True)
+    relaxation_skip: float = _key(50.0, float, 0.0)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata and value is not None:
+                object.__setattr__(self, f.name,
+                                   _number(f.name, value, **f.metadata))
+        try:
+            occ = tuple(int(n) for n in _items(self.occupations))
+        except ValueError as exc:
+            raise ConfigError(f"occupations: bad integer: {exc}") from None
+        names = _items(self.analyses)
+        for name in names:
+            if name not in ANALYSES:
+                raise ConfigError(f"analyses: unknown analysis {name!r}")
+        if len(set(names)) < len(names):
+            raise ConfigError(f"analyses: repeated analysis in {names}")
+        object.__setattr__(self, "occupations", occ)
+        object.__setattr__(self, "analyses", names)
+
+
+def parse_config(text, base=RunConfig()) -> RunConfig:
+    """Parse a plain `key = value` config document into a RunConfig.
+
+    Lines starting with # are comments.  Unknown and repeated keys raise
+    ConfigError.  Keys the text leaves out keep their value in `base`.
+    """
+    keys = {f.name for f in fields(RunConfig)}
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -252,45 +329,19 @@ def parse_config(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = val
-    return out
+    return replace(base, **out)
 
 
-def quench_from_config(cfg) -> QuenchSpec:
-    """Build a QuenchSpec from a parsed config dict (strings allowed)."""
-    try:
-        N = int(cfg["N"])
-        M = int(cfg["M"])
-    except KeyError as exc:
-        raise ConfigError(f"missing required key {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ConfigError(f"bad integer: {exc}") from None
-    num = {}
-    for key, default, kind in (("mass", 1.0, float), ("omega0", 1.0, float),
-                               ("hbar", 1.0, float), ("t_max", 2000.0, float),
-                               ("t_steps", 2001, int)):
-        try:
-            num[key] = kind(cfg.get(key, default))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: bad numeric value: {exc}") from None
-    occ_raw = cfg.get("occupations")
-    occ_raw = "" if occ_raw is None else str(occ_raw).strip()
-    try:
-        occupations = ([int(tok) for tok in occ_raw.split(",")]
-                       if occ_raw else None)
-    except ValueError as exc:
-        raise ConfigError(f"occupations: bad integer: {exc}") from None
-    t_max, t_steps = num["t_max"], num["t_steps"]
-    if not np.isfinite(t_max):
-        raise ConfigError(f"t_max must be finite, got {t_max!r}")
-    if t_steps < 1:
-        raise ConfigError(f"t_steps must be >= 1, got {t_steps}")
-    if t_steps > 1 and t_max <= 0.0:
-        raise ConfigError(f"t_max must be > 0 when t_steps > 1, got {t_max!r}")
-    return QuenchSpec.build(N, M, occupations=occupations, mass=num["mass"],
-                            omega0=num["omega0"], hbar=num["hbar"],
-                            t_max=t_max, t_steps=t_steps)
+def quench_from_config(cfg: RunConfig) -> QuenchSpec:
+    """Build the QuenchSpec of a parsed config."""
+    for key in ("N", "M"):
+        if getattr(cfg, key) is None:
+            raise ConfigError(f"missing required key {key!r}")
+    return QuenchSpec.build(cfg.N, cfg.M, occupations=cfg.occupations or None,
+                            mass=cfg.mass, omega0=cfg.omega0, hbar=cfg.hbar,
+                            t_max=cfg.t_max, t_steps=cfg.t_steps)

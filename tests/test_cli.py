@@ -100,9 +100,14 @@ def test_unknown_config_key_exits_2(tmp_path):
     ("N = 2\nt_max = -5", "t_max"),
     ("N = 2\nt_max = 0", "t_max"),
     ("N = 2\noccupations = 0, 1.5, 0, 0", "occupations"),
+    ("N = 2\nanalyses = gge, gge", "analyses"),
+    ("N = 2\nanalyses = gge,", "analyses"),
+    ("N = 2\npreset = fig1", "preset"),
+    ("N = 2\nsweep = 1", "sweep"),
 ], ids=["negative-N", "cutoff-abc", "order-1.5", "floor-0", "skip-x",
         "threshold-nan", "t_max-inf", "t_steps-0", "t_max-negative",
-        "t_max-0", "occupations-1.5"])
+        "t_max-0", "occupations-1.5", "analyses-repeated",
+        "analyses-empty-item", "preset-key", "sweep-key"])
 def test_invalid_value_exits_2(tmp_path, lines, key):
     cfg = _write_config(tmp_path, f"M = 2\n{lines}\n")
     out = tmp_path / "out"
@@ -110,6 +115,33 @@ def test_invalid_value_exits_2(tmp_path, lines, key):
     man = _manifest(out)
     assert man["error"]["type"] == "ConfigError"
     assert key in man["error"]["message"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_floor_flag_exits_2(tmp_path, value):
+    out = tmp_path / "out"
+    assert cli.main(["--preset", "table1", "--floor", value,
+                     "--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["error"]["type"] == "ConfigError"
+    assert "floor" in man["error"]["message"]
+    assert man["outputs"] == []
+
+
+def test_manifest_records_values_in_effect(tmp_path):
+    cfg = _write_config(tmp_path, "N = 2\nM = 2\nfloor = 1e-6\n"
+                                  "analyses = delocalization\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+    man = _manifest(out)
+    with open(out / "delocalization_N2_M2.json") as fh:
+        assert json.load(fh)["floor"] == 1e-6
+    assert man["tolerances"]["floor"] == 1e-6
+    assert man["config"] == {
+        "N": 2, "M": 2, "mass": 1.0, "omega0": 1.0, "hbar": 1.0,
+        "occupations": [], "t_max": 2000.0, "t_steps": 2001,
+        "analyses": ["delocalization"], "cutoff": 8, "order": 12,
+        "floor": 1e-6, "recurrence_threshold": 0.5, "relaxation_skip": 50.0}
 
 
 def test_unknown_analysis_exits_2(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quenchlab.model import (ChainSpec, ConfigError, FockExcitation,
-                             QuenchSpec, beat_frequencies,
+                             QuenchSpec, RunConfig, beat_frequencies,
                              beat_frequencies_product, default_time_grid,
                              joint_hamiltonian_check, mode_frequencies,
                              normal_modes, parse_config, quench_from_config,
@@ -128,6 +128,8 @@ def test_parse_config_roundtrip():
     t_steps = 11
     """
     cfg = parse_config(text)
+    assert cfg == RunConfig(N=5, M=10, occupations=(0, 0, 1, 1) + (0,) * 11,
+                            t_max=100.0, t_steps=11)
     spec = quench_from_config(cfg)
     assert spec.n_left == 5 and spec.n_right == 10
     assert spec.initial_state.total == 2
