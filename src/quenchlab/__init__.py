@@ -26,7 +26,6 @@ _EXPORTS = {
     "ConfigError": "model",
     "BogoliubovMap": "bogoliubov",
     "CorrelationSet": "bogoliubov",
-    "FMatrix": "bogoliubov",
     "build_bogoliubov": "bogoliubov",
     "f_matrix": "bogoliubov",
     "initial_correlations": "bogoliubov",

@@ -17,7 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QuenchSpec, FockExcitation, normal_modes, sine_transform
+from .model import QuenchSpec, FockExcitation, normal_modes
+
+# Bounds on the map; the command line records them in its run manifest.
+SYMPLECTIC_TOL = 1e-10      # bound on BogoliubovMap.symplectic_defect()
+COND_LIMIT = 1e12           # cond(alpha) above which F = alpha^{-1} beta is refused
 
 
 class SingularAlpha(np.linalg.LinAlgError):
@@ -56,17 +60,6 @@ class BogoliubovMap:
             np.max(np.abs(a.T @ a - b.T @ b - eye)),
             np.max(np.abs(a.T @ b - b.T @ a)),
         )
-
-
-@dataclass(frozen=True)
-class FMatrix:
-    """Symmetric matrix of the Gaussian vacuum relation, F = alpha^{-1} beta."""
-
-    f: np.ndarray
-
-    @property
-    def spectral_radius(self):
-        return float(np.max(np.abs(np.linalg.eigvals(self.f))))
 
 
 @dataclass(frozen=True)
@@ -122,16 +115,17 @@ def build_bogoliubov(spec: QuenchSpec) -> BogoliubovMap:
     )
 
 
-def f_matrix(bog: BogoliubovMap, cond_limit=1e12, sym_tol=1e-8) -> FMatrix:
-    """Solve alpha F = beta for the Gaussian vacuum-relation matrix."""
+def f_matrix(bog: BogoliubovMap) -> np.ndarray:
+    """Solve alpha F = beta for the symmetric matrix of the Gaussian vacuum
+    relation (c_k + sum_l F_kl c+_l)|vac> = 0."""
     cond = np.linalg.cond(bog.alpha)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularAlpha(f"cond(alpha) = {cond:.3e} exceeds {cond_limit:g}")
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularAlpha(f"cond(alpha) = {cond:.3e} exceeds {COND_LIMIT:g}")
     f = np.linalg.solve(bog.alpha, bog.beta)
     defect = np.max(np.abs(f - f.T))
-    if defect > sym_tol:
-        raise ConsistencyError(f"F symmetry defect {defect:.3e} > {sym_tol:g}")
-    return FMatrix(f=f)
+    if defect > 1e-8:
+        raise ConsistencyError(f"F symmetry defect {defect:.3e} > 1e-08")
+    return f
 
 
 def initial_correlations(bog: BogoliubovMap, state: FockExcitation) -> CorrelationSet:

@@ -41,17 +41,15 @@ def _tagged(name, spec, ext):
     return f"{name}_N{spec.n_left}_M{spec.n_right}.{ext}"
 
 
-def _dump_bogoliubov(spec, bog, outdir, files):
+def _dump_bogoliubov(spec, bog, f, outdir, files):
     import numpy as np
-
-    from .bogoliubov import f_matrix
 
     K = spec.total_size
     joint_cols = [f"joint_{k}" for k in range(1, K + 1)]
     modes = np.arange(1.0, K + 1)
     for name, first, mat in (("alpha", "pre_mode", bog.alpha),
                              ("beta", "pre_mode", bog.beta),
-                             ("f_matrix", "joint_mode", f_matrix(bog).f)):
+                             ("f_matrix", "joint_mode", f)):
         fname = _tagged(name, spec, "csv")
         _write_csv(os.path.join(outdir, fname), [first] + joint_cols,
                    np.column_stack([modes, mat]))
@@ -61,9 +59,9 @@ def _dump_bogoliubov(spec, bog, outdir, files):
 def _run_dynamics(spec, bog, outdir, files, threshold, skip):
     import numpy as np
 
-    from .bogoliubov import initial_correlations
+    from .bogoliubov import emitted_occupations, initial_correlations
     from .dynamics import evolve_occupations, fluctuation_series, per_mode_energy
-    from .gge import conserved_charges, build_gge, gge_expectations
+    from .gge import build_gge, gge_expectations
 
     corr = initial_correlations(bog, spec.initial_state)
     series = evolve_occupations(spec, bog, corr)
@@ -93,7 +91,7 @@ def _run_dynamics(spec, bog, outdir, files, threshold, skip):
                np.column_stack([pme.times, pme.left, pme.right]))
     files.append(fname)
 
-    ens = build_gge(conserved_charges(bog, spec.initial_state))
+    ens = build_gge(emitted_occupations(bog, spec.initial_state))
     summary = {
         "n_left": spec.n_left,
         "n_right": spec.n_right,
@@ -142,10 +140,10 @@ def _run_covariance(spec, outdir, files):
     files.append(fname)
 
 
-def _run_oracle(spec, bog, outdir, files, cutoff, order):
+def _run_oracle(spec, bog, f, outdir, files, cutoff, order):
     import numpy as np
 
-    from .bogoliubov import f_matrix, initial_correlations
+    from .bogoliubov import initial_correlations
     from .fock_oracle import (CutoffExceeded, expand_initial_state,
                               oracle_correlators, annihilation_residual,
                               constraint_residual)
@@ -156,7 +154,6 @@ def _run_oracle(spec, bog, outdir, files, cutoff, order):
             "modes; the brute-force basis is only practical for <= 8")
     from .model import FockExcitation, QuenchSpec
 
-    f = f_matrix(bog)
     state = expand_initial_state(spec, bog, f, order=order, cutoff=cutoff)
     exact = initial_correlations(bog, spec.initial_state)
     oracle = oracle_correlators(state)
@@ -187,11 +184,9 @@ def _run_oracle(spec, bog, outdir, files, cutoff, order):
     files.append(fname)
 
 
-def _run_delocalization(spec, bog, outdir, files, floor):
-    from .bogoliubov import f_matrix
+def _run_delocalization(spec, bog, f, outdir, files, floor):
     from .fock_oracle import expand_initial_state, delocalization_count
 
-    f = f_matrix(bog)
     order = 1
     big = 4 * order + 2 * spec.initial_state.total + 2
     state = expand_initial_state(spec, bog, f, order=order, cutoff=big)
@@ -225,16 +220,26 @@ def _run_sweep(outdir, files):
 
 def _run_config(cfg, outdir, files, dump):
     """Run cfg's analyses in order; return the first recurrence time that
-    the dynamics analysis found (None without it)."""
-    spec = bog = t_rec = None
+    the dynamics analysis found (None without it).
+
+    The map is built and checked once, and F once if anything reads it.
+    """
+    spec = bog = f = t_rec = None
     if set(cfg.analyses) - {"sweep"} or dump:
-        from .bogoliubov import build_bogoliubov
+        from .bogoliubov import (SYMPLECTIC_TOL, ConsistencyError,
+                                 build_bogoliubov, f_matrix)
         from .model import quench_from_config
 
         spec = quench_from_config(cfg)
         bog = build_bogoliubov(spec)
+        defect = bog.symplectic_defect()
+        if defect > SYMPLECTIC_TOL:
+            raise ConsistencyError(
+                f"symplectic defect {defect:.3e} > {SYMPLECTIC_TOL:g}")
+        if dump or {"fock-oracle", "delocalization"} & set(cfg.analyses):
+            f = f_matrix(bog)
     if dump:
-        _dump_bogoliubov(spec, bog, outdir, files)
+        _dump_bogoliubov(spec, bog, f, outdir, files)
     for name in cfg.analyses:
         if name == "dynamics":
             t_rec = _run_dynamics(spec, bog, outdir, files,
@@ -245,9 +250,9 @@ def _run_config(cfg, outdir, files, dump):
         elif name == "covariance":
             _run_covariance(spec, outdir, files)
         elif name == "fock-oracle":
-            _run_oracle(spec, bog, outdir, files, cfg.cutoff, cfg.order)
+            _run_oracle(spec, bog, f, outdir, files, cfg.cutoff, cfg.order)
         elif name == "delocalization":
-            _run_delocalization(spec, bog, outdir, files, cfg.floor)
+            _run_delocalization(spec, bog, f, outdir, files, cfg.floor)
         elif name == "sweep":
             _run_sweep(outdir, files)
     return t_rec
@@ -319,6 +324,9 @@ def main(argv=None) -> int:
 
     outdir = args.out or os.environ.get("QUENCHLAB_OUT") or "."
     t0 = time.perf_counter()
+    from .bogoliubov import COND_LIMIT, SYMPLECTIC_TOL
+    from .dynamics import IMAG_TOL
+
     files: list = []
     manifest = {
         "argv": list(argv) if argv is not None else sys.argv[1:],
@@ -329,9 +337,9 @@ def main(argv=None) -> int:
         "versions": _versions(),
         "tolerances": {
             "floor": None,
-            "imag_tol": 1e-8,
-            "symplectic_tol": 1e-10,
-            "alpha_condition_limit": 1e12,
+            "imag_tol": IMAG_TOL,
+            "symplectic_tol": SYMPLECTIC_TOL,
+            "alpha_condition_limit": COND_LIMIT,
         },
         "threads": args.threads,
         "status": "error",
@@ -370,22 +378,17 @@ def main(argv=None) -> int:
 
 
 def _exit_code_for(exc) -> int:
+    import numpy as np
+
     from .model import ConfigError
 
     if isinstance(exc, ConfigError):
         return 2
     if isinstance(exc, OSError):
         return 4
-    if isinstance(exc, (ArithmeticError, ValueError, KeyError)):
+    if isinstance(exc, (ArithmeticError, ValueError, KeyError,
+                        np.linalg.LinAlgError)):
         return 3
-    try:
-        import numpy as np
-        from .fock_oracle import CutoffExceeded
-
-        if isinstance(exc, (np.linalg.LinAlgError, CutoffExceeded)):
-            return 3
-    except Exception:
-        pass
     return 1
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import QuenchSpec, normal_modes
-from .bogoliubov import build_bogoliubov
 
 DISJOINT = "disjoint-normal-modes"
 CONFIGURATION = "configuration"
@@ -178,11 +177,6 @@ def symplectic_eigenvalues(cov: CovarianceMatrix, hbar=1.0) -> np.ndarray:
     return pos
 
 
-def uncertainty_defect(cov: CovarianceMatrix, hbar=1.0) -> float:
-    """How far the smallest symplectic eigenvalue dips below 1/2 (<= 0 is fine)."""
-    return float(0.5 - np.min(symplectic_eigenvalues(cov, hbar)))
-
-
 # ---------------------------------------------------------------------------
 # Window averaging.  Averaging the evolved matrix over a uniform grid only
 # needs the Gram matrices of the rotation factors, so a window costs
@@ -206,15 +200,6 @@ def max_offdiagonal(cov: CovarianceMatrix) -> float:
     return float(sig.max())
 
 
-def offdiagonal_decay(cov: CovarianceMatrix, spec: QuenchSpec,
-                      windows=(125, 250, 500, 1000, 2000, 4000), dt=0.5):
-    """Window-averaged off-diagonal residuals and their log-log slope."""
-    residuals = [max_offdiagonal(mean_evolved_covariance(cov, spec, T, dt))
-                 for T in windows]
-    slope = float(np.polyfit(np.log(windows), np.log(residuals), 1)[0])
-    return np.asarray(windows, dtype=float), np.asarray(residuals), slope
-
-
 @dataclass(frozen=True)
 class ThermalFormReport:
     passed: bool
@@ -235,16 +220,21 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
     (energy eigenstates guarantee this; a nonzero entry is flagged since it
     breaks the purely oscillatory structure of the evolved off-diagonals),
     and the window-averaged off-diagonal residual must fall like c/T.
-    The reported occupancies come from the largest window's average.
+    The report carries each window's residual, their log-log slope and the
+    occupancies of the largest window's average.
     """
     _require(cov, JOINT)
     xp = cov.block("xp")
     flagged = [(i + 1, j + 1) for i, j in zip(*np.nonzero(np.abs(xp) > b_tol))]
-    win, resid, slope = offdiagonal_decay(cov, spec, windows, dt)
+    resid = [max_offdiagonal(mean_evolved_covariance(cov, spec, T, dt))
+             for T in windows[:-1]]
+    last = mean_evolved_covariance(cov, spec, windows[-1], dt)
+    resid.append(max_offdiagonal(last))
+    win, resid = np.asarray(windows, dtype=float), np.asarray(resid)
+    slope = float(np.polyfit(np.log(win), np.log(resid), 1)[0])
     c_cal = resid[0] * win[0] * margin
     scaling_ok = bool(np.all(resid[1:] <= c_cal / win[1:]))
-    mean_last = mean_evolved_covariance(cov, spec, win[-1], dt)
-    occ = occupations_from_covariance(mean_last, spec)
+    occ = occupations_from_covariance(last, spec)
     return ThermalFormReport(
         passed=(not flagged) and scaling_ok,
         flagged_pairs=flagged,
@@ -254,13 +244,3 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
         gge_occupancies=occ,
         b_tol=b_tol,
     )
-
-
-def vacuum_polarization_check(spec: QuenchSpec) -> float:
-    """Max gap between covariance-diagonal occupancies and sum_l beta^2."""
-    bog = build_bogoliubov(spec)
-    cov = joint_covariance(QuenchSpec(spec.left, spec.right,
-                                      spec.initial_state.vacuum(spec.total_size),
-                                      spec.time_grid))
-    occ = occupations_from_covariance(cov, spec)
-    return float(np.max(np.abs(occ - (bog.beta ** 2).sum(axis=0))))

@@ -14,12 +14,14 @@ from typing import Optional
 
 import numpy as np
 
-from .model import QuenchSpec
+from .model import QuenchSpec, RunConfig
 from .bogoliubov import BogoliubovMap, CorrelationSet, ConsistencyError, joint_energy
 
 
 # Working-set budget of one kernel chunk, at about 16 K x K arrays a sample.
 _CHUNK_BYTES = 4 << 20
+# Largest correlator Hermiticity defect the kernel accepts.
+IMAG_TOL = 1e-8
 
 
 class NumericalError(ArithmeticError):
@@ -62,7 +64,7 @@ class PerModeEnergy:
     right_avg: float
 
 
-def _phase_kernel(bog, corr, times, imag_tol=1e-8):
+def _phase_kernel(bog, corr, times):
     """<n_m(t)> for all pre-quench modes m and times t.
 
     Rotates the covariance of the scaled quadratures xi = (c + c^dag)/sqrt2,
@@ -75,10 +77,10 @@ def _phase_kernel(bog, corr, times, imag_tol=1e-8):
     c1, c2, c3, c4 = corr.cdag_c, corr.cdag_cdag, corr.c_c, corr.c_cdag
     defect = max(float(np.max(np.abs(x - np.conj(y).T)))
                  for x, y in ((c1, c1), (c4, c4), (c2, c3)))
-    if defect > imag_tol:
+    if defect > IMAG_TOL:
         raise NumericalError(
             f"imaginary residue: correlator Hermiticity defect {defect:.3e} "
-            f"exceeds {imag_tol:g}")
+            f"exceeds {IMAG_TOL:g}")
     xx = 0.5 * np.real(c1 + c2 + c3 + c4)
     pp = 0.5 * np.real(c1 + c4 - c2 - c3)
     xp = 0.5 * np.imag(c1 + c3 - c2 - c4)
@@ -132,8 +134,10 @@ def evolve_occupations(spec: QuenchSpec, bog: BogoliubovMap, corr: CorrelationSe
     )
 
 
-def fluctuation_series(series: ObservableSeries, threshold=0.5,
-                       relaxation_skip=50.0) -> FluctuationSeries:
+def fluctuation_series(series: ObservableSeries,
+                       threshold=RunConfig.recurrence_threshold,
+                       relaxation_skip=RunConfig.relaxation_skip
+                       ) -> FluctuationSeries:
     """Normalized fluctuation of the right-chain energy around its average.
 
     ratio(t) = |E_M(t) - E_M_avg| / |E_M(0) - E_M_avg|.  The first
@@ -168,17 +172,3 @@ def per_mode_energy(series: ObservableSeries, spec: QuenchSpec) -> PerModeEnergy
         left_avg=series.e_left_avg / N,
         right_avg=series.e_right_avg / M,
     )
-
-
-def occupation_time_mean(series: ObservableSeries) -> np.ndarray:
-    """Plain grid mean of <n_m(t)>, the finite-T estimate of the average."""
-    return series.n_expect.mean(axis=0)
-
-
-def beat_set(bog: BogoliubovMap):
-    """All |w'_l +- w'_k| values, the only frequencies that can appear
-    in the spectrum of <n_m(t)>."""
-    w = bog.omega_joint
-    diffs = np.abs(w[:, None] - w[None, :]).ravel()
-    sums = np.abs(w[:, None] + w[None, :]).ravel()
-    return np.unique(np.round(np.concatenate([diffs, sums]), 12))

@@ -19,11 +19,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import QuenchSpec, FockExcitation, normal_modes
-from .bogoliubov import BogoliubovMap, FMatrix, CorrelationSet
+from .model import QuenchSpec, FockExcitation, RunConfig, normal_modes
+from .bogoliubov import BogoliubovMap, CorrelationSet
 
 
-class CutoffExceeded(Exception):
+class CutoffExceeded(ValueError):
     """Requested operation needs occupations the truncated basis cannot hold."""
 
 
@@ -102,7 +102,7 @@ def expand_squeezed_vacuum(f: np.ndarray, order: int):
     return _merge(*terms)
 
 
-def expand_initial_state(spec: QuenchSpec, bog: BogoliubovMap, f: FMatrix,
+def expand_initial_state(spec: QuenchSpec, bog: BogoliubovMap, f: np.ndarray,
                          order: int, cutoff: int = 8,
                          max_leakage: float = 0.01) -> ExpandedState:
     """Pre-quench Fock eigenstate written out in joint-mode amplitudes.
@@ -116,7 +116,7 @@ def expand_initial_state(spec: QuenchSpec, bog: BogoliubovMap, f: FMatrix,
         raise ValueError("expansion order must be >= 1")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    psi = expand_squeezed_vacuum(f.f, order)
+    psi = expand_squeezed_vacuum(f, order)
     for j, nj in enumerate(spec.initial_state.occupations):
         for _ in range(nj):
             psi = _merge(_ladder(psi, bog.alpha[j], bog.beta[j]))
@@ -159,12 +159,12 @@ def annihilation_residual(state: ExpandedState, bog: BogoliubovMap) -> float:
     return float(max(_pre_annihilated_norms(state, bog)))
 
 
-def constraint_residual(state: ExpandedState, f: FMatrix) -> float:
+def constraint_residual(state: ExpandedState, f: np.ndarray) -> float:
     """max_k ||(c_k + sum_l F_kl c+_l) psi||, the defining property of the
     squeezed vacuum. Creation parts are evaluated uncapped."""
     psi = state.occupations, state.amplitudes
     unit = np.eye(state.modes)
-    return float(max(np.linalg.norm(_merge(_ladder(psi, f.f[k], unit[k]))[1])
+    return float(max(np.linalg.norm(_merge(_ladder(psi, f[k], unit[k]))[1])
                      for k in range(state.modes)))
 
 
@@ -204,7 +204,7 @@ def occupation_series(state: ExpandedState, spec: QuenchSpec,
 
 def delocalization_table(n_left: int = 5, right_sizes=(10, 16, 20),
                          single_mode: int = 3, pair_modes=(3, 4),
-                         floor: float = 1e-12, order: int = 1):
+                         floor: float = RunConfig.floor, order: int = 1):
     """Support counts of expanded single and pair excitations vs bath size.
 
     The expansion is first order and uncapped (occupations never exceed

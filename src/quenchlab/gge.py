@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import QuenchSpec, FockExcitation
-from .bogoliubov import BogoliubovMap, build_bogoliubov, emitted_occupations
+from .bogoliubov import (BogoliubovMap, build_bogoliubov, emitted_occupations,
+                         initial_correlations)
 
 
 @dataclass(frozen=True)
@@ -33,27 +34,14 @@ def build_gge(charges) -> GgeEnsemble:
     """Lagrange multipliers lambda_k = ln((1 + n'_k)/n'_k), with a +inf
     sentinel for exactly unoccupied modes."""
     charges = np.asarray(charges, dtype=float)
-    if np.any(charges < 0):
-        raise ValueError("charges must be non-negative")
-    with np.errstate(divide="ignore"):
-        lambdas = np.where(charges > 0, np.log1p(1.0 / np.where(charges > 0, charges, 1.0)), np.inf)
+    pos = charges > 0
+    lambdas = np.where(pos, np.log1p(1.0 / np.where(pos, charges, 1.0)), np.inf)
     return GgeEnsemble(charges=charges, lambdas=lambdas)
-
-
-def charges_from_lambdas(lambdas) -> np.ndarray:
-    """Invert the multiplier relation, n'_k = 1/(e^{lambda_k} - 1)."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    return np.where(np.isinf(lambdas), 0.0, 1.0 / np.expm1(lambdas))
 
 
 def lambdas_to_json(ens: GgeEnsemble) -> list:
     """JSON-safe multipliers: +inf serialized as the string "inf"."""
     return [("inf" if math.isinf(v) else v) for v in ens.lambdas.tolist()]
-
-
-def conserved_charges(bog: BogoliubovMap, state: FockExcitation) -> np.ndarray:
-    """Occupancies <n'_k> of the joint modes, conserved after the quench."""
-    return emitted_occupations(bog, state)
 
 
 def gge_expectations(bog: BogoliubovMap, ens: GgeEnsemble) -> np.ndarray:
@@ -175,8 +163,6 @@ def single_excitation_sweep(total_sizes=(10, 20, 40, 80), mass=1.0, omega0=1.0,
         rep = deviation_delta_g(bog, state)
         deltas.append(float(rep.delta_g[rep.observation_mode - 1]))
         densities.append(rep.vacuum_term_per_site)
-
-        from .bogoliubov import initial_correlations
         corr = initial_correlations(bog, state)
         series = evolve_occupations(spec, bog, corr)
         pme = per_mode_energy(series, spec)
@@ -196,7 +182,7 @@ def single_excitation_sweep(total_sizes=(10, 20, 40, 80), mass=1.0, omega0=1.0,
 
 def gge_summary_json(bog, state, indent=None) -> str:
     """The JSON summary block with 1-based mode ordering."""
-    charges = conserved_charges(bog, state)
+    charges = emitted_occupations(bog, state)
     ens = build_gge(charges)
     rep = deviation_delta_g(bog, state)
     payload = {

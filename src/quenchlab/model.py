@@ -89,7 +89,89 @@ class FockExcitation:
         return np.asarray(self.occupations, dtype=float)
 
 
-def default_time_grid(t_max=2000.0, samples=2001):
+ANALYSES = ("dynamics", "gge", "covariance", "fock-oracle", "delocalization",
+            "sweep")
+
+
+def _key(default, kind, low=None, strict=False):
+    """A numeric config key: its default, its type and its lower bound."""
+    return field(default=default,
+                 metadata={"kind": kind, "low": low, "strict": strict})
+
+
+def _number(key, value, kind, low, strict):
+    """value as a finite `kind`, >= low (> low when strict, unbounded when
+    low is None); a ConfigError naming `key` otherwise."""
+    try:
+        val = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        val = None
+    # nan fails every comparison; inf is named
+    ok = val is not None and val != float("inf") and (
+        low is None or (val > low if strict else val >= low))
+    if not ok:
+        bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
+        raise ConfigError(f"{key} must be a finite {kind.__name__}{bound}, "
+                          f"got {value!r}")
+    return val
+
+
+def _items(value):
+    """The items of a comma-separated string (none if it is blank), or of a
+    sequence, as a tuple; an empty item stays and fails its key's check."""
+    if isinstance(value, str):
+        value = [tok.strip() for tok in value.split(",")] if value.strip() else []
+    return tuple(value)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run of the command line: every config key, typed, with its default.
+
+    Values given as strings (as `parse_config` passes them) are converted
+    and range-checked here, so every RunConfig is valid.  N and M may be
+    left out when only the sweep runs; their range is ChainSpec's to check.
+    Empty `occupations` mean the vacuum.  Library functions that take one
+    of these settings default to the value here.
+    """
+
+    N: int | None = _key(None, int)
+    M: int | None = _key(None, int)
+    mass: float = _key(1.0, float, 0.0, strict=True)
+    omega0: float = _key(1.0, float, 0.0, strict=True)
+    hbar: float = _key(1.0, float, 0.0, strict=True)
+    occupations: tuple = ()
+    t_max: float = _key(2000.0, float, 0.0, strict=True)
+    t_steps: int = _key(2001, int, 1)
+    analyses: tuple = ("dynamics",)
+    cutoff: int = _key(8, int, 1)
+    order: int = _key(12, int, 1)
+    floor: float = _key(1e-12, float, 0.0, strict=True)
+    recurrence_threshold: float = _key(0.5, float, 0.0, strict=True)
+    relaxation_skip: float = _key(50.0, float, 0.0)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata and value is not None:
+                object.__setattr__(self, f.name,
+                                   _number(f.name, value, **f.metadata))
+        try:
+            occ = tuple(int(n) for n in _items(self.occupations))
+        except ValueError as exc:
+            raise ConfigError(f"occupations: bad integer: {exc}") from None
+        names = _items(self.analyses)
+        for name in names:
+            if name not in ANALYSES:
+                raise ConfigError(f"analyses: unknown analysis {name!r}")
+        if len(set(names)) < len(names):
+            raise ConfigError(f"analyses: repeated analysis in {names}")
+        object.__setattr__(self, "occupations", occ)
+        object.__setattr__(self, "analyses", names)
+
+
+def default_time_grid(t_max=RunConfig.t_max, samples=RunConfig.t_steps):
+    """`samples` uniform times on [0, t_max]; the defaults are RunConfig's."""
     return np.linspace(0.0, float(t_max), int(samples))
 
 
@@ -135,7 +217,7 @@ class QuenchSpec:
 
     @classmethod
     def build(cls, N, M, occupations=None, mass=1.0, omega0=1.0, hbar=1.0,
-              t_max=2000.0, t_steps=2001):
+              t_max=RunConfig.t_max, t_steps=RunConfig.t_steps):
         """Convenience constructor from plain parameters."""
         left = ChainSpec(N, mass, omega0, hbar)
         right = ChainSpec(M, mass, omega0, hbar)
@@ -153,7 +235,6 @@ class NormalModeBasis:
     size: int
     frequencies: np.ndarray
     transform: np.ndarray
-    omega0: float = 1.0
 
     def __post_init__(self):
         if np.any(self.frequencies <= 0):
@@ -181,137 +262,7 @@ def normal_modes(chain: ChainSpec) -> NormalModeBasis:
         size=K,
         frequencies=mode_frequencies(K, chain.omega0),
         transform=sine_transform(K),
-        omega0=chain.omega0,
     )
-
-
-def beat_frequencies(basis: NormalModeBasis) -> np.ndarray:
-    """Matrix of |omega_k - omega_j| for all mode pairs of one basis.
-
-    Equals the closed product form
-    4 omega0 |sin(pi (k-j) / (4(K+1))) cos(pi (k+j) / (4(K+1)))|
-    by the sine difference identity; `beat_frequencies_product` evaluates
-    that form directly for cross-checking.
-    """
-    w = basis.frequencies
-    return np.abs(w[:, None] - w[None, :])
-
-
-def beat_frequencies_product(basis: NormalModeBasis) -> np.ndarray:
-    K = basis.size
-    k = np.arange(1, K + 1)
-    diff = np.pi * (k[:, None] - k[None, :]) / (4.0 * (K + 1))
-    summ = np.pi * (k[:, None] + k[None, :]) / (4.0 * (K + 1))
-    return 4.0 * basis.omega0 * np.abs(np.sin(diff) * np.cos(summ))
-
-
-def stiffness_matrix(chain: ChainSpec) -> np.ndarray:
-    """Stiffness (potential quadratic form) of a fixed-end chain, units m omega0^2."""
-    K = chain.size
-    c = chain.mass * chain.omega0 ** 2
-    mat = np.zeros((K, K))
-    np.fill_diagonal(mat, 2.0 * c)
-    idx = np.arange(K - 1)
-    mat[idx, idx + 1] = -c
-    mat[idx + 1, idx] = -c
-    return mat
-
-
-def joint_hamiltonian_check(spec: QuenchSpec) -> float:
-    """Max entrywise difference between H0 + H_int and the joint-chain stiffness.
-
-    The coupling term -m omega0^2 q_N q_{N+1} contributes exactly the two
-    off-diagonal entries that the disjoint block stiffness is missing, so
-    the difference is zero by construction; this verifies the assembly.
-    """
-    N, M = spec.n_left, spec.n_right
-    c = spec.left.mass * spec.left.omega0 ** 2
-    disjoint = np.zeros((N + M, N + M))
-    disjoint[:N, :N] = stiffness_matrix(spec.left)
-    disjoint[N:, N:] = stiffness_matrix(spec.right)
-    disjoint[N - 1, N] = -c
-    disjoint[N, N - 1] = -c
-    return float(np.max(np.abs(disjoint - stiffness_matrix(spec.joint_chain))))
-
-
-ANALYSES = ("dynamics", "gge", "covariance", "fock-oracle", "delocalization",
-            "sweep")
-
-
-def _key(default, kind, low=None, strict=False):
-    """A numeric config key: its default, its type and its lower bound."""
-    return field(default=default,
-                 metadata={"kind": kind, "low": low, "strict": strict})
-
-
-def _number(key, value, kind, low, strict):
-    """value as a finite `kind`, >= low (> low when strict, unbounded when
-    low is None); a ConfigError naming `key` otherwise."""
-    try:
-        val = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        val = None
-    # nan fails every comparison; inf is named
-    ok = val is not None and val != float("inf") and (
-        low is None or (val > low if strict else val >= low))
-    if not ok:
-        bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
-        raise ConfigError(f"{key} must be a finite {kind.__name__}{bound}, "
-                          f"got {value!r}")
-    return val
-
-
-def _items(value):
-    """The items of a comma-separated string (none if it is blank), or of a
-    sequence, as a tuple; an empty item stays and fails its key's check."""
-    if isinstance(value, str):
-        value = [tok.strip() for tok in value.split(",")] if value.strip() else []
-    return tuple(value)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One run of the command line: every config key, typed, with its default.
-
-    Values given as strings (as `parse_config` passes them) are converted
-    and range-checked here, so every RunConfig is valid.  N and M may be
-    left out when only the sweep runs; their range is ChainSpec's to check.
-    Empty `occupations` mean the vacuum.
-    """
-
-    N: int | None = _key(None, int)
-    M: int | None = _key(None, int)
-    mass: float = _key(1.0, float, 0.0, strict=True)
-    omega0: float = _key(1.0, float, 0.0, strict=True)
-    hbar: float = _key(1.0, float, 0.0, strict=True)
-    occupations: tuple = ()
-    t_max: float = _key(2000.0, float, 0.0, strict=True)
-    t_steps: int = _key(2001, int, 1)
-    analyses: tuple = ("dynamics",)
-    cutoff: int = _key(8, int, 1)
-    order: int = _key(12, int, 1)
-    floor: float = _key(1e-12, float, 0.0, strict=True)
-    recurrence_threshold: float = _key(0.5, float, 0.0, strict=True)
-    relaxation_skip: float = _key(50.0, float, 0.0)
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.metadata and value is not None:
-                object.__setattr__(self, f.name,
-                                   _number(f.name, value, **f.metadata))
-        try:
-            occ = tuple(int(n) for n in _items(self.occupations))
-        except ValueError as exc:
-            raise ConfigError(f"occupations: bad integer: {exc}") from None
-        names = _items(self.analyses)
-        for name in names:
-            if name not in ANALYSES:
-                raise ConfigError(f"analyses: unknown analysis {name!r}")
-        if len(set(names)) < len(names):
-            raise ConfigError(f"analyses: repeated analysis in {names}")
-        object.__setattr__(self, "occupations", occ)
-        object.__setattr__(self, "analyses", names)
 
 
 def parse_config(text, base=RunConfig()) -> RunConfig:

@@ -13,6 +13,12 @@ def make_spec(N, M, modes=(), t_max=2000.0, t_steps=2001, mass=1.0,
     return QuenchSpec(left, right, state, default_time_grid(t_max, t_steps))
 
 
+def stiffness_matrix(n, mass=1.0, omega0=1.0):
+    """Potential quadratic form of a fixed-end chain of n sites."""
+    return mass * omega0 ** 2 * (2.0 * np.eye(n) - np.eye(n, k=1)
+                                 - np.eye(n, k=-1))
+
+
 def eigh_bogoliubov(spec):
     """Independent route to the Bogoliubov coefficients.
 
@@ -25,10 +31,6 @@ def eigh_bogoliubov(spec):
     w0 = spec.left.omega0
     N, M, K = spec.n_left, spec.n_right, spec.total_size
 
-    def stiffness(n):
-        k = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        return m * w0 ** 2 * k
-
     def modes_of(kmat):
         evals, vecs = np.linalg.eigh(kmat)
         order = np.argsort(evals)
@@ -39,15 +41,14 @@ def eigh_bogoliubov(spec):
                 vecs[:, j] = -vecs[:, j]
         return np.sqrt(evals / m), vecs
 
-    w_left, v_left = modes_of(stiffness(N))
-    w_right, v_right = modes_of(stiffness(M))
+    w_left, v_left = modes_of(stiffness_matrix(N, m, w0))
+    w_right, v_right = modes_of(stiffness_matrix(M, m, w0))
     w_pre = np.concatenate([w_left, w_right])
     v_pre = np.zeros((K, K))
     v_pre[:N, :N] = v_left
     v_pre[N:, N:] = v_right
 
-    joint = stiffness(K)
-    w_joint, v_joint = modes_of(joint)
+    w_joint, v_joint = modes_of(stiffness_matrix(K, m, w0))
 
     overlap = v_pre.T @ v_joint
     ratio = np.sqrt(np.outer(w_pre, 1.0 / w_joint))

@@ -8,18 +8,18 @@ failing criterion pass.
 import numpy as np
 import pytest
 
-from quenchlab.bogoliubov import (build_bogoliubov, f_matrix,
-                                  initial_correlations)
+from quenchlab.bogoliubov import (build_bogoliubov, emitted_occupations,
+                                  f_matrix, initial_correlations)
 from quenchlab.covariance import (evolve_covariance, joint_covariance,
                                   occupations_from_covariance,
-                                  offdiagonal_decay, symplectic_eigenvalues,
+                                  symplectic_eigenvalues, thermal_form_check,
                                   to_configuration, to_joint_modes,
                                   initial_covariance)
 from quenchlab.dynamics import (evolve_occupations, fluctuation_series,
-                                long_time_average, occupation_time_mean)
+                                long_time_average)
 from quenchlab.fock_oracle import (delocalization_table, expand_initial_state,
                                    occupation_series, oracle_correlators)
-from quenchlab.gge import (build_gge, conserved_charges, gge_expectations,
+from quenchlab.gge import (build_gge, gge_expectations,
                            single_excitation_sweep)
 
 from conftest import make_spec
@@ -43,7 +43,7 @@ def test_criterion_2_gge_equals_long_time_average():
         for modes in states:
             spec = make_spec(5, M, modes=modes, t_max=1.0, t_steps=2)
             corr = initial_correlations(bog, spec.initial_state)
-            ens = build_gge(conserved_charges(bog, spec.initial_state))
+            ens = build_gge(emitted_occupations(bog, spec.initial_state))
             gap = np.max(np.abs(gge_expectations(bog, ens)
                                 - long_time_average(bog, corr)))
             worst = max(worst, float(gap))
@@ -60,7 +60,8 @@ def test_criterion_3_finite_time_mean_approaches_average():
     for T in horizons:
         ts = np.arange(0.0, T + 0.25, 0.5)
         series = evolve_occupations(spec, bog, corr, times=ts)
-        resid.append(float(np.max(np.abs(occupation_time_mean(series) - avg))))
+        time_mean = series.n_expect.mean(axis=0)
+        resid.append(float(np.max(np.abs(time_mean - avg))))
     bound = resid[0] * horizons[0] * 3.0
     for T, r in zip(horizons[1:], resid[1:]):
         assert r <= bound / T, f"residual {r:.3e} at T={T} breaks the 1/T bound"
@@ -141,7 +142,7 @@ def test_criterion_6_window_average_reaches_diagonal_form():
                 evolve_covariance(joint, spec, 911.0)):
         gap = np.max(np.abs(symplectic_eigenvalues(cov) - nu0))
         assert gap < 1e-8, f"symplectic spectrum moved by {gap:.3e}"
-    _, _, slope = offdiagonal_decay(joint, spec)
+    slope = thermal_form_check(joint, spec).decay_slope
     assert -1.2 < slope < -0.8, f"off-diagonal decay slope {slope:.3f}"
     occ = occupations_from_covariance(joint, spec)
     vac_gap = float(np.max(np.abs(occ - (bog.beta ** 2).sum(axis=0))))

@@ -1,10 +1,11 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from quenchlab import cli
+from quenchlab import bogoliubov, cli, dynamics
 from quenchlab.bogoliubov import build_bogoliubov
 
 from conftest import make_spec
@@ -142,6 +143,49 @@ def test_manifest_records_values_in_effect(tmp_path):
         "occupations": [], "t_max": 2000.0, "t_steps": 2001,
         "analyses": ["delocalization"], "cutoff": 8, "order": 12,
         "floor": 1e-6, "recurrence_threshold": 0.5, "relaxation_skip": 50.0}
+
+
+def test_manifest_tolerances_are_the_checked_bounds(tmp_path):
+    cfg = _write_config(tmp_path, "N = 2\nM = 2\nanalyses =\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+    tol = _manifest(out)["tolerances"]
+    assert tol["imag_tol"] == dynamics.IMAG_TOL
+    assert tol["symplectic_tol"] == bogoliubov.SYMPLECTIC_TOL
+    assert tol["alpha_condition_limit"] == bogoliubov.COND_LIMIT
+
+
+def test_f_matrix_built_once_per_spec(tmp_path, monkeypatch):
+    calls = []
+    real = bogoliubov.f_matrix
+
+    def counted(bog):
+        calls.append(bog)
+        return real(bog)
+
+    monkeypatch.setattr(bogoliubov, "f_matrix", counted)
+    cfg = _write_config(tmp_path, FULL_CONFIG.replace(
+        "delocalization\n", "delocalization, sweep\n"))
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out),
+                     "--dump-bogoliubov"]) == 0
+    assert "sweep.json" in _manifest(out)["outputs"]
+    assert len(calls) == 1
+
+
+def test_broken_symplectic_map_exits_3(tmp_path, monkeypatch):
+    def perturbed(spec):
+        bog = build_bogoliubov(spec)
+        return replace(bog, alpha=bog.alpha * (1.0 + 1e-6))
+
+    monkeypatch.setattr(bogoliubov, "build_bogoliubov", perturbed)
+    cfg = _write_config(tmp_path, "N = 2\nM = 2\nanalyses = gge\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 3
+    man = _manifest(out)
+    assert man["error"]["type"] == "ConsistencyError"
+    assert "symplectic" in man["error"]["message"]
+    assert man["outputs"] == []
 
 
 def test_unknown_analysis_exits_2(tmp_path):

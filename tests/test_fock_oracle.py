@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from quenchlab.bogoliubov import (BogoliubovMap, FMatrix, build_bogoliubov,
-                                  f_matrix, initial_correlations)
+from quenchlab.bogoliubov import (BogoliubovMap, build_bogoliubov, f_matrix,
+                                  initial_correlations)
 from quenchlab.dynamics import evolve_occupations
 from quenchlab.fock_oracle import (CutoffExceeded, ExpandedState, _ladder,
                                    _merge, annihilation_residual,
@@ -214,7 +214,7 @@ def test_trivial_map_stays_on_vacuum(spec22):
                             gamma=np.zeros((K, K)), overlap=np.eye(K),
                             omega_pre=w, omega_joint=w,
                             n_left=2, n_right=2, hbar=1.0)
-    state = expand_initial_state(spec22, trivial, FMatrix(np.zeros((K, K))),
+    state = expand_initial_state(spec22, trivial, np.zeros((K, K)),
                                  order=3, cutoff=8)
     assert state.support_size() == 1
     assert delocalization_count(state, 1e-12) == 1

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from quenchlab.bogoliubov import (BogoliubovMap, build_bogoliubov,
-                                  initial_correlations)
+                                  emitted_occupations, initial_correlations)
 from quenchlab.dynamics import long_time_average
-from quenchlab.gge import (GgeEnsemble, build_gge, charges_from_lambdas,
-                           conserved_charges, deviation_delta_g,
+from quenchlab.gge import (GgeEnsemble, build_gge, deviation_delta_g,
                            gge_expectations, gge_summary_json,
                            lambdas_to_json, single_excitation_sweep)
 from quenchlab.model import FockExcitation
@@ -27,6 +26,12 @@ def test_multiplier_anchors():
     assert abs(ens.lambdas[0] - np.log(2.0)) < 1e-15
     assert abs(ens.lambdas[1] - 1.0) < 1e-12
     assert np.isinf(ens.lambdas[2])
+
+
+def charges_from_lambdas(lambdas):
+    """Invert the multiplier relation, n'_k = 1/(e^{lambda_k} - 1)."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    return np.where(np.isinf(lambdas), 0.0, 1.0 / np.expm1(lambdas))
 
 
 def test_multiplier_inversion_roundtrip():
@@ -60,7 +65,7 @@ def test_gge_reproduces_long_time_average(M, modes):
     bog = build_bogoliubov(spec)
     state = spec.initial_state
     corr = initial_correlations(bog, state)
-    ens = build_gge(conserved_charges(bog, state))
+    ens = build_gge(emitted_occupations(bog, state))
     np.testing.assert_allclose(gge_expectations(bog, ens),
                                long_time_average(bog, corr),
                                rtol=0, atol=1e-12)

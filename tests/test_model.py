@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from quenchlab.model import (ChainSpec, ConfigError, FockExcitation,
-                             QuenchSpec, RunConfig, beat_frequencies,
-                             beat_frequencies_product, default_time_grid,
-                             joint_hamiltonian_check, mode_frequencies,
-                             normal_modes, parse_config, quench_from_config,
-                             sine_transform, stiffness_matrix)
+                             QuenchSpec, RunConfig, default_time_grid,
+                             mode_frequencies, normal_modes, parse_config,
+                             quench_from_config, sine_transform)
+
+from conftest import stiffness_matrix
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 5, 10, 37, 64, 100])
@@ -33,7 +33,7 @@ def test_mode_frequencies_scale_with_omega0(K):
 
 
 def test_stiffness_matches_frequencies():
-    kmat = stiffness_matrix(ChainSpec(9))
+    kmat = stiffness_matrix(9)
     evals = np.sort(np.linalg.eigvalsh(kmat))
     np.testing.assert_allclose(np.sqrt(evals), mode_frequencies(9),
                                rtol=0, atol=1e-12)
@@ -45,16 +45,16 @@ def test_joint_hamiltonian_is_disjoint_plus_coupling(N, M):
     right = ChainSpec(M, mass=1.3, omega0=0.7)
     spec = QuenchSpec(left, right, FockExcitation.vacuum(N + M),
                       default_time_grid(1.0, 2))
-    assert joint_hamiltonian_check(spec) < 1e-12
-
-
-@pytest.mark.parametrize("K", [2, 5, 12])
-def test_beat_frequencies_product_identity(K):
-    # the product form must agree with the direct difference |w_k - w_j|
-    basis = normal_modes(ChainSpec(K))
-    np.testing.assert_allclose(beat_frequencies(basis),
-                               beat_frequencies_product(basis),
-                               rtol=0, atol=1e-12)
+    # the coupling -m w0^2 q_N q_{N+1} adds exactly the two entries that
+    # the disjoint block stiffness lacks
+    m, w0 = spec.left.mass, spec.left.omega0
+    joint = spec.joint_chain
+    assembled = np.zeros((N + M, N + M))
+    assembled[:N, :N] = stiffness_matrix(N, m, w0)
+    assembled[N:, N:] = stiffness_matrix(M, m, w0)
+    assembled[N - 1, N] = assembled[N, N - 1] = -m * w0 ** 2
+    full = stiffness_matrix(joint.size, joint.mass, joint.omega0)
+    assert np.max(np.abs(assembled - full)) < 1e-12
 
 
 def test_beat_frequency_two_site_anchor():
