@@ -19,10 +19,8 @@ _SUBMODULES = ("model", "bogoliubov", "dynamics", "gge", "covariance",
                "fock_oracle", "cli")
 
 _EXPORTS = {
-    "ChainSpec": "model",
     "QuenchSpec": "model",
     "FockExcitation": "model",
-    "NormalModeBasis": "model",
     "ConfigError": "model",
     "BogoliubovMap": "bogoliubov",
     "CorrelationSet": "bogoliubov",

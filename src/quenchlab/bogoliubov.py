@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QuenchSpec, FockExcitation, normal_modes
+from .model import (QuenchSpec, FockExcitation, disjoint_frequencies,
+                    disjoint_transform, mode_frequencies, sine_transform)
 
 # Bounds on the map; the command line records them in its run manifest.
 SYMPLECTIC_TOL = 1e-10      # bound on BogoliubovMap.symplectic_defect()
@@ -44,7 +45,7 @@ class BogoliubovMap:
     omega_joint: np.ndarray
     n_left: int
     n_right: int
-    hbar: float = 1.0
+    hbar: float
 
     @property
     def total_size(self):
@@ -75,11 +76,11 @@ class CorrelationSet:
         eye = np.eye(self.cdag_c.shape[0])
         return float(np.max(np.abs(self.c_cdag - self.cdag_c.T - eye)))
 
-    def validate(self, tol=1e-8):
-        if self.commutator_defect() > tol:
+    def validate(self):
+        if self.commutator_defect() > 1e-8:
             raise ConsistencyError(
-                f"correlator commutator defect {self.commutator_defect():.3e} > {tol:g}")
-        if np.min(np.diagonal(self.cdag_c)) < -tol:
+                f"correlator commutator defect {self.commutator_defect():.3e} > 1e-08")
+        if np.min(np.diagonal(self.cdag_c)) < -1e-8:
             raise ConsistencyError("negative occupancy on cdag_c diagonal")
 
 
@@ -90,28 +91,22 @@ def build_bogoliubov(spec: QuenchSpec) -> BogoliubovMap:
     transform with the joint sine transform, which evaluates the double
     sine sums as one dense matrix product.
     """
-    N, M, K = spec.n_left, spec.n_right, spec.total_size
-    left = normal_modes(spec.left)
-    right = normal_modes(spec.right)
-    joint = normal_modes(spec.joint_chain)
-
-    blocks = np.zeros((K, K))
-    blocks[:N, :N] = left.transform
-    blocks[N:, N:] = right.transform
-    overlap = blocks @ joint.transform
-
-    omega_pre = np.concatenate([left.frequencies, right.frequencies])
-    gamma = 0.5 * np.log(omega_pre[:, None] / joint.frequencies[None, :])
+    K = spec.total_size
+    omega_pre = disjoint_frequencies(spec)
+    omega_joint = mode_frequencies(K, spec.omega0)
+    joint = sine_transform(K)
+    overlap = disjoint_transform(spec) @ joint
+    gamma = 0.5 * np.log(omega_pre[:, None] / omega_joint[None, :])
     return BogoliubovMap(
         alpha=overlap * np.cosh(gamma),
         beta=overlap * np.sinh(gamma),
         gamma=gamma,
         overlap=overlap,
         omega_pre=omega_pre,
-        omega_joint=joint.frequencies,
-        n_left=N,
-        n_right=M,
-        hbar=spec.left.hbar,
+        omega_joint=omega_joint,
+        n_left=spec.n_left,
+        n_right=spec.n_right,
+        hbar=spec.hbar,
     )
 
 
@@ -167,11 +162,8 @@ def pre_quench_energy(spec: QuenchSpec) -> float:
     (positions have vanishing means and the chains are uncorrelated), so
     only the disjoint mode energies contribute.
     """
-    left = normal_modes(spec.left)
-    right = normal_modes(spec.right)
-    omega = np.concatenate([left.frequencies, right.frequencies])
     n = spec.initial_state.as_array()
-    return float(spec.left.hbar * np.sum(omega * (n + 0.5)))
+    return float(spec.hbar * np.sum(disjoint_frequencies(spec) * (n + 0.5)))
 
 
 def joint_energy(bog: BogoliubovMap, corr: CorrelationSet) -> float:

@@ -152,7 +152,7 @@ def _run_oracle(spec, bog, f, outdir, files, cutoff, order):
         raise CutoffExceeded(
             f"truncated-Fock oracle requested for {spec.total_size} joint "
             "modes; the brute-force basis is only practical for <= 8")
-    from .model import FockExcitation, QuenchSpec
+    from .model import FockExcitation
 
     state = expand_initial_state(spec, bog, f, order=order, cutoff=cutoff)
     exact = initial_correlations(bog, spec.initial_state)
@@ -165,9 +165,8 @@ def _run_oracle(spec, bog, f, outdir, files, cutoff, order):
     if spec.initial_state.total == 0:
         vac_state = state
     else:
-        vac_spec = QuenchSpec(spec.left, spec.right,
-                              FockExcitation.vacuum(spec.total_size),
-                              spec.time_grid)
+        vac_spec = replace(spec,
+                           initial_state=FockExcitation.vacuum(spec.total_size))
         vac_state = expand_initial_state(vac_spec, bog, f, order=order,
                                          cutoff=cutoff)
     payload = {

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QuenchSpec, normal_modes
+from .model import (QuenchSpec, RunConfig, disjoint_frequencies,
+                    disjoint_transform, mode_frequencies, sine_transform)
 
 DISJOINT = "disjoint-normal-modes"
 CONFIGURATION = "configuration"
@@ -67,8 +68,8 @@ def initial_covariance(spec: QuenchSpec) -> CovarianceMatrix:
     and all cross correlations vanish for energy eigenstates.
     """
     n = spec.initial_state.as_array()
-    w = np.concatenate([normal_modes(c).frequencies for c in (spec.left, spec.right)])
-    m, hbar = spec.left.mass, spec.left.hbar
+    w = disjoint_frequencies(spec)
+    m, hbar = spec.mass, spec.hbar
     K = spec.total_size
     sig = np.zeros((2 * K, 2 * K))
     sig[:K, :K] = np.diag((n + 0.5) * hbar / (m * w))
@@ -87,17 +88,13 @@ def _conjugate(cov, mat, new_tag):
 def to_configuration(cov: CovarianceMatrix, spec: QuenchSpec) -> CovarianceMatrix:
     """Rotate disjoint normal modes to lattice-site coordinates."""
     _require(cov, DISJOINT)
-    N, M = spec.n_left, spec.n_right
-    blk = np.zeros((N + M, N + M))
-    blk[:N, :N] = normal_modes(spec.left).transform
-    blk[N:, N:] = normal_modes(spec.right).transform
-    return _conjugate(cov, blk, CONFIGURATION)
+    return _conjugate(cov, disjoint_transform(spec), CONFIGURATION)
 
 
 def to_joint_modes(cov: CovarianceMatrix, spec: QuenchSpec) -> CovarianceMatrix:
     """Rotate lattice-site coordinates to the joint normal modes."""
     _require(cov, CONFIGURATION)
-    return _conjugate(cov, normal_modes(spec.joint_chain).transform, JOINT)
+    return _conjugate(cov, sine_transform(spec.total_size), JOINT)
 
 
 def joint_covariance(spec: QuenchSpec) -> CovarianceMatrix:
@@ -129,8 +126,8 @@ def _rotate(xx, xp, pp, c, s, d, mean=False):
 
 def _factors(spec, ts):
     """Rotation factors c, s, d of the joint modes at the times ts."""
-    w = normal_modes(spec.joint_chain).frequencies
-    mw = spec.left.mass * w
+    w = mode_frequencies(spec.total_size, spec.omega0)
+    mw = spec.mass * w
     wt = np.multiply.outer(ts, w)
     c = np.cos(wt)
     sn = np.sin(wt, out=wt)     # a window holds S x K factors; reuse the buffer
@@ -149,14 +146,14 @@ def evolve_covariance(cov: CovarianceMatrix, spec: QuenchSpec, t: float) -> Cova
 def occupations_from_covariance(cov: CovarianceMatrix, spec: QuenchSpec) -> np.ndarray:
     """Mode occupancies off the covariance diagonal in the joint basis."""
     _require(cov, JOINT)
-    w = normal_modes(spec.joint_chain).frequencies
-    m, hbar = spec.left.mass, spec.left.hbar
+    w = mode_frequencies(spec.total_size, spec.omega0)
+    m, hbar = spec.mass, spec.hbar
     xx = np.diagonal(cov.block("xx"))
     pp = np.diagonal(cov.block("pp"))
     return 0.5 * (m * w * xx + pp / (m * w)) / hbar - 0.5
 
 
-def symplectic_eigenvalues(cov: CovarianceMatrix, hbar=1.0) -> np.ndarray:
+def symplectic_eigenvalues(cov: CovarianceMatrix, hbar=RunConfig.hbar) -> np.ndarray:
     """Williamson spectrum in units of hbar (vacuum modes give 1/2).
 
     Uses the Hermitian similarity sqrt(sigma) (i Omega) sqrt(sigma), whose
@@ -200,6 +197,12 @@ def max_offdiagonal(cov: CovarianceMatrix) -> float:
     return float(sig.max())
 
 
+# Largest |xp| entry at t = 0 that thermal_form_check does not flag, and the
+# factor by which a window's residual may exceed the first window's c/T.
+_B_TOL = 1e-10
+_MARGIN = 3.0
+
+
 @dataclass(frozen=True)
 class ThermalFormReport:
     passed: bool
@@ -212,8 +215,8 @@ class ThermalFormReport:
 
 
 def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
-                       windows=(125, 250, 500, 1000, 2000, 4000), dt=0.5,
-                       b_tol=1e-10, margin=3.0) -> ThermalFormReport:
+                       windows=(125, 250, 500, 1000, 2000, 4000), dt=0.5
+                       ) -> ThermalFormReport:
     """Does the window-averaged covariance settle into diagonal (GGE) form?
 
     Two ingredients: the position-momentum block must vanish at t = 0
@@ -225,14 +228,14 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
     """
     _require(cov, JOINT)
     xp = cov.block("xp")
-    flagged = [(i + 1, j + 1) for i, j in zip(*np.nonzero(np.abs(xp) > b_tol))]
+    flagged = [(i + 1, j + 1) for i, j in zip(*np.nonzero(np.abs(xp) > _B_TOL))]
     resid = [max_offdiagonal(mean_evolved_covariance(cov, spec, T, dt))
              for T in windows[:-1]]
     last = mean_evolved_covariance(cov, spec, windows[-1], dt)
     resid.append(max_offdiagonal(last))
     win, resid = np.asarray(windows, dtype=float), np.asarray(resid)
     slope = float(np.polyfit(np.log(win), np.log(resid), 1)[0])
-    c_cal = resid[0] * win[0] * margin
+    c_cal = resid[0] * win[0] * _MARGIN
     scaling_ok = bool(np.all(resid[1:] <= c_cal / win[1:]))
     occ = occupations_from_covariance(last, spec)
     return ThermalFormReport(
@@ -242,5 +245,5 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
         max_offdiag_avg=resid,
         decay_slope=slope,
         gge_occupancies=occ,
-        b_tol=b_tol,
+        b_tol=_B_TOL,
     )

@@ -103,6 +103,14 @@ def long_time_average(bog: BogoliubovMap, corr: CorrelationSet) -> np.ndarray:
     return (bog.alpha ** 2) @ np.diagonal(corr.cdag_c) + (bog.beta ** 2) @ np.diagonal(corr.c_cdag)
 
 
+def long_time_energies(bog: BogoliubovMap, avg: np.ndarray) -> tuple:
+    """Left and right chain energies hbar sum w (n + 1/2) of the long-time
+    occupancies `avg` of the pre-quench modes."""
+    w, N = bog.omega_pre, bog.n_left
+    return (float(bog.hbar * np.sum(w[:N] * (avg[:N] + 0.5))),
+            float(bog.hbar * np.sum(w[N:] * (avg[N:] + 0.5))))
+
+
 def evolve_occupations(spec: QuenchSpec, bog: BogoliubovMap, corr: CorrelationSet,
                        times=None) -> ObservableSeries:
     """Occupation numbers and subsystem energies on a time grid."""
@@ -114,12 +122,13 @@ def evolve_occupations(spec: QuenchSpec, bog: BogoliubovMap, corr: CorrelationSe
     if np.min(n_t) < -1e-8:
         raise NumericalError(f"negative occupancy {np.min(n_t):.3e}")
 
-    hbar = spec.left.hbar
+    hbar = spec.hbar
     omega = bog.omega_pre
     N = spec.n_left
     e_left = hbar * (n_t[:, :N] + 0.5) @ omega[:N]
     e_right = hbar * (n_t[:, N:] + 0.5) @ omega[N:]
     avg = long_time_average(bog, corr)
+    e_left_avg, e_right_avg = long_time_energies(bog, avg)
     return ObservableSeries(
         times=times,
         n_expect=n_t,
@@ -127,8 +136,8 @@ def evolve_occupations(spec: QuenchSpec, bog: BogoliubovMap, corr: CorrelationSe
         e_right=e_right,
         e_total_joint=joint_energy(bog, corr),
         long_time_avg=avg,
-        e_left_avg=float(hbar * np.sum(omega[:N] * (avg[:N] + 0.5))),
-        e_right_avg=float(hbar * np.sum(omega[N:] * (avg[N:] + 0.5))),
+        e_left_avg=e_left_avg,
+        e_right_avg=e_right_avg,
         n_left=N,
         n_right=spec.n_right,
     )

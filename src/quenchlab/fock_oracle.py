@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import QuenchSpec, FockExcitation, RunConfig, normal_modes
-from .bogoliubov import BogoliubovMap, CorrelationSet
+from .model import QuenchSpec, FockExcitation, RunConfig, mode_frequencies
+from .bogoliubov import BogoliubovMap, CorrelationSet, build_bogoliubov, f_matrix
 
 
 class CutoffExceeded(ValueError):
@@ -142,7 +142,7 @@ def delocalization_count(state: ExpandedState, floor: float) -> int:
 
 def exact_evolve(state: ExpandedState, spec: QuenchSpec, t: float) -> ExpandedState:
     """Diagonal evolution: each amplitude picks up e^{-i sum w'_k (n_k+1/2) t}."""
-    w = normal_modes(spec.joint_chain).frequencies
+    w = mode_frequencies(spec.total_size, spec.omega0)
     phase = np.exp(-1j * ((state.occupations + 0.5) @ w) * t)
     return replace(state, amplitudes=state.amplitudes * phase)
 
@@ -202,41 +202,31 @@ def occupation_series(state: ExpandedState, spec: QuenchSpec,
     return out
 
 
-def delocalization_table(n_left: int = 5, right_sizes=(10, 16, 20),
-                         single_mode: int = 3, pair_modes=(3, 4),
-                         floor: float = RunConfig.floor, order: int = 1):
+def delocalization_table(floor: float = RunConfig.floor):
     """Support counts of expanded single and pair excitations vs bath size.
 
-    The expansion is first order and uncapped (occupations never exceed
-    four quanta there), mirroring the regime where counting support by an
-    amplitude floor is meaningful.
+    The table1 geometry: N = 5 and M = 10, 16, 20, with one quantum in mode
+    3 or one each in modes 3 and 4.  The expansion is first order and
+    uncapped (occupations never exceed four quanta there), mirroring the
+    regime where counting support by an amplitude floor is meaningful.
     """
-    from .model import ChainSpec, default_time_grid
-    from .bogoliubov import build_bogoliubov, f_matrix
-
     rows = []
-    for m_right in right_sizes:
-        left = ChainSpec(n_left)
-        right = ChainSpec(m_right)
-        grid = default_time_grid(1.0, 2)
-        total = n_left + m_right
-        spec_s = QuenchSpec(left, right,
-                            FockExcitation.from_modes(total, [single_mode]),
-                            grid)
-        spec_p = QuenchSpec(left, right,
-                            FockExcitation.from_modes(total, list(pair_modes)),
-                            grid)
+    grid = (0.0,)   # nothing evolves; the default grid would raise the peak
+    for m_right in (10, 16, 20):
+        total = 5 + m_right
+        spec_s = QuenchSpec(5, m_right, FockExcitation.single(total, 3), grid)
+        spec_p = QuenchSpec(5, m_right,
+                            FockExcitation.from_modes(total, [3, 4]), grid)
         bog = build_bogoliubov(spec_s)
         f = f_matrix(bog)
-        big = 4 * order + 4
-        single = expand_initial_state(spec_s, bog, f, order=order, cutoff=big)
-        pair = expand_initial_state(spec_p, bog, f, order=order, cutoff=big)
+        single = expand_initial_state(spec_s, bog, f, order=1, cutoff=8)
+        pair = expand_initial_state(spec_p, bog, f, order=1, cutoff=8)
         rows.append({
-            "n_left": n_left,
+            "n_left": 5,
             "n_right": m_right,
             "single_count": delocalization_count(single, floor),
             "pair_count": delocalization_count(pair, floor),
             "floor": floor,
-            "order": order,
+            "order": 1,
         })
     return rows

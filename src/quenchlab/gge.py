@@ -18,6 +18,7 @@ import numpy as np
 from .model import QuenchSpec, FockExcitation
 from .bogoliubov import (BogoliubovMap, build_bogoliubov, emitted_occupations,
                          initial_correlations)
+from .dynamics import long_time_average, long_time_energies
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,7 @@ def _stripped_weights(bog):
     return (sizes[:, None] + 1.0) * (bog.total_size + 1.0) / 4.0
 
 
-def deviation_delta_g(bog: BogoliubovMap, state: FockExcitation,
-                      observation_fraction=0.25, density_fraction=0.5) -> DeviationReport:
+def deviation_delta_g(bog: BogoliubovMap, state: FockExcitation) -> DeviationReport:
     """Ratio of stimulated to spontaneous occupancy, per joint mode.
 
     Scalars are evaluated at fixed band fractions rather than fixed mode
@@ -114,8 +114,8 @@ def deviation_delta_g(bog: BogoliubovMap, state: FockExcitation,
     delta = numerator / denominator
 
     strip = _stripped_weights(bog)
-    k_obs = _nearest_odd_mode(K, observation_fraction)
-    k_den = _nearest_odd_mode(K, density_fraction)
+    k_obs = _nearest_odd_mode(K, 0.25)
+    k_den = _nearest_odd_mode(K, 0.5)
     vac_col = float(((bog.beta ** 2) * strip)[:, k_den - 1].sum())
     stim_col = float((a2b2 * strip * n[:, None])[:, k_den - 1].sum())
     return DeviationReport(
@@ -136,8 +136,7 @@ class SweepResult:
     energy_gaps: list           # |E_N/N - E_M/M| long-time averages
 
 
-def single_excitation_sweep(total_sizes=(10, 20, 40, 80), mass=1.0, omega0=1.0,
-                            hbar=1.0) -> SweepResult:
+def single_excitation_sweep(total_sizes=(10, 20, 40, 80)) -> SweepResult:
     """Scaling of the deviation ratio with lattice size.
 
     Geometry: N = M = size/2 with one quantum in left-chain mode
@@ -146,8 +145,6 @@ def single_excitation_sweep(total_sizes=(10, 20, 40, 80), mass=1.0, omega0=1.0,
     band, which is the regime where the 1/N_tot suppression actually holds;
     for size 10 this is mode 3 of the five-site chain.
     """
-    from .dynamics import evolve_occupations, per_mode_energy  # local to avoid cycle
-
     sizes = sorted(int(s) for s in total_sizes)
     deltas, densities, gaps = [], [], []
     for size in sizes:
@@ -156,17 +153,13 @@ def single_excitation_sweep(total_sizes=(10, 20, 40, 80), mass=1.0, omega0=1.0,
         N = size // 2
         j0 = -(-N // 2)     # ceil(N/2), the mid-band left-chain mode
         state = FockExcitation.single(size, j0)
-        spec = QuenchSpec.build(N, N, occupations=state.occupations,
-                                mass=mass, omega0=omega0, hbar=hbar,
-                                t_max=1.0, t_steps=2)
-        bog = build_bogoliubov(spec)
+        bog = build_bogoliubov(QuenchSpec(N, N, state))
         rep = deviation_delta_g(bog, state)
         deltas.append(float(rep.delta_g[rep.observation_mode - 1]))
         densities.append(rep.vacuum_term_per_site)
-        corr = initial_correlations(bog, state)
-        series = evolve_occupations(spec, bog, corr)
-        pme = per_mode_energy(series, spec)
-        gaps.append(abs(pme.left_avg - pme.right_avg))
+        avg = long_time_average(bog, initial_correlations(bog, state))
+        e_left, e_right = long_time_energies(bog, avg)
+        gaps.append(abs(e_left / N - e_right / N))
 
     slope = float(np.polyfit(np.log(sizes), np.log(deltas), 1)[0])
     rel = abs(densities[-1] - densities[-2]) / abs(densities[-2])

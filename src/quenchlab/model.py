@@ -18,36 +18,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ChainSpec:
-    """A uniform harmonic chain with fixed (static) ends.
-
-    Parameters
-    ----------
-    size : int
-        Number of dynamical lattice sites.
-    mass : float
-        Oscillator mass.
-    omega0 : float
-        Natural frequency of the individual oscillator.
-    hbar : float
-        Reduced Planck constant (kept configurable; 1 by default).
-    """
-
-    size: int
-    mass: float = 1.0
-    omega0: float = 1.0
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if not isinstance(self.size, (int, np.integer)) or self.size < 1:
-            raise ConfigError(f"chain size must be a positive integer, got {self.size!r}")
-        for name in ("mass", "omega0", "hbar"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
-
-
-@dataclass(frozen=True)
 class FockExcitation:
     """Occupation numbers of the pre-quench (disjoint) normal modes.
 
@@ -130,7 +100,7 @@ class RunConfig:
 
     Values given as strings (as `parse_config` passes them) are converted
     and range-checked here, so every RunConfig is valid.  N and M may be
-    left out when only the sweep runs; their range is ChainSpec's to check.
+    left out when only the sweep runs; their range is QuenchSpec's to check.
     Empty `occupations` mean the vacuum.  Library functions that take one
     of these settings default to the value here.
     """
@@ -175,19 +145,32 @@ def default_time_grid(t_max=RunConfig.t_max, samples=RunConfig.t_steps):
     return np.linspace(0.0, float(t_max), int(samples))
 
 
+def _size(n):
+    """n as a chain size; a ConfigError unless it is a positive integer."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ConfigError(f"chain size must be a positive integer, got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class QuenchSpec:
-    """Full experiment definition: two chains, initial Fock state, time grid."""
+    """Full experiment definition: chains of N and M sites, the initial Fock
+    state, the time grid, and the mass, omega0 and hbar that both chains and
+    the joined chain share (RunConfig's values by default)."""
 
-    left: ChainSpec
-    right: ChainSpec
+    n_left: int
+    n_right: int
     initial_state: FockExcitation
     time_grid: np.ndarray = field(default_factory=default_time_grid)
+    mass: float = RunConfig.mass
+    omega0: float = RunConfig.omega0
+    hbar: float = RunConfig.hbar
 
     def __post_init__(self):
+        _size(self.n_left)
+        _size(self.n_right)
         for name in ("mass", "omega0", "hbar"):
-            if getattr(self.left, name) != getattr(self.right, name):
-                raise ConfigError(f"left and right chains must share {name}")
+            _number(name, getattr(self, name), float, 0.0, strict=True)
         if len(self.initial_state.occupations) != self.total_size:
             raise ConfigError(
                 f"initial state has {len(self.initial_state.occupations)} occupations, "
@@ -200,45 +183,20 @@ class QuenchSpec:
         object.__setattr__(self, "time_grid", grid)
 
     @property
-    def n_left(self):
-        return self.left.size
-
-    @property
-    def n_right(self):
-        return self.right.size
-
-    @property
     def total_size(self):
-        return self.left.size + self.right.size
-
-    @property
-    def joint_chain(self):
-        return ChainSpec(self.total_size, self.left.mass, self.left.omega0, self.left.hbar)
+        return self.n_left + self.n_right
 
     @classmethod
-    def build(cls, N, M, occupations=None, mass=1.0, omega0=1.0, hbar=1.0,
+    def build(cls, N, M, occupations=None, mass=RunConfig.mass,
+              omega0=RunConfig.omega0, hbar=RunConfig.hbar,
               t_max=RunConfig.t_max, t_steps=RunConfig.t_steps):
         """Convenience constructor from plain parameters."""
-        left = ChainSpec(N, mass, omega0, hbar)
-        right = ChainSpec(M, mass, omega0, hbar)
         if occupations is None:
-            state = FockExcitation.vacuum(N + M)
+            state = FockExcitation.vacuum(_size(N) + _size(M))
         else:
             state = FockExcitation(tuple(occupations))
-        return cls(left, right, state, default_time_grid(t_max, t_steps))
-
-
-@dataclass(frozen=True)
-class NormalModeBasis:
-    """Sine normal modes of a fixed-end chain: frequencies and transform."""
-
-    size: int
-    frequencies: np.ndarray
-    transform: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.frequencies <= 0):
-            raise ConfigError("normal-mode frequencies must be strictly positive")
+        return cls(N, M, state, default_time_grid(t_max, t_steps), mass,
+                   omega0, hbar)
 
 
 def sine_transform(K):
@@ -250,19 +208,24 @@ def sine_transform(K):
     return np.sqrt(2.0 / (K + 1)) * np.sin(np.pi * np.outer(k, k) / (K + 1))
 
 
-def mode_frequencies(K, omega0=1.0):
+def mode_frequencies(K, omega0=RunConfig.omega0):
     k = np.arange(1, K + 1)
     return 2.0 * omega0 * np.sin(np.pi * k / (2.0 * (K + 1)))
 
 
-def normal_modes(chain: ChainSpec) -> NormalModeBasis:
-    """Normal-mode basis of a fixed-end chain of `chain.size` sites."""
-    K = chain.size
-    return NormalModeBasis(
-        size=K,
-        frequencies=mode_frequencies(K, chain.omega0),
-        transform=sine_transform(K),
-    )
+def disjoint_frequencies(spec: QuenchSpec) -> np.ndarray:
+    """Pre-quench (disjoint) mode frequencies, left chain first."""
+    return np.concatenate([mode_frequencies(spec.n_left, spec.omega0),
+                           mode_frequencies(spec.n_right, spec.omega0)])
+
+
+def disjoint_transform(spec: QuenchSpec) -> np.ndarray:
+    """Block-diagonal sine transform of the two disjoint chains."""
+    N, K = spec.n_left, spec.total_size
+    blocks = np.zeros((K, K))
+    blocks[:N, :N] = sine_transform(N)
+    blocks[N:, N:] = sine_transform(spec.n_right)
+    return blocks
 
 
 def parse_config(text, base=RunConfig()) -> RunConfig:

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from quenchlab.model import ChainSpec, QuenchSpec, FockExcitation, default_time_grid
+from quenchlab.model import (FockExcitation, QuenchSpec, RunConfig,
+                             default_time_grid)
 
 
-def make_spec(N, M, modes=(), t_max=2000.0, t_steps=2001, mass=1.0,
-              omega0=1.0, hbar=1.0):
+def make_spec(N, M, modes=(), t_max=2000.0, t_steps=2001, mass=RunConfig.mass,
+              omega0=RunConfig.omega0, hbar=RunConfig.hbar):
     """QuenchSpec with quanta in the given 1-based pre-chain modes."""
-    left = ChainSpec(N, mass, omega0, hbar)
-    right = ChainSpec(M, mass, omega0, hbar)
     state = FockExcitation.from_modes(N + M, list(modes))
-    return QuenchSpec(left, right, state, default_time_grid(t_max, t_steps))
+    return QuenchSpec(N, M, state, default_time_grid(t_max, t_steps), mass,
+                      omega0, hbar)
 
 
-def stiffness_matrix(n, mass=1.0, omega0=1.0):
+def stiffness_matrix(n, mass=RunConfig.mass, omega0=RunConfig.omega0):
     """Potential quadratic form of a fixed-end chain of n sites."""
     return mass * omega0 ** 2 * (2.0 * np.eye(n) - np.eye(n, k=1)
                                  - np.eye(n, k=-1))
@@ -27,8 +27,7 @@ def eigh_bogoliubov(spec):
     component positive, and assembles alpha and beta from the frequency
     mismatch factors. Shares no code with the package implementation.
     """
-    m = spec.left.mass
-    w0 = spec.left.omega0
+    m, w0 = spec.mass, spec.omega0
     N, M, K = spec.n_left, spec.n_right, spec.total_size
 
     def modes_of(kmat):

@@ -6,7 +6,7 @@ from quenchlab.bogoliubov import (BogoliubovMap, ConsistencyError,
                                   build_bogoliubov, emitted_occupations,
                                   f_matrix, initial_correlations,
                                   joint_energy, pre_quench_energy)
-from quenchlab.model import FockExcitation
+from quenchlab.model import FockExcitation, RunConfig
 
 from conftest import eigh_bogoliubov, make_spec
 
@@ -20,9 +20,13 @@ def _corr_list(c):
     return [c.cdag_c, c.c_cdag, c.c_c, c.cdag_cdag]
 
 
-@pytest.mark.parametrize("N,M", [(2, 2), (1, 1), (3, 7), (5, 10), (12, 23)])
-def test_matches_independent_eigendecomposition(N, M):
-    spec = make_spec(N, M, t_max=1.0, t_steps=2)
+@pytest.mark.parametrize("N,M,mass,omega0", [
+    *(pytest.param(N, M, RunConfig.mass, RunConfig.omega0, id=f"{N}-{M}")
+      for N, M in [(2, 2), (1, 1), (3, 7), (5, 10), (12, 23)]),
+    pytest.param(3, 7, 1.3, 0.7, id="3-7-m1.3-w0.7")])
+def test_matches_independent_eigendecomposition(N, M, mass, omega0):
+    # omega_pre and omega_joint scale with omega0, the overlap does not
+    spec = make_spec(N, M, t_max=1.0, t_steps=2, mass=mass, omega0=omega0)
     bog = build_bogoliubov(spec)
     alpha, beta, w_pre, w_joint, overlap = eigh_bogoliubov(spec)
     np.testing.assert_allclose(bog.alpha, alpha, rtol=0, atol=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quenchlab import bogoliubov, cli, dynamics
-from quenchlab.bogoliubov import build_bogoliubov
+from quenchlab.bogoliubov import build_bogoliubov, pre_quench_energy
 
 from conftest import make_spec
 
@@ -51,6 +51,21 @@ def test_full_config_run(tmp_path):
     assert summary["recurrence_threshold"] == 0.5
     np.testing.assert_allclose(summary["gge_n"], summary["long_time_avg"],
                                rtol=0, atol=1e-12)
+
+
+def test_full_config_at_non_default_constants(tmp_path):
+    cfg = _write_config(tmp_path, FULL_CONFIG.replace(
+        "M = 2\n", "M = 2\nmass = 1.3\nomega0 = 0.8\nhbar = 0.7\n").replace(
+        "delocalization\n", "delocalization, sweep\n"))
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out),
+                     "--dump-bogoliubov"]) == 0
+    config = _manifest(out)["config"]
+    assert (config["mass"], config["omega0"], config["hbar"]) == (1.3, 0.8, 0.7)
+    with open(out / "dynamics_summary_N2_M2.json") as fh:
+        e_joint = json.load(fh)["e_total_joint"]
+    spec = make_spec(2, 2, modes=(2, 3), mass=1.3, omega0=0.8, hbar=0.7)
+    assert abs(e_joint / pre_quench_energy(spec) - 1.0) < 1e-10
 
 
 def test_dynamics_csv_contents(tmp_path):

@@ -9,6 +9,7 @@ from quenchlab.covariance import (CONFIGURATION, DISJOINT, JOINT, BasisError,
                                   occupations_from_covariance,
                                   symplectic_eigenvalues, thermal_form_check,
                                   to_configuration, to_joint_modes)
+from quenchlab.model import mode_frequencies
 
 from conftest import make_spec
 
@@ -24,9 +25,7 @@ def test_initial_covariance_closed_form():
     cov = initial_covariance(spec)
     assert cov.basis_tag == DISJOINT
     n = spec.initial_state.as_array()
-    from quenchlab.model import normal_modes
-    w = np.concatenate([normal_modes(spec.left).frequencies,
-                        normal_modes(spec.right).frequencies])
+    w = np.concatenate([mode_frequencies(2, 1.1), mode_frequencies(3, 1.1)])
     np.testing.assert_allclose(np.diagonal(cov.block("xx")),
                                (n + 0.5) * 0.7 / (1.3 * w), rtol=0, atol=1e-14)
     np.testing.assert_allclose(np.diagonal(cov.block("pp")),

@@ -11,7 +11,6 @@ from quenchlab.fock_oracle import (CutoffExceeded, ExpandedState, _ladder,
                                    expand_initial_state,
                                    expand_squeezed_vacuum, occupation_series,
                                    oracle_correlators)
-from quenchlab.model import normal_modes
 
 from conftest import make_spec
 
@@ -146,7 +145,7 @@ def test_evolved_correlators_pick_up_mode_phases(map22):
     spec = make_spec(2, 2, modes=(2, 3), t_max=1.0, t_steps=2)
     state = expand_initial_state(spec, bog, f, order=12, cutoff=8)
     t = 17.3
-    w = normal_modes(spec.joint_chain).frequencies
+    w = bog.omega_joint
     c0 = oracle_correlators(state)
     ct = oracle_correlators(exact_evolve(state, spec, t))
     assert np.iscomplexobj(ct.cdag_c) and np.iscomplexobj(ct.c_c)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from quenchlab.model import (ChainSpec, ConfigError, FockExcitation,
-                             QuenchSpec, RunConfig, default_time_grid,
-                             mode_frequencies, normal_modes, parse_config,
-                             quench_from_config, sine_transform)
+from quenchlab.model import (ConfigError, FockExcitation, QuenchSpec,
+                             RunConfig, default_time_grid, mode_frequencies,
+                             parse_config, quench_from_config, sine_transform)
 
 from conftest import stiffness_matrix
 
@@ -41,19 +40,16 @@ def test_stiffness_matches_frequencies():
 
 @pytest.mark.parametrize("N,M", [(2, 2), (3, 5), (5, 10)])
 def test_joint_hamiltonian_is_disjoint_plus_coupling(N, M):
-    left = ChainSpec(N, mass=1.3, omega0=0.7)
-    right = ChainSpec(M, mass=1.3, omega0=0.7)
-    spec = QuenchSpec(left, right, FockExcitation.vacuum(N + M),
-                      default_time_grid(1.0, 2))
+    spec = QuenchSpec(N, M, FockExcitation.vacuum(N + M),
+                      default_time_grid(1.0, 2), mass=1.3, omega0=0.7)
     # the coupling -m w0^2 q_N q_{N+1} adds exactly the two entries that
     # the disjoint block stiffness lacks
-    m, w0 = spec.left.mass, spec.left.omega0
-    joint = spec.joint_chain
+    m, w0 = spec.mass, spec.omega0
     assembled = np.zeros((N + M, N + M))
     assembled[:N, :N] = stiffness_matrix(N, m, w0)
     assembled[N:, N:] = stiffness_matrix(M, m, w0)
     assembled[N - 1, N] = assembled[N, N - 1] = -m * w0 ** 2
-    full = stiffness_matrix(joint.size, joint.mass, joint.omega0)
+    full = stiffness_matrix(spec.total_size, m, w0)
     assert np.max(np.abs(assembled - full)) < 1e-12
 
 
@@ -71,15 +67,13 @@ def test_default_time_grid():
     assert np.all(np.diff(t) > 0)
 
 
-def test_chain_spec_validation():
+@pytest.mark.parametrize("key,value", [
+    *((k, v) for k in ("N", "M") for v in (0, 2.5)),
+    *((k, v) for k in ("mass", "omega0", "hbar")
+      for v in (0.0, -1.0, float("nan"), float("inf"), "x"))])
+def test_chain_spec_validation(key, value):
     with pytest.raises(ConfigError):
-        ChainSpec(0)
-    with pytest.raises(ConfigError):
-        ChainSpec(3, mass=-1.0)
-    with pytest.raises(ConfigError):
-        ChainSpec(3, omega0=0.0)
-    with pytest.raises(ConfigError):
-        ChainSpec(3, hbar=0.0)
+        QuenchSpec.build(**{"N": 2, "M": 2, key: value})
 
 
 def test_fock_excitation_constructors():
@@ -97,25 +91,19 @@ def test_fock_excitation_constructors():
 
 
 def test_quench_spec_validation():
-    left = ChainSpec(2)
-    right_bad = ChainSpec(2, omega0=2.0)
     state = FockExcitation.vacuum(4)
     with pytest.raises(ConfigError):
-        QuenchSpec(left, right_bad, state, default_time_grid(1.0, 2))
+        QuenchSpec(2, 2, state, np.array([0.5, 1.0]))
     with pytest.raises(ConfigError):
-        QuenchSpec(left, ChainSpec(2), state, np.array([0.5, 1.0]))
+        QuenchSpec(2, 2, state, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ConfigError):
-        QuenchSpec(left, ChainSpec(2), state, np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ConfigError):
-        QuenchSpec(left, ChainSpec(2), FockExcitation.vacuum(3),
-                   default_time_grid(1.0, 2))
+        QuenchSpec(2, 2, FockExcitation.vacuum(3), default_time_grid(1.0, 2))
 
 
 def test_quench_spec_properties(spec_5_10):
     assert spec_5_10.n_left == 5
     assert spec_5_10.n_right == 10
     assert spec_5_10.total_size == 15
-    assert spec_5_10.joint_chain.size == 15
 
 
 def test_parse_config_roundtrip():
@@ -148,12 +136,3 @@ def test_parse_config_rejects(text):
     with pytest.raises(ConfigError):
         quench_from_config(parse_config(text))
 
-
-def test_normal_modes_basis_object():
-    basis = normal_modes(ChainSpec(7, omega0=0.5))
-    assert basis.size == 7
-    assert len(basis.frequencies) == 7
-    np.testing.assert_allclose(basis.frequencies,
-                               mode_frequencies(7, omega0=0.5),
-                               rtol=0, atol=1e-14)
-    assert np.max(np.abs(basis.transform @ basis.transform - np.eye(7))) < 1e-12
