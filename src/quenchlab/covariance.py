@@ -12,6 +12,7 @@ Basis tags: "disjoint-normal-modes" -> "configuration" -> "joint-normal-modes".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,21 +103,16 @@ def joint_covariance(spec: QuenchSpec) -> CovarianceMatrix:
     return to_joint_modes(to_configuration(initial_covariance(spec), spec), spec)
 
 
-def _rotate(xx, xp, pp, c, s, d, mean=False):
+def _rotate(xx, xp, pp, c, s, d):
     """xx, xp and pp blocks of R sigma R^T for the free rotation R = (c, s; d, c),
     per mode c = cos wt, s = sin wt/(m w), d = -m w sin wt.
 
     R is diagonal per mode, so each block is elementwise in the factor
-    products u_j v_k.  Factors of shape (..., K) give one rotation per leading
-    index; mean=True averages the products of (S, K) factors over the S
-    samples (Gram means), which averages R sigma R^T.
+    products u_j v_k.  Factors of shape (..., K) give one rotation per
+    leading index.
     """
-    if mean:
-        def prod(u, v):
-            return u.T @ v / len(u)
-    else:
-        def prod(u, v):
-            return u[..., :, None] * v[..., None, :]
+    def prod(u, v):
+        return u[..., :, None] * v[..., None, :]
     cc, cs, cd = prod(c, c), prod(c, s), prod(c, d)
     sc, dc, px = cs.swapaxes(-1, -2), cd.swapaxes(-1, -2), xp.T
     return (cc * xx + cs * xp + sc * px + prod(s, s) * pp,
@@ -124,21 +120,13 @@ def _rotate(xx, xp, pp, c, s, d, mean=False):
             prod(d, d) * xx + dc * xp + cd * px + cc * pp)
 
 
-def _factors(spec, ts):
-    """Rotation factors c, s, d of the joint modes at the times ts."""
-    w = mode_frequencies(spec.total_size, spec.omega0)
-    mw = spec.mass * w
-    wt = np.multiply.outer(ts, w)
-    c = np.cos(wt)
-    sn = np.sin(wt, out=wt)     # a window holds S x K factors; reuse the buffer
-    return c, sn / mw, sn * -mw
-
-
 def evolve_covariance(cov: CovarianceMatrix, spec: QuenchSpec, t: float) -> CovarianceMatrix:
     """Free evolution in the joint modes, sigma(t) = R(t) sigma R(t)^T."""
     _require(cov, JOINT)
+    w = mode_frequencies(spec.total_size, spec.omega0)
+    mw, sn = spec.mass * w, np.sin(w * t)
     xx, xp, pp = _rotate(cov.block("xx"), cov.block("xp"), cov.block("pp"),
-                         *_factors(spec, float(t)))
+                         np.cos(w * t), sn / mw, sn * -mw)
     return CovarianceMatrix(sigma=np.block([[xx, xp], [xp.T, pp]]),
                             basis_tag=JOINT)
 
@@ -174,25 +162,58 @@ def symplectic_eigenvalues(cov: CovarianceMatrix, hbar=RunConfig.hbar) -> np.nda
     return pos
 
 
-# ---------------------------------------------------------------------------
-# Window averaging.  Averaging the evolved matrix over a uniform grid only
-# needs the Gram matrices of the rotation factors, so a window costs
-# O(samples K^2) instead of samples full congruences.
+def _dirichlet(omega, samples, dt):
+    """Mean of exp(i omega t) over the grid t = j dt, j < S = samples.
+
+    The mean is exp(i (S-1) r) sin(S r) / (S sin r) with r = omega dt / 2.
+    It has period pi in r, so r is reduced mod pi first: at an aliased beat
+    (omega dt near a multiple of 2 pi) the unreduced ratio divides two
+    rounding errors.  r = 0 gives 1.
+    """
+    r = 0.5 * dt * omega
+    r -= np.pi * np.round(r / np.pi)
+    den = samples * np.sin(r)
+    ratio = np.divide(np.sin(samples * r), den, out=np.ones_like(r),
+                      where=den != 0)
+    return np.exp(1j * (samples - 1) * r) * ratio
+
 
 def mean_evolved_covariance(cov: CovarianceMatrix, spec: QuenchSpec,
                             window: float, dt: float = 0.5) -> CovarianceMatrix:
-    """Uniform-grid time average of sigma(t) over [0, window)."""
+    """Mean of sigma(t) over the grid t = j dt in [0, window), in closed form.
+
+    With a = m w, the amplitudes z_j = a_j x_j + i p_j evolve as
+    exp(-i w_j t) z_j, so the normal moments <z_j* z_k> pick up
+    exp(i (w_j - w_k) t) and the anomalous <z_j z_k> exp(-i (w_j + w_k) t).
+    The window mean multiplies each by the grid mean of its phase, which
+    costs O(K^2) however many samples the window holds.
+    """
     _require(cov, JOINT)
-    xx, xp, pp = _rotate(cov.block("xx"), cov.block("xp"), cov.block("pp"),
-                         *_factors(spec, np.arange(0.0, window, dt)), mean=True)
-    return CovarianceMatrix(sigma=np.block([[0.5 * (xx + xx.T), xp],
-                                            [xp.T, 0.5 * (pp + pp.T)]]),
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    if not (np.isfinite(window) and window > 0):
+        raise ValueError(f"window must be finite and > 0 so that the grid "
+                         f"holds a sample, got {window!r}")
+    samples = math.ceil(window / dt)        # len(np.arange(0.0, window, dt))
+    w = mode_frequencies(spec.total_size, spec.omega0)
+    a = spec.mass * w
+    aa = np.outer(a, a)
+    axax, axp = aa * cov.block("xx"), a[:, None] * cov.block("xp")
+    pp = cov.block("pp")
+    normal = _dirichlet(np.subtract.outer(w, w), samples, dt) * (
+        0.5 * (axax + pp + 1j * (axp - axp.T)))
+    anomalous = np.conj(_dirichlet(np.add.outer(w, w), samples, dt)) * (
+        0.5 * (axax - pp + 1j * (axp + axp.T)))
+    total = normal + anomalous
+    xp = total.imag / a[:, None]
+    return CovarianceMatrix(sigma=np.block([[total.real / aa, xp],
+                                            [xp.T, (normal - anomalous).real]]),
                             basis_tag=JOINT)
 
 
 def max_offdiagonal(cov: CovarianceMatrix) -> float:
     """Largest |entry| outside the full-matrix diagonal."""
-    sig = np.abs(cov.sigma.copy())
+    sig = np.abs(cov.sigma)
     np.fill_diagonal(sig, 0.0)
     return float(sig.max())
 

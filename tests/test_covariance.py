@@ -106,15 +106,42 @@ def test_occupations_match_emission_diagonal(spec_5_10):
                                rtol=0, atol=1e-10)
 
 
-def test_mean_matches_brute_force_average(spec22):
-    joint = joint_covariance(spec22)
-    dt, window = 0.5, 20.0
-    mean = mean_evolved_covariance(joint, spec22, window, dt)
+_W5 = mode_frequencies(5, 1.0)
+_ALIAS_DT = 2 * np.pi / (_W5[0] + _W5[1])
+
+
+@pytest.mark.parametrize("spec, window, dt", [
+    (make_spec(2, 2, t_max=50.0, t_steps=51), 20.0, 0.5),
+    (make_spec(2, 3, modes=(2, 4), mass=1.3, omega0=1.1, hbar=0.7), 20.3, 0.3),
+    (make_spec(2, 3, modes=(2, 4)), 300 * _ALIAS_DT, _ALIAS_DT),
+    (make_spec(5, 10, modes=(3, 4), omega0=7.0), 200.0, 0.5),
+], ids=["2-2", "window-not-multiple-of-dt", "aliased-beat", "below-nyquist"])
+def test_mean_matches_brute_force_average(spec, window, dt):
+    # Fock states have no xp block; add one so the cross terms are checked too
+    joint = joint_covariance(spec)
+    K = joint.n_modes
+    xp = 0.1 * np.random.default_rng(0).standard_normal((K, K))
+    sig = joint.sigma.copy()
+    sig[:K, K:] += xp
+    sig[K:, :K] += xp.T
+    cov = CovarianceMatrix(sigma=sig, basis_tag=JOINT)
+    mean = mean_evolved_covariance(cov, spec, window, dt)
     ts = np.arange(0.0, window, dt)
-    acc = np.zeros_like(joint.sigma)
+    acc = np.zeros_like(sig)
     for t in ts:
-        acc += evolve_covariance(joint, spec22, t).sigma
+        acc += evolve_covariance(cov, spec, t).sigma
     np.testing.assert_allclose(mean.sigma, acc / len(ts), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("window, dt, name", [
+    (0.0, 0.5, "window"),
+    (20.0, -0.5, "dt"),
+    (20.0, 0.0, "dt"),
+    (20.0, np.nan, "dt"),
+])
+def test_mean_refuses_empty_or_invalid_grid(spec22, window, dt, name):
+    with pytest.raises(ValueError, match=name):
+        mean_evolved_covariance(joint_covariance(spec22), spec22, window, dt)
 
 
 def test_offdiagonal_decay_frozen(spec_5_10):
