@@ -4,6 +4,8 @@ A state is an (S, K) int16 array of unique occupation rows, one column per
 joint mode, plus an (S,) amplitude vector. Two helpers do all the work:
 `_ladder` applies sum_k x_k c+_k + y_k c_k and returns the raw rows, and
 `_merge` sorts rows on their bytes and sums the amplitudes of equal rows.
+Their row halves, `_ladder_rows` and `_groups`, depend on the rows alone,
+so the occupation series finds them once and reuses them at every sample.
 Merged rows whose amplitudes cancel are kept, so a support counts every
 occupation an operator reached. The pre-quench eigenstate is reconstructed
 in the joint basis by expanding the squeezed-vacuum exponential as a power
@@ -21,6 +23,10 @@ import numpy as np
 
 from .model import QuenchSpec, FockExcitation, RunConfig, mode_frequencies
 from .bogoliubov import BogoliubovMap, CorrelationSet, build_bogoliubov, f_matrix
+
+
+# largest squared-norm fraction a projection to the cutoff may discard
+MAX_LEAKAGE = 0.01
 
 
 class CutoffExceeded(ValueError):
@@ -54,32 +60,51 @@ def _merge(*parts):
                   np.concatenate([a for _, a in parts]))]
     occ, amp = parts[0]
     occ = np.ascontiguousarray(occ)
+    order, first = _groups(occ)
+    return occ[order[first]], np.add.reduceat(amp[order], first, axis=0)
+
+
+def _groups(occ):
+    """Sort order of contiguous (S, K) rows on their bytes, and where each
+    run of equal rows starts in that order."""
     key = occ.view(np.dtype((np.void, occ.dtype.itemsize * occ.shape[1])))
     key = key.ravel()
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    first = np.flatnonzero(first)
-    return occ[order[first]], np.add.reduceat(amp[order], first, axis=0)
+    return order, np.flatnonzero(first)
 
 
-def _ladder(psi, x, y):
-    """Unmerged rows of (sum_k x_k c+_k + y_k c_k) psi for psi = (rows, amps).
+def _ladder_rows(occ, x, y):
+    """Unmerged rows of (sum_k x_k c+_k + y_k c_k) applied to the rows occ,
+    and the map from their amplitudes to the new rows' amplitudes.
 
     Modes with a zero coefficient add no rows and lowering drops rows with
     n_k = 0, so the result holds exactly the occupations the operator reaches.
+    The rows do not depend on the amplitudes, so one call serves every
+    amplitude vector on occ.
     """
-    occ, amp = psi
     shift = np.eye(occ.shape[1], dtype=occ.dtype)
     up, down = np.flatnonzero(x), np.flatnonzero(y)
     n_up, n_down = occ[:, up].T + 1.0, occ[:, down].T.astype(float)
     live = n_down > 0
     rows = np.concatenate([(occ + shift[up, None]).reshape(-1, occ.shape[1]),
                            (occ - shift[down, None])[live]])
-    amps = np.concatenate([(x[up, None] * np.sqrt(n_up) * amp).ravel(),
-                           (y[down, None] * np.sqrt(n_down) * amp)[live]])
-    return rows, amps
+    raise_by = x[up, None] * np.sqrt(n_up)
+    lower_by = y[down, None] * np.sqrt(n_down)
+
+    def amplitudes(amp):
+        return np.concatenate([(raise_by * amp).ravel(),
+                               (lower_by * amp)[live]])
+
+    return rows, amplitudes
+
+
+def _ladder(psi, x, y):
+    """Unmerged rows and amplitudes of (sum_k x_k c+_k + y_k c_k) psi."""
+    rows, amplitudes = _ladder_rows(psi[0], x, y)
+    return rows, amplitudes(psi[1])
 
 
 def expand_squeezed_vacuum(f: np.ndarray, order: int):
@@ -104,7 +129,7 @@ def expand_squeezed_vacuum(f: np.ndarray, order: int):
 
 def expand_initial_state(spec: QuenchSpec, bog: BogoliubovMap, f: np.ndarray,
                          order: int, cutoff: int = 8,
-                         max_leakage: float = 0.01) -> ExpandedState:
+                         max_leakage: float = MAX_LEAKAGE) -> ExpandedState:
     """Pre-quench Fock eigenstate written out in joint-mode amplitudes.
 
     Works uncapped so the annihilation parts of the stacked a+ operators can
@@ -116,10 +141,23 @@ def expand_initial_state(spec: QuenchSpec, bog: BogoliubovMap, f: np.ndarray,
         raise ValueError("expansion order must be >= 1")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    psi = expand_squeezed_vacuum(f, order)
+    psi = _lift(expand_squeezed_vacuum(f, order), spec, bog)
+    return _project(psi, cutoff, max_leakage)
+
+
+def _lift(psi, spec: QuenchSpec, bog: BogoliubovMap):
+    """Stack the pre-quench creation operators of spec's Fock state,
+    a+_j = sum_k alpha_jk c+_k + beta_jk c_k, on the uncapped psi."""
     for j, nj in enumerate(spec.initial_state.occupations):
         for _ in range(nj):
             psi = _merge(_ladder(psi, bog.alpha[j], bog.beta[j]))
+    return psi
+
+
+def _project(psi, cutoff: int,
+             max_leakage: float = MAX_LEAKAGE) -> ExpandedState:
+    """Keep the rows with every occupation <= cutoff and renormalize;
+    refuse when the discarded squared-norm fraction exceeds max_leakage."""
     occ, amp = psi
     kept = occ.max(axis=1) <= cutoff
     weight = np.abs(amp) ** 2
@@ -192,13 +230,24 @@ def oracle_correlators(state: ExpandedState) -> CorrelationSet:
 
 def occupation_series(state: ExpandedState, spec: QuenchSpec,
                       bog: BogoliubovMap, times) -> np.ndarray:
-    """<n_m(t)> for every pre-quench mode m, via ||a_m psi(t)||^2, one
-    sample at a time."""
+    """<n_m(t)> for every pre-quench mode m, via ||a_m psi(t)||^2.
+
+    Evolution only rephases the amplitudes, so the rows a_m reaches and the
+    way equal rows merge are found once per mode; each sample then maps and
+    sums its evolved amplitudes.
+    """
     times = np.asarray(times, dtype=float)
-    out = np.empty((len(times), bog.alpha.shape[0]))
+    ladders = []
+    for m in range(bog.alpha.shape[0]):
+        rows, amplitudes = _ladder_rows(state.occupations, bog.beta[m],
+                                        bog.alpha[m])
+        ladders.append((amplitudes, *_groups(rows)))
+    out = np.empty((len(times), len(ladders)))
     for i, t in enumerate(times):
-        out[i] = np.square(_pre_annihilated_norms(exact_evolve(state, spec, t),
-                                                  bog))
+        amp = exact_evolve(state, spec, t).amplitudes
+        out[i] = np.square([
+            np.linalg.norm(np.add.reduceat(amplitudes(amp)[order], first))
+            for amplitudes, order, first in ladders])
     return out
 
 

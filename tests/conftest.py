@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quenchlab.fock_oracle import _pre_annihilated_norms, exact_evolve
 from quenchlab.model import (FockExcitation, QuenchSpec, RunConfig,
                              default_time_grid)
 
@@ -74,6 +75,14 @@ def evolve_occupations_direct(bog, corr, times):
                     acc += b[m, l] * b[m, k] * np.exp(-1j * (w[l] - w[k]) * t) * corr.c_cdag[l, k]
             out[it, m] = acc.real
     return out
+
+
+def occupation_series_per_sample(state, spec, bog, times):
+    """The oracle's <n_m(t)> by definition: evolve, apply every a_m and
+    merge from scratch at each sample. A slow reference for the reuse of
+    ladder rows in `occupation_series`."""
+    return np.array([np.square(_pre_annihilated_norms(
+        exact_evolve(state, spec, t), bog)) for t in times])
 
 
 @pytest.fixture(scope="session")

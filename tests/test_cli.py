@@ -1,11 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from quenchlab import bogoliubov, cli, dynamics
+from quenchlab import bogoliubov, cli, dynamics, fock_oracle
 from quenchlab.bogoliubov import build_bogoliubov, pre_quench_energy
 
 from conftest import make_spec
@@ -39,6 +41,7 @@ def test_full_config_run(tmp_path):
     man = _manifest(out)
     assert man["status"] == "ok"
     assert man["error"] is None
+    assert man["threads"] is None and man["threads_applied"] is None
     expected = ["dynamics_N2_M2.csv", "fluctuations_N2_M2.csv",
                 "permode_N2_M2.csv", "dynamics_summary_N2_M2.json",
                 "gge_N2_M2.json", "covariance_N2_M2.json",
@@ -188,6 +191,24 @@ def test_f_matrix_built_once_per_spec(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_squeezed_vacuum_expanded_once_per_oracle(tmp_path, monkeypatch):
+    # the excited state and the vacuum its residuals use share one series
+    calls = []
+    real = fock_oracle.expand_squeezed_vacuum
+
+    def counted(f, order):
+        calls.append(order)
+        return real(f, order)
+
+    monkeypatch.setattr(fock_oracle, "expand_squeezed_vacuum", counted)
+    cfg = _write_config(tmp_path, "N = 2\nM = 2\noccupations = 0, 1, 1, 0\n"
+                        "analyses = fock-oracle\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+    assert "oracle_N2_M2.json" in _manifest(out)["outputs"]
+    assert calls == [12]
+
+
 def test_broken_symplectic_map_exits_3(tmp_path, monkeypatch):
     def perturbed(spec):
         bog = build_bogoliubov(spec)
@@ -271,7 +292,23 @@ def test_threads_flag_sets_pools(tmp_path):
                 os.environ.pop(var, None)
             else:
                 os.environ[var] = val
-    assert _manifest(out)["threads"] == 2
+    man = _manifest(out)
+    assert man["threads"] == 2
+    # numpy is loaded in this process, so the pools were already sized
+    assert "numpy" in sys.modules and man["threads_applied"] is False
+
+
+def test_threads_applied_in_fresh_interpreter(tmp_path):
+    cfg = _write_config(tmp_path, "N = 2\nM = 2\nanalyses = gge\n")
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    paths = (src, os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    subprocess.run([sys.executable, "-m", "quenchlab.cli", "--config", cfg,
+                    "--out", str(out), "--threads", "1"], env=env, check=True)
+    man = _manifest(out)
+    assert man["status"] == "ok"
+    assert man["threads"] == 1 and man["threads_applied"] is True
 
 
 def test_nonpositive_threads_rejected(tmp_path):

@@ -12,7 +12,7 @@ from quenchlab.fock_oracle import (CutoffExceeded, ExpandedState, _ladder,
                                    expand_squeezed_vacuum, occupation_series,
                                    oracle_correlators)
 
-from conftest import make_spec
+from conftest import make_spec, occupation_series_per_sample
 
 # residuals of the truncated expansion certificates, frozen from first runs
 A_RESID_20_12 = 4.736245261861336e-07
@@ -166,6 +166,19 @@ def test_occupations_match_quadratic_dynamics_at_cutoff8(map22):
     state = expand_initial_state(spec, bog, f, order=12, cutoff=8)
     approx = occupation_series(state, spec, bog, spec.time_grid)
     assert float(np.max(np.abs(approx - exact))) < 2e-3
+
+
+@pytest.mark.parametrize("cutoff", [6, 8])
+@pytest.mark.parametrize("modes", [(), (1,), (2, 3)])
+def test_occupation_series_is_per_sample_definition(map22, modes, cutoff):
+    bog, f = map22
+    spec = make_spec(2, 2, modes=modes, t_max=1.0, t_steps=2)
+    state = expand_initial_state(spec, bog, f, order=12, cutoff=cutoff)
+    times = np.array([0.0, 0.6, 17.3, 50.0])
+    series = occupation_series(state, spec, bog, times)
+    assert series.shape == (len(times), 4)
+    assert np.array_equal(series, occupation_series_per_sample(
+        state, spec, bog, times))
 
 
 def test_cutoff_convergence_shift(map22):
