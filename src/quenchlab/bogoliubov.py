@@ -168,5 +168,6 @@ def pre_quench_energy(spec: QuenchSpec) -> float:
 
 def joint_energy(bog: BogoliubovMap, corr: CorrelationSet) -> float:
     """<H> from the joint-mode side, sum_k hbar w'_k (<n'_k> + 1/2)."""
-    return float(bog.hbar * np.sum(bog.omega_joint * (np.diagonal(corr.cdag_c) + 0.5)))
+    return float(bog.hbar * np.sum(bog.omega_joint
+                                   * (np.diagonal(corr.cdag_c).real + 0.5)))
 

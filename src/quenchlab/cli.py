@@ -279,18 +279,11 @@ def _run_preset(name, base, outdir, files, dump):
 
 
 def _versions():
-    out = {"python": sys.version.split()[0]}
-    try:
-        import numpy
-        out["numpy"] = numpy.__version__
-    except Exception:
-        out["numpy"] = None
-    try:
-        from . import __version__
-        out["quenchlab"] = __version__
-    except Exception:
-        out["quenchlab"] = None
-    return out
+    import numpy
+
+    from . import __version__
+    return {"python": sys.version.split()[0], "numpy": numpy.__version__,
+            "quenchlab": __version__}
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,9 @@
 
 The covariance route is the Gaussian-state counterpart of the operator
 route: build second moments in the disjoint normal-mode basis, rotate to
-configuration space, rotate to joint normal modes, evolve with the
-per-mode symplectic rotation, and read occupancies off the diagonal.
+configuration space, rotate to joint normal modes, evolve (the moments of
+z = m w x + i p pick up phases, or their grid means for a window mean),
+and read occupancies off the diagonal.
 Fock states are not Gaussian, but their second moments are still exact,
 which is all this module ever uses (higher moments are out of scope).
 
@@ -103,32 +104,41 @@ def joint_covariance(spec: QuenchSpec) -> CovarianceMatrix:
     return to_joint_modes(to_configuration(initial_covariance(spec), spec), spec)
 
 
-def _rotate(xx, xp, pp, c, s, d):
-    """xx, xp and pp blocks of R sigma R^T for the free rotation R = (c, s; d, c),
-    per mode c = cos wt, s = sin wt/(m w), d = -m w sin wt.
+def _moments(cov, a):
+    """Normal and anomalous moments (1/2)<z_j* z_k>, (1/2)<z_j z_k> of the
+    amplitudes z = a x + i p, symmetrized, from the blocks of `cov`."""
+    aax, axp = np.outer(a, a) * cov.block("xx"), a[:, None] * cov.block("xp")
+    pp = cov.block("pp")
+    return (0.5 * (aax + pp + 1j * (axp - axp.T)),
+            0.5 * (aax - pp + 1j * (axp + axp.T)))
 
-    R is diagonal per mode, so each block is elementwise in the factor
-    products u_j v_k.  Factors of shape (..., K) give one rotation per
-    leading index.
+
+def _from_moments(normal, anomalous, a):
+    """The joint-mode covariance whose moments `_moments` returns."""
+    total = normal + anomalous
+    xp = total.imag / a[:, None]
+    return CovarianceMatrix(sigma=np.block([[total.real / np.outer(a, a), xp],
+                                            [xp.T, (normal - anomalous).real]]),
+                            basis_tag=JOINT)
+
+
+def _rephase(normal, anomalous, e):
+    """Moments after free evolution, given e = exp(i w t) of shape (..., K).
+
+    z_j evolves as exp(-i w_j t) z_j, so the normal moments pick up
+    e_j e_k* and the anomalous ones e_j* e_k*; each leading index of `e`
+    is one time.
     """
-    def prod(u, v):
-        return u[..., :, None] * v[..., None, :]
-    cc, cs, cd = prod(c, c), prod(c, s), prod(c, d)
-    sc, dc, px = cs.swapaxes(-1, -2), cd.swapaxes(-1, -2), xp.T
-    return (cc * xx + cs * xp + sc * px + prod(s, s) * pp,
-            cd * xx + cc * xp + prod(s, d) * px + sc * pp,
-            prod(d, d) * xx + dc * xp + cd * px + cc * pp)
+    ej, ek = e[..., :, None], e.conj()[..., None, :]
+    return normal * (ej * ek), anomalous * (ej.conj() * ek)
 
 
 def evolve_covariance(cov: CovarianceMatrix, spec: QuenchSpec, t: float) -> CovarianceMatrix:
-    """Free evolution in the joint modes, sigma(t) = R(t) sigma R(t)^T."""
+    """Free evolution in the joint modes, every moment times its phase."""
     _require(cov, JOINT)
     w = mode_frequencies(spec.total_size, spec.omega0)
-    mw, sn = spec.mass * w, np.sin(w * t)
-    xx, xp, pp = _rotate(cov.block("xx"), cov.block("xp"), cov.block("pp"),
-                         np.cos(w * t), sn / mw, sn * -mw)
-    return CovarianceMatrix(sigma=np.block([[xx, xp], [xp.T, pp]]),
-                            basis_tag=JOINT)
+    a = spec.mass * w
+    return _from_moments(*_rephase(*_moments(cov, a), np.exp(1j * w * t)), a)
 
 
 def occupations_from_covariance(cov: CovarianceMatrix, spec: QuenchSpec) -> np.ndarray:
@@ -182,11 +192,10 @@ def mean_evolved_covariance(cov: CovarianceMatrix, spec: QuenchSpec,
                             window: float, dt: float = 0.5) -> CovarianceMatrix:
     """Mean of sigma(t) over the grid t = j dt in [0, window), in closed form.
 
-    With a = m w, the amplitudes z_j = a_j x_j + i p_j evolve as
-    exp(-i w_j t) z_j, so the normal moments <z_j* z_k> pick up
-    exp(i (w_j - w_k) t) and the anomalous <z_j z_k> exp(-i (w_j + w_k) t).
-    The window mean multiplies each by the grid mean of its phase, which
-    costs O(K^2) however many samples the window holds.
+    The normal moments pick up exp(i (w_j - w_k) t) and the anomalous ones
+    exp(-i (w_j + w_k) t) (`_rephase`); the mean multiplies each by the
+    grid mean of its phase, which costs O(K^2) however many samples the
+    window holds.
     """
     _require(cov, JOINT)
     if not (np.isfinite(dt) and dt > 0):
@@ -197,18 +206,10 @@ def mean_evolved_covariance(cov: CovarianceMatrix, spec: QuenchSpec,
     samples = math.ceil(window / dt)        # len(np.arange(0.0, window, dt))
     w = mode_frequencies(spec.total_size, spec.omega0)
     a = spec.mass * w
-    aa = np.outer(a, a)
-    axax, axp = aa * cov.block("xx"), a[:, None] * cov.block("xp")
-    pp = cov.block("pp")
-    normal = _dirichlet(np.subtract.outer(w, w), samples, dt) * (
-        0.5 * (axax + pp + 1j * (axp - axp.T)))
-    anomalous = np.conj(_dirichlet(np.add.outer(w, w), samples, dt)) * (
-        0.5 * (axax - pp + 1j * (axp + axp.T)))
-    total = normal + anomalous
-    xp = total.imag / a[:, None]
-    return CovarianceMatrix(sigma=np.block([[total.real / aa, xp],
-                                            [xp.T, (normal - anomalous).real]]),
-                            basis_tag=JOINT)
+    normal, anomalous = _moments(cov, a)
+    return _from_moments(_dirichlet(np.subtract.outer(w, w), samples, dt) * normal,
+                         np.conj(_dirichlet(np.add.outer(w, w), samples, dt))
+                         * anomalous, a)
 
 
 def max_offdiagonal(cov: CovarianceMatrix) -> float:

@@ -1,10 +1,11 @@
 """Time evolution of occupation numbers and subsystem energies.
 
-Occupations use the covariance route's propagator (`covariance._rotate`):
-the joint-mode covariance of the initial correlators rotates elementwise,
-O(K^2) per time sample, and each pre-quench occupation is read back with
-one real O(K^3) product per block and sample, in chunks under a fixed
-byte budget.  Phases are e^{-i w' t}; energies are hbar w'.
+Occupations use the covariance route's propagator (`covariance._rephase`):
+the normal and anomalous moments of the initial correlators pick up their
+phases elementwise, O(K^2) per time sample, and each pre-quench occupation
+is read back with one real O(K^3) product per quadrature block and sample,
+in chunks under a fixed byte budget.  Phases are e^{-i w' t}; energies
+are hbar w'.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import numpy as np
 
 from .model import QuenchSpec, RunConfig
 from .bogoliubov import BogoliubovMap, CorrelationSet, ConsistencyError, joint_energy
+from .covariance import _rephase
 
 
-# Working-set budget of one kernel chunk, at about 16 K x K arrays a sample.
+# Working-set budget of one kernel chunk; a sample peaks at 8 K x K float64
+# arrays (tracemalloc: two complex moments, s_xx, s_pp, two readout products).
 _CHUNK_BYTES = 4 << 20
 # Largest correlator Hermiticity defect the kernel accepts.
 IMAG_TOL = 1e-8
@@ -67,13 +70,13 @@ class PerModeEnergy:
 def _phase_kernel(bog, corr, times):
     """<n_m(t)> for all pre-quench modes m and times t.
 
-    Rotates the covariance of the scaled quadratures xi = (c + c^dag)/sqrt2,
-    pi = i(c^dag - c)/sqrt2 and reads n_m = ((A s_xx A^T + B s_pp B^T)_mm - 1)/2,
-    A = alpha + beta, B = alpha - beta.  Non-Hermitian correlators, which
-    would leave an imaginary part in <n_m(t)>, are refused.
+    Rephases the normal moments (1/2)<{c_j^dag, c_k}> and the anomalous
+    <c_j c_k>, whose sum and difference have as real parts the covariances
+    s_xx, s_pp of (c + c^dag)/sqrt2 and i(c^dag - c)/sqrt2, and reads
+    n_m = ((A s_xx A^T + B s_pp B^T)_mm - 1)/2, A = alpha + beta,
+    B = alpha - beta.  Non-Hermitian correlators, which would leave an
+    imaginary part in <n_m(t)>, are refused.
     """
-    from .covariance import _rotate
-
     c1, c2, c3, c4 = corr.cdag_c, corr.cdag_cdag, corr.c_c, corr.c_cdag
     defect = max(float(np.max(np.abs(x - np.conj(y).T)))
                  for x, y in ((c1, c1), (c4, c4), (c2, c3)))
@@ -81,17 +84,15 @@ def _phase_kernel(bog, corr, times):
         raise NumericalError(
             f"imaginary residue: correlator Hermiticity defect {defect:.3e} "
             f"exceeds {IMAG_TOL:g}")
-    xx = 0.5 * np.real(c1 + c2 + c3 + c4)
-    pp = 0.5 * np.real(c1 + c4 - c2 - c3)
-    xp = 0.5 * np.imag(c1 + c3 - c2 - c4)
+    normal, anomalous = 0.5 * (c1 + c4.T), 0.5 * (c3 + np.conj(c2).T)
     a, b = bog.alpha + bog.beta, bog.alpha - bog.beta
     w, times = bog.omega_joint, np.asarray(times, dtype=float)
     out = np.empty((times.size, w.size))
-    step = max(1, _CHUNK_BYTES // (16 * 8 * w.size ** 2))
+    step = max(1, _CHUNK_BYTES // (8 * 8 * w.size ** 2))
     for start in range(0, times.size, step):
-        wt = np.multiply.outer(times[start:start + step], w)
-        sn = np.sin(wt)
-        xx_t, _, pp_t = _rotate(xx, xp, pp, np.cos(wt), sn, -sn)
+        e = np.exp(1j * np.multiply.outer(times[start:start + step], w))
+        nrm, anm = _rephase(normal, anomalous, e)
+        xx_t, pp_t = nrm.real + anm.real, nrm.real - anm.real
         out[start:start + step] = 0.5 * (np.sum((a @ xx_t) * a, axis=-1)
                                          + np.sum((b @ pp_t) * b, axis=-1)) - 0.5
     return out
@@ -99,8 +100,9 @@ def _phase_kernel(bog, corr, times):
 
 def long_time_average(bog: BogoliubovMap, corr: CorrelationSet) -> np.ndarray:
     """Infinite-time average of <n_m(t)>: only the diagonal (stationary)
-    terms of the co- and counter-rotating channels survive."""
-    return (bog.alpha ** 2) @ np.diagonal(corr.cdag_c) + (bog.beta ** 2) @ np.diagonal(corr.c_cdag)
+    terms survive; the real diagonals of Hermitian correlators enter."""
+    return ((bog.alpha ** 2) @ np.diagonal(corr.cdag_c).real
+            + (bog.beta ** 2) @ np.diagonal(corr.c_cdag).real)
 
 
 def long_time_energies(bog: BogoliubovMap, avg: np.ndarray) -> tuple:

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import QuenchSpec, FockExcitation
-from .bogoliubov import (BogoliubovMap, build_bogoliubov, emitted_occupations,
-                         initial_correlations)
-from .dynamics import long_time_average, long_time_energies
+from .bogoliubov import BogoliubovMap, build_bogoliubov, emitted_occupations
+from .dynamics import long_time_energies
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def single_excitation_sweep(total_sizes=(10, 20, 40, 80)) -> SweepResult:
         rep = deviation_delta_g(bog, state)
         deltas.append(float(rep.delta_g[rep.observation_mode - 1]))
         densities.append(rep.vacuum_term_per_site)
-        avg = long_time_average(bog, initial_correlations(bog, state))
+        avg = gge_expectations(bog, build_gge(emitted_occupations(bog, state)))
         e_left, e_right = long_time_energies(bog, avg)
         gaps.append(abs(e_left / N - e_right / N))
 

@@ -77,6 +77,16 @@ def evolve_occupations_direct(bog, corr, times):
     return out
 
 
+def rotate_covariance_dense(sigma, w, mass, t):
+    """R(t) sigma R(t)^T with the explicit 2K x 2K free rotation
+    R = (cos wt, sin wt/(m w); -m w sin wt, cos wt), a reference for the
+    package's moment rephasing."""
+    c, s, mw = np.cos(w * t), np.sin(w * t), mass * w
+    rot = np.block([[np.diag(c), np.diag(s / mw)],
+                    [np.diag(-mw * s), np.diag(c)]])
+    return rot @ sigma @ rot.T
+
+
 def occupation_series_per_sample(state, spec, bog, times):
     """The oracle's <n_m(t)> by definition: evolve, apply every a_m and
     merge from scratch at each sample. A slow reference for the reuse of

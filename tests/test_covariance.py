@@ -11,7 +11,7 @@ from quenchlab.covariance import (CONFIGURATION, DISJOINT, JOINT, BasisError,
                                   to_configuration, to_joint_modes)
 from quenchlab.model import mode_frequencies
 
-from conftest import make_spec
+from conftest import make_spec, rotate_covariance_dense
 
 DECAY_SLOPE_5_10 = -0.9438780450316356
 DECAY_RESIDUALS_5_10 = [0.03999838669312959, 0.020591423684891197,
@@ -110,13 +110,7 @@ _W5 = mode_frequencies(5, 1.0)
 _ALIAS_DT = 2 * np.pi / (_W5[0] + _W5[1])
 
 
-@pytest.mark.parametrize("spec, window, dt", [
-    (make_spec(2, 2, t_max=50.0, t_steps=51), 20.0, 0.5),
-    (make_spec(2, 3, modes=(2, 4), mass=1.3, omega0=1.1, hbar=0.7), 20.3, 0.3),
-    (make_spec(2, 3, modes=(2, 4)), 300 * _ALIAS_DT, _ALIAS_DT),
-    (make_spec(5, 10, modes=(3, 4), omega0=7.0), 200.0, 0.5),
-], ids=["2-2", "window-not-multiple-of-dt", "aliased-beat", "below-nyquist"])
-def test_mean_matches_brute_force_average(spec, window, dt):
+def _with_xp_block(spec):
     # Fock states have no xp block; add one so the cross terms are checked too
     joint = joint_covariance(spec)
     K = joint.n_modes
@@ -124,13 +118,35 @@ def test_mean_matches_brute_force_average(spec, window, dt):
     sig = joint.sigma.copy()
     sig[:K, K:] += xp
     sig[K:, :K] += xp.T
-    cov = CovarianceMatrix(sigma=sig, basis_tag=JOINT)
+    return CovarianceMatrix(sigma=sig, basis_tag=JOINT)
+
+
+@pytest.mark.parametrize("spec, window, dt", [
+    (make_spec(2, 2, t_max=50.0, t_steps=51), 20.0, 0.5),
+    (make_spec(2, 3, modes=(2, 4), mass=1.3, omega0=1.1, hbar=0.7), 20.3, 0.3),
+    (make_spec(2, 3, modes=(2, 4)), 300 * _ALIAS_DT, _ALIAS_DT),
+    (make_spec(5, 10, modes=(3, 4), omega0=7.0), 200.0, 0.5),
+], ids=["2-2", "window-not-multiple-of-dt", "aliased-beat", "below-nyquist"])
+def test_mean_matches_brute_force_average(spec, window, dt):
+    cov = _with_xp_block(spec)
     mean = mean_evolved_covariance(cov, spec, window, dt)
+    w = mode_frequencies(spec.total_size, spec.omega0)
     ts = np.arange(0.0, window, dt)
-    acc = np.zeros_like(sig)
+    acc = np.zeros_like(cov.sigma)
     for t in ts:
-        acc += evolve_covariance(cov, spec, t).sigma
+        acc += rotate_covariance_dense(cov.sigma, w, spec.mass, t)
     np.testing.assert_allclose(mean.sigma, acc / len(ts), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.7, 13.0, 211.5, 300 * _ALIAS_DT],
+                         ids=["0.7", "13", "211.5", "aliased-beat"])
+def test_evolve_matches_dense_rotation(t):
+    spec = make_spec(2, 3, modes=(2, 4), mass=1.3, hbar=0.7)
+    cov = _with_xp_block(spec)
+    w = mode_frequencies(spec.total_size, spec.omega0)
+    np.testing.assert_allclose(evolve_covariance(cov, spec, t).sigma,
+                               rotate_covariance_dense(cov.sigma, w, spec.mass, t),
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("window, dt, name", [

@@ -65,6 +65,37 @@ def test_phases_ignore_hbar_and_mass():
     assert np.max(np.abs(oracle - exact[picks])) < 2e-3
 
 
+def _evolved_correlators(bog, corr, t0):
+    # c_k(t) = e^{-i w'_k t} c_k, written out per correlator
+    w = bog.omega_joint
+    diff, tot = np.subtract.outer(w, w) * t0, np.add.outer(w, w) * t0
+    return CorrelationSet(cdag_c=np.exp(1j * diff) * corr.cdag_c,
+                          c_cdag=np.exp(-1j * diff) * corr.c_cdag,
+                          c_c=np.exp(-1j * tot) * corr.c_c,
+                          cdag_cdag=np.exp(1j * tot) * corr.cdag_cdag)
+
+
+def test_kernel_semigroup_on_complex_correlators():
+    # correlators of an evolved state are complex Hermitian; evolving them
+    # by t must equal evolving the initial ones by t0 + t
+    spec = make_spec(2, 3, modes=(1, 4), t_max=10.0, t_steps=6,
+                     mass=1.3, hbar=0.7)
+    bog = build_bogoliubov(spec)
+    corr = initial_correlations(bog, spec.initial_state)
+    t0, ts = 3.7, spec.time_grid
+    moved = _evolved_correlators(bog, corr, t0)
+    later = evolve_occupations(spec, bog, moved, times=ts)
+    whole = evolve_occupations(spec, bog, corr, times=t0 + ts)
+    np.testing.assert_allclose(later.n_expect, whole.n_expect, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(later.n_expect,
+                               evolve_occupations_direct(bog, moved, ts),
+                               rtol=0, atol=1e-12)
+    assert later.long_time_avg.dtype == float
+    np.testing.assert_allclose(later.long_time_avg, whole.long_time_avg,
+                               rtol=0, atol=1e-12)
+    assert abs(later.e_total_joint - whole.e_total_joint) < 1e-12
+
+
 def test_initial_occupations_match_state(bundle_5_10):
     spec, bog, corr = bundle_5_10
     series = evolve_occupations(spec, bog, corr, times=np.array([0.0]))
