@@ -52,14 +52,23 @@ class BogoliubovMap:
         return self.n_left + self.n_right
 
     def symplectic_defect(self):
-        """Max violation of the bosonic commutation constraints, both orientations."""
+        """Max violation of the bosonic commutation constraints, both orientations.
+
+        a b^T - b a^T is X - X^T for X = a b^T, and a^T b - b^T a is Y - Y^T
+        for Y = a^T b, so each is one product.
+        """
         a, b = self.alpha, self.beta
         eye = np.eye(self.total_size)
+
+        def skew(x):
+            d = x - x.T
+            return np.max(np.abs(d, out=d))
+
         return max(
             np.max(np.abs(a @ a.T - b @ b.T - eye)),
-            np.max(np.abs(a @ b.T - b @ a.T)),
+            skew(a @ b.T),
             np.max(np.abs(a.T @ a - b.T @ b - eye)),
-            np.max(np.abs(a.T @ b - b.T @ a)),
+            skew(a.T @ b),
         )
 
 

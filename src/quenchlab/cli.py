@@ -24,11 +24,26 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
 
+# Values per string-formatting call of _write_csv: one `%` per block keeps
+# the per-row call overhead off the writer at a bounded string size.
+_CSV_BLOCK = 4096
+
+
 def _write_csv(path, header, table):
+    """Write a 2-D table as %.17g CSV under a one-line header, the bytes of
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
+    header=",".join(header), comments="")."""
     import numpy as np
 
-    np.savetxt(path, table, fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
+    table = np.asarray(table)
+    rows, cols = table.shape
+    step = max(1, _CSV_BLOCK // cols)
+    line = ",".join(["%.17g"] * cols) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, step):
+            block = table[start:start + step]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path, payload):

@@ -39,9 +39,11 @@ class CovarianceMatrix:
         sig = np.asarray(self.sigma, dtype=float)
         if sig.ndim != 2 or sig.shape[0] != sig.shape[1] or sig.shape[0] % 2:
             raise ValueError("covariance matrix must be square of even dimension")
-        if np.max(np.abs(sig - sig.T)) > 1e-10:
-            raise ValueError("covariance matrix must be symmetric")
         object.__setattr__(self, "sigma", sig)
+        K = self.n_modes
+        _check_symmetric((self.block("xx"), self.block("xx")),
+                         (self.block("pp"), self.block("pp")),
+                         (self.block("xp"), sig[K:, :K]))
 
     @property
     def n_modes(self):
@@ -56,6 +58,23 @@ class CovarianceMatrix:
         if which == "pp":
             return self.sigma[K:, K:]
         raise ValueError(which)
+
+
+def _check_symmetric(*pairs):
+    """Refuse K x K blocks (b, c) of a covariance where b != c^T by more
+    than 1e-10; (xx, xx), (pp, pp) and (xp, px) cover the whole matrix."""
+    for b, c in pairs:
+        if np.max(np.abs(b - c.T)) > 1e-10:
+            raise ValueError("covariance matrix must be symmetric")
+
+
+def _blocks(cov):
+    return cov.block("xx"), cov.block("xp"), cov.block("pp")
+
+
+def _joint_covariance_matrix(xx, xp, pp):
+    return CovarianceMatrix(sigma=np.block([[xx, xp], [xp.T, pp]]),
+                            basis_tag=JOINT)
 
 
 def _require(cov, tag):
@@ -80,11 +99,19 @@ def initial_covariance(spec: QuenchSpec) -> CovarianceMatrix:
 
 
 def _conjugate(cov, mat, new_tag):
-    K = cov.n_modes
-    full = np.zeros((2 * K, 2 * K))
-    full[:K, :K] = mat
-    full[K:, K:] = mat
-    return CovarianceMatrix(sigma=full @ cov.sigma @ full.T, basis_tag=new_tag)
+    """F sigma F^T for F = blockdiag(mat, mat), one K x K block at a time:
+    each block B becomes mat B mat^T, and a block that is exactly zero
+    stays zero without a product."""
+    K, sigma = cov.n_modes, cov.sigma
+    out = np.empty_like(sigma)
+    for rows in (slice(None, K), slice(K, None)):
+        for cols in (slice(None, K), slice(K, None)):
+            block = sigma[rows, cols]
+            if block.any():
+                np.matmul(mat @ block, mat.T, out=out[rows, cols])
+            else:
+                out[rows, cols] = 0.0
+    return CovarianceMatrix(sigma=out, basis_tag=new_tag)
 
 
 def to_configuration(cov: CovarianceMatrix, spec: QuenchSpec) -> CovarianceMatrix:
@@ -104,22 +131,26 @@ def joint_covariance(spec: QuenchSpec) -> CovarianceMatrix:
     return to_joint_modes(to_configuration(initial_covariance(spec), spec), spec)
 
 
-def _moments(cov, a):
+def _moments(xx, xp, pp, a):
     """Normal and anomalous moments (1/2)<z_j* z_k>, (1/2)<z_j z_k> of the
-    amplitudes z = a x + i p, symmetrized, from the blocks of `cov`."""
-    aax, axp = np.outer(a, a) * cov.block("xx"), a[:, None] * cov.block("xp")
-    pp = cov.block("pp")
+    amplitudes z = a x + i p, symmetrized, from the blocks of a covariance."""
+    aax, axp = np.outer(a, a) * xx, a[:, None] * xp
     return (0.5 * (aax + pp + 1j * (axp - axp.T)),
             0.5 * (aax - pp + 1j * (axp + axp.T)))
 
 
 def _from_moments(normal, anomalous, a):
-    """The joint-mode covariance whose moments `_moments` returns."""
+    """The xx, xp and pp blocks whose moments `_moments` returns.
+
+    They are views: xx and xp into one new array, pp into `normal`, which
+    is overwritten.
+    """
     total = normal + anomalous
-    xp = total.imag / a[:, None]
-    return CovarianceMatrix(sigma=np.block([[total.real / np.outer(a, a), xp],
-                                            [xp.T, (normal - anomalous).real]]),
-                            basis_tag=JOINT)
+    xx, xp = total.real, total.imag
+    xx /= np.outer(a, a)
+    xp /= a[:, None]
+    normal -= anomalous
+    return xx, xp, normal.real
 
 
 def _rephase(normal, anomalous, e):
@@ -130,7 +161,9 @@ def _rephase(normal, anomalous, e):
     is one time.
     """
     ej, ek = e[..., :, None], e.conj()[..., None, :]
-    return normal * (ej * ek), anomalous * (ej.conj() * ek)
+    nrm, anm = ej * ek, ej.conj() * ek
+    return (np.multiply(normal, nrm, out=nrm),
+            np.multiply(anomalous, anm, out=anm))
 
 
 def evolve_covariance(cov: CovarianceMatrix, spec: QuenchSpec, t: float) -> CovarianceMatrix:
@@ -138,17 +171,21 @@ def evolve_covariance(cov: CovarianceMatrix, spec: QuenchSpec, t: float) -> Cova
     _require(cov, JOINT)
     w = mode_frequencies(spec.total_size, spec.omega0)
     a = spec.mass * w
-    return _from_moments(*_rephase(*_moments(cov, a), np.exp(1j * w * t)), a)
+    moments = _rephase(*_moments(*_blocks(cov), a), np.exp(1j * w * t))
+    return _joint_covariance_matrix(*_from_moments(*moments, a))
+
+
+def _occupations(xx_diag, pp_diag, spec):
+    w = mode_frequencies(spec.total_size, spec.omega0)
+    m, hbar = spec.mass, spec.hbar
+    return 0.5 * (m * w * xx_diag + pp_diag / (m * w)) / hbar - 0.5
 
 
 def occupations_from_covariance(cov: CovarianceMatrix, spec: QuenchSpec) -> np.ndarray:
     """Mode occupancies off the covariance diagonal in the joint basis."""
     _require(cov, JOINT)
-    w = mode_frequencies(spec.total_size, spec.omega0)
-    m, hbar = spec.mass, spec.hbar
-    xx = np.diagonal(cov.block("xx"))
-    pp = np.diagonal(cov.block("pp"))
-    return 0.5 * (m * w * xx + pp / (m * w)) / hbar - 0.5
+    return _occupations(np.diagonal(cov.block("xx")),
+                        np.diagonal(cov.block("pp")), spec)
 
 
 def symplectic_eigenvalues(cov: CovarianceMatrix, hbar=RunConfig.hbar) -> np.ndarray:
@@ -172,20 +209,54 @@ def symplectic_eigenvalues(cov: CovarianceMatrix, hbar=RunConfig.hbar) -> np.nda
     return pos
 
 
-def _dirichlet(omega, samples, dt):
+def _half_phases(w, dt):
+    """r = (w_j - w_k) dt / 2 and r = (w_j + w_k) dt / 2, each reduced mod
+    pi and paired with sin r: the window-independent part of `_dirichlet`
+    for the normal and the anomalous moments."""
+    phases = []
+    for omega in (np.subtract.outer(w, w), np.add.outer(w, w)):
+        r = 0.5 * dt * omega
+        r -= np.pi * np.round(r / np.pi)
+        phases.append((r, np.sin(r)))
+    return phases
+
+
+def _dirichlet(r, sin_r, samples):
     """Mean of exp(i omega t) over the grid t = j dt, j < S = samples.
 
     The mean is exp(i (S-1) r) sin(S r) / (S sin r) with r = omega dt / 2.
-    It has period pi in r, so r is reduced mod pi first: at an aliased beat
-    (omega dt near a multiple of 2 pi) the unreduced ratio divides two
-    rounding errors.  r = 0 gives 1.
+    It has period pi in r, so r comes reduced mod pi (`_half_phases`): at
+    an aliased beat (omega dt near a multiple of 2 pi) the unreduced ratio
+    divides two rounding errors.  r = 0 gives 1.
     """
-    r = 0.5 * dt * omega
-    r -= np.pi * np.round(r / np.pi)
-    den = samples * np.sin(r)
+    den = samples * sin_r
     ratio = np.divide(np.sin(samples * r), den, out=np.ones_like(r),
                       where=den != 0)
-    return np.exp(1j * (samples - 1) * r) * ratio
+    mean = 1j * (samples - 1) * r
+    np.exp(mean, out=mean)
+    mean *= ratio
+    return mean
+
+
+def _samples(window, dt):
+    """Length of the grid t = j dt in [0, window), len(np.arange(0, window, dt))."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    if not (np.isfinite(window) and window > 0):
+        raise ValueError(f"window must be finite and > 0 so that the grid "
+                         f"holds a sample, got {window!r}")
+    return math.ceil(window / dt)
+
+
+def _window_blocks(normal, anomalous, phases, a, samples):
+    """xx, xp and pp blocks of the mean of sigma(t) over `samples` grid
+    points, from the t = 0 moments (left unchanged) and `_half_phases`."""
+    mean_normal = _dirichlet(*phases[0], samples)
+    mean_normal *= normal
+    mean_anomalous = _dirichlet(*phases[1], samples)
+    np.conj(mean_anomalous, out=mean_anomalous)
+    mean_anomalous *= anomalous
+    return _from_moments(mean_normal, mean_anomalous, a)
 
 
 def mean_evolved_covariance(cov: CovarianceMatrix, spec: QuenchSpec,
@@ -198,25 +269,27 @@ def mean_evolved_covariance(cov: CovarianceMatrix, spec: QuenchSpec,
     window holds.
     """
     _require(cov, JOINT)
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    if not (np.isfinite(window) and window > 0):
-        raise ValueError(f"window must be finite and > 0 so that the grid "
-                         f"holds a sample, got {window!r}")
-    samples = math.ceil(window / dt)        # len(np.arange(0.0, window, dt))
+    samples = _samples(window, dt)
     w = mode_frequencies(spec.total_size, spec.omega0)
     a = spec.mass * w
-    normal, anomalous = _moments(cov, a)
-    return _from_moments(_dirichlet(np.subtract.outer(w, w), samples, dt) * normal,
-                         np.conj(_dirichlet(np.add.outer(w, w), samples, dt))
-                         * anomalous, a)
+    return _joint_covariance_matrix(*_window_blocks(
+        *_moments(*_blocks(cov), a), _half_phases(w, dt), a, samples))
+
+
+def _residual(xx, xp, pp):
+    """Largest |xx| or |pp| off the diagonal, or any |xp|."""
+    parts = [np.max(np.abs(xp))]
+    for block in (xx, pp):
+        block = np.abs(block)
+        np.fill_diagonal(block, 0.0)
+        parts.append(block.max())
+    return float(np.max(parts))
 
 
 def max_offdiagonal(cov: CovarianceMatrix) -> float:
-    """Largest |entry| outside the full-matrix diagonal."""
-    sig = np.abs(cov.sigma)
-    np.fill_diagonal(sig, 0.0)
-    return float(sig.max())
+    """Largest |entry| of a symmetric sigma outside its diagonal: off the
+    diagonal of xx or pp, or anywhere in xp."""
+    return _residual(*_blocks(cov))
 
 
 # Largest |xp| entry at t = 0 that thermal_form_check does not flag, and the
@@ -245,27 +318,41 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
     (energy eigenstates guarantee this; a nonzero entry is flagged since it
     breaks the purely oscillatory structure of the evolved off-diagonals),
     and the window-averaged off-diagonal residual must fall like c/T.
-    The report carries each window's residual, their log-log slope and the
-    occupancies of the largest window's average.
+    `windows` are at least two finite, positive, strictly increasing
+    lengths.  The report carries each window's residual (`max_offdiagonal`
+    of `mean_evolved_covariance`), their log-log slope and the occupancies
+    of the largest window's average.  The moments are formed once and each
+    window is read from its K x K blocks.
     """
     _require(cov, JOINT)
+    win = np.asarray(windows, dtype=float)
+    if not (win.ndim == 1 and win.size >= 2 and np.all(np.isfinite(win))
+            and win[0] > 0 and np.all(np.diff(win) > 0)):
+        raise ValueError("windows must be at least two finite, positive, "
+                         f"strictly increasing lengths, got {windows!r}")
+    samples = [_samples(window, dt) for window in win]
     xp = cov.block("xp")
     flagged = [(i + 1, j + 1) for i, j in zip(*np.nonzero(np.abs(xp) > _B_TOL))]
-    resid = [max_offdiagonal(mean_evolved_covariance(cov, spec, T, dt))
-             for T in windows[:-1]]
-    last = mean_evolved_covariance(cov, spec, windows[-1], dt)
-    resid.append(max_offdiagonal(last))
-    win, resid = np.asarray(windows, dtype=float), np.asarray(resid)
+    w = mode_frequencies(spec.total_size, spec.omega0)
+    a = spec.mass * w
+    normal, anomalous = _moments(*_blocks(cov), a)
+    phases = _half_phases(w, dt)
+    resid = np.empty(win.size)
+    for i, s in enumerate(samples):
+        mean_xx, mean_xp, mean_pp = _window_blocks(normal, anomalous, phases,
+                                                   a, s)
+        _check_symmetric((mean_xx, mean_xx), (mean_pp, mean_pp))
+        resid[i] = _residual(mean_xx, mean_xp, mean_pp)
     slope = float(np.polyfit(np.log(win), np.log(resid), 1)[0])
     c_cal = resid[0] * win[0] * _MARGIN
     scaling_ok = bool(np.all(resid[1:] <= c_cal / win[1:]))
-    occ = occupations_from_covariance(last, spec)
     return ThermalFormReport(
         passed=(not flagged) and scaling_ok,
         flagged_pairs=flagged,
         windows=win,
         max_offdiag_avg=resid,
         decay_slope=slope,
-        gge_occupancies=occ,
+        gge_occupancies=_occupations(np.diagonal(mean_xx),
+                                     np.diagonal(mean_pp), spec),
         b_tol=_B_TOL,
     )

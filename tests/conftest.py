@@ -87,6 +87,16 @@ def rotate_covariance_dense(sigma, w, mass, t):
     return rot @ sigma @ rot.T
 
 
+def conjugate_dense(sigma, mat):
+    """F sigma F^T with the explicit 2K x 2K F = blockdiag(mat, mat), a
+    reference for the package's per-block basis rotations."""
+    K = mat.shape[0]
+    full = np.zeros((2 * K, 2 * K))
+    full[:K, :K] = mat
+    full[K:, K:] = mat
+    return full @ sigma @ full.T
+
+
 def occupation_series_per_sample(state, spec, bog, times):
     """The oracle's <n_m(t)> by definition: evolve, apply every a_m and
     merge from scratch at each sample. A slow reference for the reuse of

@@ -88,6 +88,33 @@ def test_dynamics_csv_contents(tmp_path):
     assert np.all(data[:, 8] == data[0, 8])
 
 
+def _csv_tables():
+    rng = np.random.default_rng(3)
+    wide = rng.standard_normal((3000, 3)) * 10.0 ** rng.integers(-300, 300,
+                                                                (3000, 3))
+    special = np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 1.0 / 3]])
+    return {
+        "int": np.arange(12).reshape(4, 3),
+        "int-lists": [[5, 10, 695, 3180], [5, 16, 1792, 10857]],
+        "special": special,
+        "one-row": special[:1],
+        "one-column": rng.standard_normal((5000, 1)),
+        "rows-not-multiple-of-block": wide,
+        "wider-than-block": rng.standard_normal((3, 5000)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_csv_tables()))
+def test_csv_writer_matches_savetxt(tmp_path, name):
+    table = _csv_tables()[name]
+    header = [f"c{j}" for j in range(np.shape(table)[1])]
+    cli._write_csv(str(tmp_path / "out.csv"), header, table)
+    np.savetxt(str(tmp_path / "ref.csv"), table, fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    assert ((tmp_path / "out.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg = _write_config(tmp_path, FULL_CONFIG)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from quenchlab.covariance import (CONFIGURATION, DISJOINT, JOINT, BasisError,
                                   occupations_from_covariance,
                                   symplectic_eigenvalues, thermal_form_check,
                                   to_configuration, to_joint_modes)
-from quenchlab.model import mode_frequencies
+from quenchlab.model import disjoint_transform, mode_frequencies, sine_transform
 
-from conftest import make_spec, rotate_covariance_dense
+from conftest import conjugate_dense, make_spec, rotate_covariance_dense
 
 DECAY_SLOPE_5_10 = -0.9438780450316356
 DECAY_RESIDUALS_5_10 = [0.03999838669312959, 0.020591423684891197,
@@ -181,15 +183,91 @@ def test_thermal_form_check_passes(spec_5_10):
                                rtol=0, atol=1e-10)
 
 
+def _with_cross_term(spec):
+    # one xp entry, (1, 2), of a size that thermal_form_check flags
+    sig = joint_covariance(spec).sigma.copy()
+    K = spec.total_size
+    sig[0, K + 1] += 1e-6
+    sig[K + 1, 0] += 1e-6
+    return CovarianceMatrix(sigma=sig, basis_tag=JOINT)
+
+
 def test_thermal_form_check_flags_injected_cross_term(spec22):
-    cov = joint_covariance(spec22)
-    sig = cov.sigma.copy()
-    sig[0, 5] += 1e-6
-    sig[5, 0] += 1e-6
-    bad = CovarianceMatrix(sigma=sig, basis_tag=JOINT)
-    rep = thermal_form_check(bad, spec22, windows=(10, 20, 40), dt=0.5)
+    rep = thermal_form_check(_with_cross_term(spec22), spec22,
+                             windows=(10, 20, 40), dt=0.5)
     assert not rep.passed
     assert (1, 2) in rep.flagged_pairs
+
+
+@pytest.mark.parametrize("spec, cross_term, windows", [
+    (make_spec(5, 10, modes=(3, 4)), False, (125, 250, 500, 1000, 2000, 4000)),
+    (make_spec(2, 2, t_max=50.0, t_steps=51), True, (10, 20, 40)),
+], ids=["5-10", "2-2-cross-term"])
+def test_thermal_form_check_reads_window_means(spec, cross_term, windows):
+    # the check's block residuals are max_offdiagonal of the 2K x 2K means
+    cov = _with_cross_term(spec) if cross_term else joint_covariance(spec)
+    rep = thermal_form_check(cov, spec, windows=windows, dt=0.5)
+    means = [mean_evolved_covariance(cov, spec, T, 0.5) for T in windows]
+    assert rep.max_offdiag_avg.tolist() == [max_offdiagonal(m) for m in means]
+    assert np.array_equal(rep.gge_occupancies,
+                          occupations_from_covariance(means[-1], spec))
+
+
+@pytest.mark.parametrize("windows", [(), (125,), (125, 125), (500, 250, 125)],
+                         ids=["empty", "one", "repeated", "decreasing"])
+def test_thermal_form_check_refuses_bad_windows(spec22, windows):
+    with pytest.raises(ValueError, match="windows"):
+        thermal_form_check(joint_covariance(spec22), spec22, windows=windows)
+
+
+@pytest.mark.parametrize("spec", [
+    make_spec(2, 2),
+    make_spec(5, 10, modes=(3, 4)),
+    make_spec(7, 9, modes=(2,), mass=1.3, omega0=0.8, hbar=0.7),
+    make_spec(5, 20, modes=(3, 4)),
+], ids=["2-2", "5-10", "7-9-constants", "5-20"])
+def test_rotations_match_dense_congruence(spec):
+    # BLAS may group a K-term block product differently from the 2K-term
+    # zero-padded one, so the bound is K roundings of the largest entry
+    K = spec.total_size
+
+    def check(got, sigma, mat):
+        ref = conjugate_dense(sigma, mat)
+        tol = K * np.finfo(float).eps * np.max(np.abs(ref))
+        np.testing.assert_allclose(got.sigma, ref, rtol=0, atol=tol)
+
+    cov0 = initial_covariance(spec)
+    conf = to_configuration(cov0, spec)
+    check(conf, cov0.sigma, disjoint_transform(spec))
+    assert not conf.sigma[:K, K:].any() and not conf.sigma[K:, :K].any()
+    check(to_joint_modes(conf, spec), conf.sigma, sine_transform(K))
+    sig = conf.sigma.copy()
+    xp = 0.1 * np.random.default_rng(2).standard_normal((K, K))
+    sig[:K, K:] += xp
+    sig[K:, :K] += xp.T
+    check(to_joint_modes(CovarianceMatrix(sigma=sig, basis_tag=CONFIGURATION),
+                         spec), sig, sine_transform(K))
+
+
+def test_covariance_route_memory_bound():
+    # tracemalloc peaks in K x K float64 arrays at K = 480 (N:M = 1:2, one
+    # quantum mid-band in the left chain); the check's is above its input
+    K = 480
+    spec = make_spec(160, 320, modes=(80,), t_max=1.0, t_steps=2)
+    unit = 8 * K * K
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cov = joint_covariance(spec)
+        joint_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        thermal_form_check(cov, spec)
+        check_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert joint_peak <= 21 * unit, joint_peak / unit
+    assert check_peak <= 23 * unit, check_peak / unit
 
 
 def test_max_offdiagonal_skips_only_the_diagonal():
