@@ -4,8 +4,8 @@ Occupations use the covariance route's propagator (`covariance._rephase`):
 the normal and anomalous moments of the initial correlators pick up their
 phases elementwise, O(K^2) per time sample, and each pre-quench occupation
 is read back with one real O(K^3) product per quadrature block and sample,
-in chunks under a fixed byte budget.  Phases are e^{-i w' t}; energies
-are hbar w'.
+in chunks under a fixed byte budget, through one workspace reused by every
+chunk.  Phases are e^{-i w' t}; energies are hbar w'.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from .bogoliubov import BogoliubovMap, CorrelationSet, ConsistencyError, joint_e
 from .covariance import _rephase
 
 
-# Working-set budget of one kernel chunk; a sample peaks at 8 K x K float64
-# arrays (tracemalloc: two complex moments, s_xx, s_pp, two readout products).
+# Working-set budget of one kernel chunk, which the step rule in
+# `_phase_kernel` fills at 8 K x K float64 arrays a sample.  The workspace
+# takes 5 of them (one complex phased moment, s_xx, s_pp and the readout
+# product), allocated once a call and reused by every chunk.
 _CHUNK_BYTES = 4 << 20
 # Largest correlator Hermiticity defect the kernel accepts.
 IMAG_TOL = 1e-8
@@ -87,14 +89,29 @@ def _phase_kernel(bog, corr, times):
     normal, anomalous = 0.5 * (c1 + c4.T), 0.5 * (c3 + np.conj(c2).T)
     a, b = bog.alpha + bog.beta, bog.alpha - bog.beta
     w, times = bog.omega_joint, np.asarray(times, dtype=float)
-    out = np.empty((times.size, w.size))
-    step = max(1, _CHUNK_BYTES // (8 * 8 * w.size ** 2))
+    K = w.size
+    out = np.empty((times.size, K))
+    step = max(1, _CHUNK_BYTES // (8 * 8 * K ** 2))
+    shape = (min(step, times.size), K, K)
+    phased = np.empty(shape, dtype=complex)
+    s_xx, s_pp, product = np.empty(shape), np.empty(shape), np.empty(shape)
     for start in range(0, times.size, step):
         e = np.exp(1j * np.multiply.outer(times[start:start + step], w))
-        nrm, anm = _rephase(normal, anomalous, e)
-        xx_t, pp_t = nrm.real + anm.real, nrm.real - anm.real
-        out[start:start + step] = 0.5 * (np.sum((a @ xx_t) * a, axis=-1)
-                                         + np.sum((b @ pp_t) * b, axis=-1)) - 0.5
+        ec = e.conj()
+        n = len(e)
+        ph, xx, pp, prod = phased[:n], s_xx[:n], s_pp[:n], product[:n]
+        _rephase(normal, e, ec, out=ph)
+        np.copyto(xx, ph.real)
+        np.copyto(pp, ph.real)
+        _rephase(anomalous, ec, ec, out=ph)
+        xx += ph.real
+        pp -= ph.real
+        np.matmul(a, xx, out=prod)
+        prod *= a
+        n_a = np.sum(prod, axis=-1)
+        np.matmul(b, pp, out=prod)
+        prod *= b
+        out[start:start + n] = 0.5 * (n_a + np.sum(prod, axis=-1)) - 0.5
     return out
 
 

@@ -45,9 +45,6 @@ class ExpandedState:
     def modes(self):
         return self.occupations.shape[1]
 
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
     def support_size(self):
         return len(self.amplitudes)
 

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from quenchlab.bogoliubov import build_bogoliubov, initial_correlations
-from quenchlab.covariance import (CONFIGURATION, DISJOINT, JOINT, BasisError,
-                                  CovarianceMatrix, evolve_covariance,
+from quenchlab.covariance import (_TILE, CONFIGURATION, DISJOINT, JOINT,
+                                  BasisError, CovarianceMatrix,
+                                  evolve_covariance,
                                   initial_covariance, joint_covariance,
                                   max_offdiagonal, mean_evolved_covariance,
                                   occupations_from_covariance,
                                   symplectic_eigenvalues, thermal_form_check,
                                   to_configuration, to_joint_modes)
+from quenchlab.dynamics import _phase_kernel
 from quenchlab.model import disjoint_transform, mode_frequencies, sine_transform
 
 from conftest import conjugate_dense, make_spec, rotate_covariance_dense
@@ -60,6 +62,22 @@ def test_matrix_validation():
         CovarianceMatrix(sigma=bad, basis_tag=DISJOINT)
     with pytest.raises(ValueError):
         CovarianceMatrix(sigma=np.eye(4), basis_tag=DISJOINT).block("qq")
+
+
+@pytest.mark.parametrize("entry, where", [
+    (np.nan, "all"), (np.nan, (1, 1)), (np.inf, (0, 0)),
+    (np.inf, (0, 3)), (-np.inf, (3, 3)),
+], ids=["nan-everywhere", "nan-xx-diagonal", "inf-xx-diagonal",
+        "inf-xp-pair", "minus-inf-pp-diagonal"])
+def test_matrix_refuses_non_finite_entries(entry, where):
+    sig = np.eye(4)
+    if where == "all":
+        sig[:] = entry
+    else:
+        i, j = where
+        sig[i, j] = sig[j, i] = entry
+    with pytest.raises(ValueError, match="finite"):
+        CovarianceMatrix(sigma=sig, basis_tag=JOINT)
 
 
 def test_symplectic_spectrum_reads_occupations():
@@ -213,6 +231,58 @@ def test_thermal_form_check_reads_window_means(spec, cross_term, windows):
                           occupations_from_covariance(means[-1], spec))
 
 
+def _sweep_cases(seed=12):
+    """Random sizes N, M <= 40, then K = N + M on both sides of the check's
+    tile edge, each with random quanta, chain constants, dt and windows."""
+    rng = np.random.default_rng(seed)
+    sizes = [tuple(int(x) for x in rng.integers(1, 41, size=2))
+             for _ in range(4)]
+    for K in (_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1):
+        n = int(rng.integers(1, K))
+        sizes.append((n, K - n))
+    cases = []
+    for N, M in sizes:
+        modes = tuple(int(m) for m in rng.integers(1, N + M + 1, size=3))
+        mass, omega0, hbar = (float(x) for x in rng.uniform(0.5, 2.0, size=3))
+        spec = make_spec(N, M, modes=modes[:int(rng.integers(0, 4))],
+                         t_max=1.0, t_steps=2, mass=mass, omega0=omega0,
+                         hbar=hbar)
+        dt = float(rng.uniform(0.2, 1.0))
+        windows = tuple(float(T) for T in np.cumsum(rng.uniform(5, 200, 3)))
+        cases.append(pytest.param(spec, dt, windows, id=f"{N}-{M}"))
+    return cases
+
+
+def _with_tile_offset_terms(spec):
+    # large xx and pp entries (j, j + _TILE): on the diagonal of a tile that
+    # lies off sigma's diagonal, where the residual must not skip them
+    sig = joint_covariance(spec).sigma.copy()
+    K = spec.total_size
+    for j in range(K - _TILE):
+        for r, c in ((j, j + _TILE), (K + j, K + j + _TILE)):
+            sig[r, c] += 100.0
+            sig[c, r] += 100.0
+    return CovarianceMatrix(sigma=sig, basis_tag=JOINT)
+
+
+@pytest.mark.parametrize("modify", [None, _with_cross_term, _with_xp_block,
+                                    _with_tile_offset_terms],
+                         ids=["no-xp", "cross-term", "xp-block", "tile-offset"])
+@pytest.mark.parametrize("spec, dt, windows", _sweep_cases())
+def test_tiled_check_equals_full_window_means(spec, dt, windows, modify):
+    # the tiled walk reads every window's residual, the last window's
+    # occupancies and the flagged pairs exactly as the whole-matrix means do
+    cov = joint_covariance(spec) if modify is None else modify(spec)
+    rep = thermal_form_check(cov, spec, windows=windows, dt=dt)
+    means = [mean_evolved_covariance(cov, spec, T, dt) for T in windows]
+    assert np.array_equal(rep.max_offdiag_avg,
+                          [max_offdiagonal(m) for m in means])
+    assert np.array_equal(rep.gge_occupancies,
+                          occupations_from_covariance(means[-1], spec))
+    rows, cols = np.nonzero(np.abs(cov.block("xp")) > 1e-10)
+    assert rep.flagged_pairs == list(zip(rows + 1, cols + 1))
+
+
 @pytest.mark.parametrize("windows", [(), (125,), (125, 125), (500, 250, 125)],
                          ids=["empty", "one", "repeated", "decreasing"])
 def test_thermal_form_check_refuses_bad_windows(spec22, windows):
@@ -275,3 +345,29 @@ def test_max_offdiagonal_skips_only_the_diagonal():
     sig[0, 2] = sig[2, 0] = 0.25    # an xx cross term
     cov = CovarianceMatrix(sigma=sig, basis_tag=JOINT)
     assert max_offdiagonal(cov) == 0.25
+
+
+def test_window_check_and_kernel_work_in_fixed_memory():
+    # tracemalloc peaks above the held inputs, in K x K float64 arrays at
+    # K = 480: the check holds a few tiles, the kernel its moments, A, B
+    # and a one-sample workspace of five arrays
+    K = 480
+    spec = make_spec(160, 320, modes=(80,), t_max=1.0, t_steps=2)
+    cov = joint_covariance(spec)
+    bog = build_bogoliubov(spec)
+    corr = initial_correlations(bog, spec.initial_state)
+    unit = 8 * K * K
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (lambda: thermal_form_check(cov, spec),
+                    lambda: _phase_kernel(bog, corr, [0.0, 3.1, 7.7])):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append((tracemalloc.get_traced_memory()[1] - held) / unit)
+    finally:
+        tracemalloc.stop()
+    check_peak, kernel_peak = peaks
+    assert check_peak <= 3, check_peak
+    assert kernel_peak <= 10, kernel_peak

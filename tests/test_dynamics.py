@@ -5,10 +5,11 @@ from quenchlab.bogoliubov import (ConsistencyError, CorrelationSet,
                                   build_bogoliubov, f_matrix,
                                   initial_correlations, pre_quench_energy)
 from quenchlab.covariance import evolve_covariance, joint_covariance
+from quenchlab import dynamics
 from quenchlab.dynamics import (DegenerateInitial, NumericalError,
                                 ObservableSeries, evolve_occupations,
                                 fluctuation_series, long_time_average,
-                                per_mode_energy)
+                                _phase_kernel, per_mode_energy)
 from quenchlab.fock_oracle import expand_initial_state, occupation_series
 
 from conftest import evolve_occupations_direct, make_spec
@@ -94,6 +95,24 @@ def test_kernel_semigroup_on_complex_correlators():
     np.testing.assert_allclose(later.long_time_avg, whole.long_time_avg,
                                rtol=0, atol=1e-12)
     assert abs(later.e_total_joint - whole.e_total_joint) < 1e-12
+
+
+@pytest.mark.parametrize("t0", [None, 3.7], ids=["real", "complex"])
+def test_kernel_output_does_not_depend_on_chunking(monkeypatch, t0):
+    # one chunk, one sample at a time, and chunks of three with a short
+    # last one give the same bits, for real and complex correlators
+    spec = make_spec(3, 5, modes=(2, 6), mass=1.3, omega0=0.8, hbar=0.7)
+    bog = build_bogoliubov(spec)
+    corr = initial_correlations(bog, spec.initial_state)
+    if t0 is not None:
+        corr = _evolved_correlators(bog, corr, t0)
+    ts = np.linspace(0.0, 40.0, 11)
+    whole = _phase_kernel(bog, corr, ts)
+    alone = np.concatenate([_phase_kernel(bog, corr, [t]) for t in ts])
+    assert np.array_equal(whole, alone)
+    step_bytes = 8 * 8 * spec.total_size ** 2    # the budget of one sample
+    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 3 * step_bytes)
+    assert np.array_equal(_phase_kernel(bog, corr, ts), whole)
 
 
 def test_initial_occupations_match_state(bundle_5_10):
