@@ -3,16 +3,16 @@
 A state is an (S, K) int16 array of unique occupation rows, one column per
 joint mode, plus an (S,) amplitude vector. Two helpers do all the work:
 `_ladder` applies sum_k x_k c+_k + y_k c_k and returns the raw rows, and
-`_merge` sorts rows on their bytes and sums the amplitudes of equal rows.
-Their row halves, `_ladder_rows` and `_groups`, depend on the rows alone,
-so the occupation series finds them once and reuses them at every sample.
-Merged rows whose amplitudes cancel are kept, so a support counts every
-occupation an operator reached. The pre-quench eigenstate is reconstructed
-in the joint basis by expanding the squeezed-vacuum exponential as a power
-series and applying the Bogoliubov-expanded creation operators on top.
-Evolution is a diagonal phase. This is the independent reference used to
-certify the quadratic (correlator) route; it is only viable for a handful
-of modes.
+`_merge` sorts rows on packed integer keys, in the order of their bytes,
+and sums the amplitudes of equal rows. Their row halves, `_ladder_rows`
+and `_groups`, depend on the rows alone, so the occupation series finds
+them once and reuses them at every sample. Merged rows whose amplitudes
+cancel are kept, so a support counts every occupation an operator
+reached. The pre-quench eigenstate is reconstructed in the joint basis by
+expanding the squeezed-vacuum exponential as a power series and applying
+the Bogoliubov-expanded creation operators on top. Evolution is a
+diagonal phase. This is the independent reference used to certify the
+quadratic (correlator) route; it is only viable for a handful of modes.
 """
 
 from __future__ import annotations
@@ -51,25 +51,62 @@ class ExpandedState:
 
 def _merge(*parts):
     """Stack (rows, amplitudes) parts; unique rows, sorted on their bytes,
-    with the summed amplitudes (which may carry a trailing axis)."""
-    if len(parts) > 1:  # a lone part is not copied: the rows dominate memory
-        parts = [(np.concatenate([o for o, _ in parts]),
-                  np.concatenate([a for _, a in parts]))]
-    occ, amp = parts[0]
-    occ = np.ascontiguousarray(occ)
+    with the summed amplitudes (which may carry a trailing axis).
+
+    The amplitudes of several parts are written straight to their sorted
+    places, so no stacked copy of them is made.
+    """
+    occ = [o for o, _ in parts]
+    occ = np.ascontiguousarray(np.concatenate(occ) if len(occ) > 1 else occ[0])
     order, first = _groups(occ)
-    return occ[order[first]], np.add.reduceat(amp[order], first, axis=0)
+    if len(parts) > 1:
+        amp = np.empty((len(order),) + parts[0][1].shape[1:],
+                       np.result_type(*(a for _, a in parts)))
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))
+        end = 0
+        for _, a in parts:
+            end += len(a)
+            amp[place[end - len(a):end]] = a
+    else:
+        amp = parts[0][1][order]
+    return occ[order[first]], np.add.reduceat(amp, first, axis=0)
 
 
 def _groups(occ):
-    """Sort order of contiguous (S, K) rows on their bytes, and where each
-    run of equal rows starts in that order."""
-    key = occ.view(np.dtype((np.void, occ.dtype.itemsize * occ.shape[1])))
-    key = key.ravel()
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
+    """Sort order of contiguous (S, K) int16 rows on their bytes, and where
+    each run of equal rows starts in that order.
+
+    The sort runs on packed unsigned keys. With every entry in [0, 256) the
+    digits are the entries, in radix max + 1; otherwise they are the rows'
+    bytes in memory order, in radix 256. Either way key order is byte order.
+    Digits fill as few uint64 words as fit, first column most significant;
+    a key that fits one word takes the narrowest unsigned type instead.
+    """
+    if not len(occ):
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+    top = int(occ.max())
+    if occ.min() >= 0 and top < 256:
+        digits, radix = occ.view(np.uint16), top + 1
+    else:
+        digits, radix = occ.view(np.uint8), 256
+    word_type = np.min_scalar_type(min(radix ** digits.shape[1], 1 << 64) - 1)
+    words, span = [], 1
+    for j in range(digits.shape[1]):
+        if not words or span * radix > 1 << 64:
+            words.append(digits[:, j].astype(word_type))
+            span = radix
+        else:
+            span *= radix
+            words[-1] *= radix
+            words[-1] += digits[:, j]
+    order = (np.lexsort(words[::-1]) if len(words) > 1
+             else np.argsort(words[0], kind="stable"))
+    first = np.zeros(len(order), dtype=bool)
+    first[0] = True
+    for word in words:
+        word = word[order]
+        first[1:] |= word[1:] != word[:-1]
     return order, np.flatnonzero(first)
 
 
@@ -79,21 +116,37 @@ def _ladder_rows(occ, x, y):
 
     Modes with a zero coefficient add no rows and lowering drops rows with
     n_k = 0, so the result holds exactly the occupations the operator reaches.
-    The rows do not depend on the amplitudes, so one call serves every
-    amplitude vector on occ.
+    The raised rows, then the lowered rows, are written mode by mode into
+    one array. The rows do not depend on the amplitudes, so one call serves
+    every amplitude vector on occ.
     """
-    shift = np.eye(occ.shape[1], dtype=occ.dtype)
+    S, K = occ.shape
     up, down = np.flatnonzero(x), np.flatnonzero(y)
-    n_up, n_down = occ[:, up].T + 1.0, occ[:, down].T.astype(float)
-    live = n_down > 0
-    rows = np.concatenate([(occ + shift[up, None]).reshape(-1, occ.shape[1]),
-                           (occ - shift[down, None])[live]])
-    raise_by = x[up, None] * np.sqrt(n_up)
-    lower_by = y[down, None] * np.sqrt(n_down)
+    live = occ[:, down].T > 0
+    raised = len(up) * S
+    size = raised + np.count_nonzero(live)
+    rows = np.empty((size, K), occ.dtype)
+    scale = np.empty(size, np.result_type(x, y, 1.0))
+    end = 0
+    for k in up:
+        at, end = end, end + S
+        rows[at:end] = occ
+        rows[at:end, k] += 1
+        scale[at:end] = x[k] * np.sqrt(occ[:, k] + 1.0)
+    for k, keep in zip(down, live):
+        at, end = end, end + np.count_nonzero(keep)
+        np.compress(keep, occ, axis=0, out=rows[at:end])
+        rows[at:end, k] -= 1
+        np.compress(keep, y[k] * np.sqrt(occ[:, k].astype(float)),
+                    out=scale[at:end])
 
     def amplitudes(amp):
-        return np.concatenate([(raise_by * amp).ravel(),
-                               (lower_by * amp)[live]])
+        out = np.empty(size, np.result_type(scale, amp))
+        np.multiply(scale[:raised].reshape(len(up), S), amp,
+                    out=out[:raised].reshape(len(up), S))
+        np.multiply(scale[raised:], np.broadcast_to(amp, live.shape)[live],
+                    out=out[raised:])
+        return out
 
     return rows, amplitudes
 

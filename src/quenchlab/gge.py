@@ -65,15 +65,14 @@ class DeviationReport:
     the emission formula for joint mode k; the common 1/N_tot in numerator
     and denominator cancels, so delta_g is normalization independent.
 
-    The per-site densities are reported in the mode-normalization-stripped
+    The per-site vacuum density is reported in the mode-normalization-stripped
     convention (squared coefficients divided by the sine prefactors
-    2/(L+1) and 2/(N_tot+1)), the convention in which the vacuum density
-    approaches a size-independent constant in the bulk of the band.
+    2/(L+1) and 2/(N_tot+1)), the convention in which it approaches a
+    size-independent constant in the bulk of the band.
     """
 
     delta_g: np.ndarray
     vacuum_term_per_site: float
-    stimulated_term_per_site: float
     observation_mode: int       # 1-based joint mode used for scalar reporting
 
 
@@ -102,9 +101,7 @@ def deviation_delta_g(bog: BogoliubovMap, state: FockExcitation) -> DeviationRep
     suppression of even joint modes for near-symmetric chains.
     """
     K = bog.total_size
-    n = state.as_array()
-    a2b2 = bog.alpha ** 2 + bog.beta ** 2
-    numerator = n @ a2b2
+    numerator = state.as_array() @ (bog.alpha ** 2 + bog.beta ** 2)
     denominator = (bog.beta ** 2).sum(axis=0)
     dead = np.nonzero(denominator <= 0)[0]
     if dead.size:
@@ -116,11 +113,9 @@ def deviation_delta_g(bog: BogoliubovMap, state: FockExcitation) -> DeviationRep
     k_obs = _nearest_odd_mode(K, 0.25)
     k_den = _nearest_odd_mode(K, 0.5)
     vac_col = float(((bog.beta ** 2) * strip)[:, k_den - 1].sum())
-    stim_col = float((a2b2 * strip * n[:, None])[:, k_den - 1].sum())
     return DeviationReport(
         delta_g=delta,
         vacuum_term_per_site=vac_col / K,
-        stimulated_term_per_site=stim_col / K,
         observation_mode=k_obs,
     )
 

@@ -105,6 +105,49 @@ def occupation_series_per_sample(state, spec, bog, times):
         exact_evolve(state, spec, t), bog)) for t in times])
 
 
+def groups_bytes(occ):
+    """Stable sort order of contiguous (S, K) rows on a np.void view of
+    their bytes, and where each run of equal rows starts: a reference for
+    the packed integer keys of `fock_oracle._groups`."""
+    key = occ.view(np.dtype((np.void, occ.dtype.itemsize * occ.shape[1])))
+    key = key.ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    return order, np.flatnonzero(first)
+
+
+def merge_concatenate(*parts):
+    """Stacked rows and amplitudes grouped by `groups_bytes`: a reference
+    for `fock_oracle._merge`, which places each part's amplitudes straight
+    into sorted order."""
+    occ = np.ascontiguousarray(np.concatenate([o for o, _ in parts]))
+    amp = np.concatenate([a for _, a in parts])
+    order, first = groups_bytes(occ)
+    return occ[order[first]], np.add.reduceat(amp[order], first, axis=0)
+
+
+def ladder_rows_concatenate(occ, x, y):
+    """Rows of (sum_k x_k c+_k + y_k c_k) on occ built as (modes, S, K)
+    blocks, masked and concatenated, and their amplitude map: a reference
+    for the rows `fock_oracle._ladder_rows` writes in place."""
+    shift = np.eye(occ.shape[1], dtype=occ.dtype)
+    up, down = np.flatnonzero(x), np.flatnonzero(y)
+    n_up, n_down = occ[:, up].T + 1.0, occ[:, down].T.astype(float)
+    live = n_down > 0
+    rows = np.concatenate([(occ + shift[up, None]).reshape(-1, occ.shape[1]),
+                           (occ - shift[down, None])[live]])
+    raise_by = x[up, None] * np.sqrt(n_up)
+    lower_by = y[down, None] * np.sqrt(n_down)
+
+    def amplitudes(amp):
+        return np.concatenate([(raise_by * amp).ravel(),
+                               (lower_by * amp)[live]])
+
+    return rows, amplitudes
+
+
 @pytest.fixture(scope="session")
 def spec22():
     return make_spec(2, 2, t_max=50.0, t_steps=51)

@@ -1,18 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from quenchlab.bogoliubov import (BogoliubovMap, build_bogoliubov, f_matrix,
                                   initial_correlations)
 from quenchlab.dynamics import evolve_occupations
-from quenchlab.fock_oracle import (CutoffExceeded, ExpandedState, _ladder,
-                                   _merge, annihilation_residual,
+from quenchlab.fock_oracle import (CutoffExceeded, ExpandedState, _groups,
+                                   _ladder, _ladder_rows, _merge,
+                                   annihilation_residual,
                                    constraint_residual, delocalization_count,
                                    delocalization_table, exact_evolve,
                                    expand_initial_state,
                                    expand_squeezed_vacuum, occupation_series,
                                    oracle_correlators)
 
-from conftest import make_spec, occupation_series_per_sample
+from conftest import (groups_bytes, ladder_rows_concatenate, make_spec,
+                      merge_concatenate, occupation_series_per_sample)
 
 # residuals of the truncated expansion certificates, frozen from first runs
 A_RESID_20_12 = 4.736245261861336e-07
@@ -244,3 +248,102 @@ def test_annihilation_never_leaves_basis():
     rows, amps = _merge(_ladder((vac.occupations, vac.amplitudes), zero,
                                 unit[0]))
     assert rows.shape == (0, 4) and amps.shape == (0,)
+
+
+# entry ranges of the random rows: the vacuum only, small occupations,
+# occupations that need a second byte, small entries of either sign and the
+# whole int16 range
+ROW_RANGES = {"zero": (0, 1), "small": (0, 5), "wide": (0, 300),
+              "signed": (-5, 5), "full": (-32768, 32768)}
+
+
+def _random_rows(rng, S, K, kind, repeated):
+    """(S, K) int16 rows; repeated ones are drawn from a pool of S/4."""
+    low, high = ROW_RANGES[kind]
+    count = max(1, S // 4) if repeated else S
+    pool = rng.integers(low, high, size=(count, K), dtype=np.int16)
+    if kind == "full" and count:
+        pool[0, :] = low
+        pool[-1, :] = high - 1
+    return pool[rng.integers(0, count, size=S)] if repeated else pool
+
+
+def _bits(a):
+    """dtype and raw bytes, so +0.0 and -0.0 count as different."""
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _sizes(rng, count):
+    """S = 0, S = 1, then random S <= 5000, each with a random K <= 30."""
+    return [(0, 3), (1, 7)] + [
+        (int(rng.integers(2, 5001)), int(rng.integers(1, 31)))
+        for _ in range(count)]
+
+
+def test_groups_match_byte_key_reference():
+    rng = np.random.default_rng(20261018)
+    for kind in ROW_RANGES:
+        for repeated in (False, True):
+            for S, K in _sizes(rng, 6):
+                occ = _random_rows(rng, S, K, kind, repeated)
+                order, first = _groups(occ)
+                ref_order, ref_first = groups_bytes(occ)
+                case = (kind, repeated, S, K)
+                assert np.array_equal(order, ref_order), case
+                assert np.array_equal(first, ref_first), case
+
+
+def test_merge_matches_concatenate_reference():
+    rng = np.random.default_rng(1013)
+    for kind in ROW_RANGES:
+        for n_parts in (1, 2, 5):
+            K, parts = int(rng.integers(1, 31)), []
+            for S in rng.integers(0, 2001, size=n_parts).tolist():
+                amp = rng.normal(size=(S, 3)) + 1j * rng.normal(size=(S, 3))
+                parts.append((_random_rows(rng, S, K, kind, True), amp))
+            rows, amps = _merge(*parts)
+            ref_rows, ref_amps = merge_concatenate(*parts)
+            assert np.array_equal(rows, ref_rows), (kind, n_parts)
+            assert _bits(amps) == _bits(ref_amps), (kind, n_parts)
+
+
+def test_ladder_rows_match_concatenate_reference():
+    rng = np.random.default_rng(424242)
+    for S, K in _sizes(rng, 10):
+        occ = _random_rows(rng, S, K, "small", repeated=False)
+        x, y = rng.normal(size=K), rng.normal(size=K)
+        x[rng.random(K) < 0.3] = 0.0
+        y[rng.random(K) < 0.3] = 0.0
+        amp = rng.normal(size=S) * np.exp(1j * rng.uniform(0, 6.3, size=S))
+        for cx, cy in ((x, y), (x, 0 * y), (0 * x, y), (0 * x, 0 * y)):
+            rows, amplitudes = _ladder_rows(occ, cx, cy)
+            ref_rows, ref_amplitudes = ladder_rows_concatenate(occ, cx, cy)
+            assert rows.dtype == np.int16 and np.array_equal(rows, ref_rows)
+            for a in (amp.real, amp):
+                assert _bits(amplitudes(a)) == _bits(ref_amplitudes(a)), (S, K)
+
+
+def test_table1_pair_lift_memory_is_bounded():
+    """Allocation peaks of the ladder and the merge in table1's K = 25 pair
+    lift (N = 5, M = 20, modes 3 and 4, order 1), in units of the raw ladder
+    rows' bytes. Built from (modes, S, K) blocks and sorted on byte keys,
+    they were 2.31 and 1.22."""
+    spec = make_spec(5, 20, modes=(3, 4), t_max=1.0, t_steps=2)
+    bog = build_bogoliubov(spec)
+    psi = expand_squeezed_vacuum(f_matrix(bog), order=1)
+    tracemalloc.start()
+    try:
+        for j in (2, 3):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            raw = _ladder(psi, bog.alpha[j], bog.beta[j])
+            ladder_peak = tracemalloc.get_traced_memory()[1] - held
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            psi = _merge(raw)
+            merge_peak = tracemalloc.get_traced_memory()[1] - held
+            assert ladder_peak <= 1.8 * raw[0].nbytes, j
+            assert merge_peak <= 1.0 * raw[0].nbytes, j
+            del raw
+    finally:
+        tracemalloc.stop()

@@ -6,7 +6,8 @@ import pytest
 from quenchlab.bogoliubov import (BogoliubovMap, build_bogoliubov,
                                   emitted_occupations, initial_correlations)
 from quenchlab.dynamics import long_time_average
-from quenchlab.gge import (GgeEnsemble, build_gge, deviation_delta_g,
+from quenchlab.gge import (GgeEnsemble, _nearest_odd_mode, _stripped_weights,
+                           build_gge, deviation_delta_g,
                            gge_expectations, gge_summary_json,
                            lambdas_to_json, single_excitation_sweep)
 from quenchlab.model import FockExcitation
@@ -76,8 +77,13 @@ def test_vacuum_deviation_is_zero(spec_5_10):
     rep = deviation_delta_g(bog, FockExcitation.vacuum(15))
     np.testing.assert_allclose(rep.delta_g, np.zeros(15), rtol=0, atol=0)
     assert rep.observation_mode % 2 == 1
-    assert rep.stimulated_term_per_site == 0.0
     assert rep.vacuum_term_per_site > 0
+    # the stimulated density at the mid-band mode, in the same stripped
+    # convention as the vacuum density, vanishes without quanta
+    n = FockExcitation.vacuum(15).as_array()
+    stimulated = ((bog.alpha ** 2 + bog.beta ** 2) * _stripped_weights(bog)
+                  * n[:, None])[:, _nearest_odd_mode(15, 0.5) - 1].sum()
+    assert stimulated == 0.0
 
 
 def test_dead_mode_raises():
