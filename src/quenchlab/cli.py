@@ -148,7 +148,6 @@ def _run_covariance(spec, outdir, files):
         "max_offdiag_avg": rep.max_offdiag_avg.tolist(),
         "decay_slope": rep.decay_slope,
         "gge_occupancies": rep.gge_occupancies.tolist(),
-        "b_tol": rep.b_tol,
     }
     fname = _tagged("covariance", spec, "json")
     _write_json(os.path.join(outdir, fname), payload)
@@ -331,6 +330,7 @@ def main(argv=None) -> int:
     outdir = args.out or os.environ.get("QUENCHLAB_OUT") or "."
     t0 = time.perf_counter()
     from .bogoliubov import COND_LIMIT, SYMPLECTIC_TOL
+    from .covariance import DECAY_MARGIN, XP_TOL
     from .dynamics import IMAG_TOL
 
     files: list = []
@@ -346,6 +346,8 @@ def main(argv=None) -> int:
             "imag_tol": IMAG_TOL,
             "symplectic_tol": SYMPLECTIC_TOL,
             "alpha_condition_limit": COND_LIMIT,
+            "xp_tol": XP_TOL,
+            "decay_margin": DECAY_MARGIN,
         },
         "threads": args.threads,
         "threads_applied": (None if args.threads is None

@@ -4,10 +4,13 @@ The covariance route is the Gaussian-state counterpart of the operator
 route: build second moments in the disjoint normal-mode basis, rotate to
 configuration space, rotate to joint normal modes, evolve (the moments of
 z = m w x + i p pick up phases, or their grid means for a window mean),
-and read occupancies off the diagonal.  The moment helpers work on any
-tile (rows x columns) of the joint-mode blocks; the diagonal-form verdict
-walks the covariance in square tiles of edge `_TILE`, so its working
-memory does not grow with K.
+and read occupancies off the diagonal.  A covariance is stored as its
+three K x K blocks xx, xp and pp; px is xp^T by construction, and the
+2K x 2K sigma is assembled only on demand (`CovarianceMatrix.sigma`, for
+the Williamson spectrum).  The moment helpers work on any tile (rows x
+columns) of the joint-mode blocks; the diagonal-form verdict walks the
+covariance in square tiles of edge `_TILE`, so its working memory does
+not grow with K.
 Fock states are not Gaussian, but their second moments are still exact,
 which is all this module ever uses (higher moments are out of scope).
 
@@ -35,52 +38,42 @@ class BasisError(ValueError):
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    sigma: np.ndarray           # 2K x 2K, block order (positions, momenta)
+    """Second moments as the K x K blocks of the 2K x 2K matrix
+    sigma = [[xx, xp], [xp^T, pp]] (positions, then momenta).  The px
+    block is xp^T by construction, so it is never stored."""
+    xx: np.ndarray
+    xp: np.ndarray
+    pp: np.ndarray
     basis_tag: str
 
     def __post_init__(self):
-        sig = np.asarray(self.sigma, dtype=float)
-        if sig.ndim != 2 or sig.shape[0] != sig.shape[1] or sig.shape[0] % 2:
-            raise ValueError("covariance matrix must be square of even dimension")
-        if not np.all(np.isfinite(sig)):
-            # NaN would also slip through the symmetry guard's comparison
-            raise ValueError("covariance matrix must be finite")
-        object.__setattr__(self, "sigma", sig)
-        K = self.n_modes
-        _check_symmetric((self.block("xx"), self.block("xx")),
-                         (self.block("pp"), self.block("pp")),
-                         (self.block("xp"), sig[K:, :K]))
+        for name in ("xx", "xp", "pp"):
+            block = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(block)):
+                # NaN would also slip through the symmetry guard's comparison
+                raise ValueError("covariance matrix must be finite")
+            object.__setattr__(self, name, block)
+        K = self.xx.shape[0] if self.xx.ndim else 0
+        if any(b.shape != (K, K) for b in (self.xx, self.xp, self.pp)):
+            raise ValueError("covariance blocks must be square and of one shape")
+        _check_symmetric((self.xx, self.xx), (self.pp, self.pp))
 
     @property
     def n_modes(self):
-        return self.sigma.shape[0] // 2
+        return self.xx.shape[0]
 
-    def block(self, which):
-        K = self.n_modes
-        if which == "xx":
-            return self.sigma[:K, :K]
-        if which == "xp":
-            return self.sigma[:K, K:]
-        if which == "pp":
-            return self.sigma[K:, K:]
-        raise ValueError(which)
+    @property
+    def sigma(self):
+        """The 2K x 2K matrix, assembled on demand."""
+        return np.block([[self.xx, self.xp], [self.xp.T, self.pp]])
 
 
 def _check_symmetric(*pairs):
     """Refuse blocks (b, c) of a covariance where b != c^T by more than
-    1e-10; (xx, xx), (pp, pp) and (xp, px) cover the whole matrix."""
+    1e-10."""
     for b, c in pairs:
         if np.max(np.abs(b - c.T)) > 1e-10:
             raise ValueError("covariance matrix must be symmetric")
-
-
-def _blocks(cov):
-    return cov.block("xx"), cov.block("xp"), cov.block("pp")
-
-
-def _joint_covariance_matrix(xx, xp, pp):
-    return CovarianceMatrix(sigma=np.block([[xx, xp], [xp.T, pp]]),
-                            basis_tag=JOINT)
 
 
 def _require(cov, tag):
@@ -98,26 +91,19 @@ def initial_covariance(spec: QuenchSpec) -> CovarianceMatrix:
     w = disjoint_frequencies(spec)
     m, hbar = spec.mass, spec.hbar
     K = spec.total_size
-    sig = np.zeros((2 * K, 2 * K))
-    sig[:K, :K] = np.diag((n + 0.5) * hbar / (m * w))
-    sig[K:, K:] = np.diag((n + 0.5) * hbar * m * w)
-    return CovarianceMatrix(sigma=sig, basis_tag=DISJOINT)
+    return CovarianceMatrix(xx=np.diag((n + 0.5) * hbar / (m * w)),
+                            xp=np.zeros((K, K)),
+                            pp=np.diag((n + 0.5) * hbar * m * w),
+                            basis_tag=DISJOINT)
 
 
 def _conjugate(cov, mat, new_tag):
-    """F sigma F^T for F = blockdiag(mat, mat), one K x K block at a time:
-    each block B becomes mat B mat^T, and a block that is exactly zero
-    stays zero without a product."""
-    K, sigma = cov.n_modes, cov.sigma
-    out = np.empty_like(sigma)
-    for rows in (slice(None, K), slice(K, None)):
-        for cols in (slice(None, K), slice(K, None)):
-            block = sigma[rows, cols]
-            if block.any():
-                np.matmul(mat @ block, mat.T, out=out[rows, cols])
-            else:
-                out[rows, cols] = 0.0
-    return CovarianceMatrix(sigma=out, basis_tag=new_tag)
+    """F sigma F^T for F = blockdiag(mat, mat): each block B becomes
+    mat B mat^T, and a block that is exactly zero passes through as is."""
+    def rotate(block):
+        return mat @ block @ mat.T if block.any() else block
+    return CovarianceMatrix(rotate(cov.xx), rotate(cov.xp), rotate(cov.pp),
+                            new_tag)
 
 
 def to_configuration(cov: CovarianceMatrix, spec: QuenchSpec) -> CovarianceMatrix:
@@ -140,11 +126,12 @@ def joint_covariance(spec: QuenchSpec) -> CovarianceMatrix:
 _ALL = slice(None)
 
 
-def _moments(xx, xp, pp, a, rows=_ALL, cols=_ALL):
+def _moments(cov, a, rows=_ALL, cols=_ALL):
     """Normal and anomalous moments (1/2)<z_j* z_k>, (1/2)<z_j z_k> of the
     amplitudes z = a x + i p, symmetrized, from the blocks of a covariance,
     for j in `rows` and k in `cols` (the px entries come from xp on the
     transposed tile)."""
+    xx, xp, pp = cov.xx, cov.xp, cov.pp
     ar, ac = a[rows], a[cols]
     aax = np.outer(ar, ac) * xx[rows, cols]
     axp, apx = ar[:, None] * xp[rows, cols], (ac[:, None] * xp[cols, rows]).T
@@ -184,11 +171,11 @@ def evolve_covariance(cov: CovarianceMatrix, spec: QuenchSpec, t: float) -> Cova
     _require(cov, JOINT)
     w = mode_frequencies(spec.total_size, spec.omega0)
     a = spec.mass * w
-    normal, anomalous = _moments(*_blocks(cov), a)
+    normal, anomalous = _moments(cov, a)
     e = np.exp(1j * w * t)
     ec = e.conj()
-    return _joint_covariance_matrix(*_from_moments(
-        _rephase(normal, e, ec), _rephase(anomalous, ec, ec), a))
+    return CovarianceMatrix(*_from_moments(
+        _rephase(normal, e, ec), _rephase(anomalous, ec, ec), a), JOINT)
 
 
 def _occupations(xx_diag, pp_diag, spec):
@@ -200,8 +187,7 @@ def _occupations(xx_diag, pp_diag, spec):
 def occupations_from_covariance(cov: CovarianceMatrix, spec: QuenchSpec) -> np.ndarray:
     """Mode occupancies off the covariance diagonal in the joint basis."""
     _require(cov, JOINT)
-    return _occupations(np.diagonal(cov.block("xx")),
-                        np.diagonal(cov.block("pp")), spec)
+    return _occupations(np.diagonal(cov.xx), np.diagonal(cov.pp), spec)
 
 
 def symplectic_eigenvalues(cov: CovarianceMatrix, hbar=RunConfig.hbar) -> np.ndarray:
@@ -266,15 +252,15 @@ def _samples(window, dt):
     return math.ceil(window / dt)
 
 
-def _tile_means(blocks, a, w, dt, samples, rows=_ALL, cols=_ALL):
+def _tile_means(cov, a, w, dt, samples, rows=_ALL, cols=_ALL):
     """xx, xp and pp blocks, on the tile rows x cols, of the mean of
     sigma(t) over the grid of each length in `samples`, one window at a
-    time (a generator), from the covariance `blocks` (xx, xp, pp).
+    time (a generator), from the covariance `cov`.
 
     The tile's moments and half phases are formed once; each window
     multiplies them by its Dirichlet means.
     """
-    normal, anomalous = _moments(*blocks, a, rows, cols)
+    normal, anomalous = _moments(cov, a, rows, cols)
     phases = _half_phases(w, dt, rows, cols)
     for s in samples:
         mean_normal = _dirichlet(*phases[0], s)
@@ -297,8 +283,8 @@ def mean_evolved_covariance(cov: CovarianceMatrix, spec: QuenchSpec,
     _require(cov, JOINT)
     samples = _samples(window, dt)
     w = mode_frequencies(spec.total_size, spec.omega0)
-    (mean,) = _tile_means(_blocks(cov), spec.mass * w, w, dt, [samples])
-    return _joint_covariance_matrix(*mean)
+    (mean,) = _tile_means(cov, spec.mass * w, w, dt, [samples])
+    return CovarianceMatrix(*mean, JOINT)
 
 
 def _residual(xx, xp, pp, diagonal=True):
@@ -316,14 +302,14 @@ def _residual(xx, xp, pp, diagonal=True):
 def max_offdiagonal(cov: CovarianceMatrix) -> float:
     """Largest |entry| of a symmetric sigma outside its diagonal: off the
     diagonal of xx or pp, or anywhere in xp."""
-    return _residual(*_blocks(cov))
+    return _residual(cov.xx, cov.xp, cov.pp)
 
 
 # Largest |xp| entry at t = 0 that thermal_form_check does not flag, and the
 # factor by which a window's residual may exceed the first window's c/T.
-_B_TOL = 1e-10
-_MARGIN = 3.0
-# Edge of the square tiles in which thermal_form_check walks sigma.  The
+XP_TOL = 1e-10
+DECAY_MARGIN = 3.0
+# Edge of the square tiles in which thermal_form_check walks the blocks.  The
 # check then holds about 1.5 MB of tile arrays whatever K is; of the edges
 # 32, 64, 128 and 256, 64 was the fastest at K = 200 and within 10 % of the
 # fastest at K = 960 (2-CPU x86 VM).
@@ -338,7 +324,6 @@ class ThermalFormReport:
     max_offdiag_avg: np.ndarray
     decay_slope: float
     gge_occupancies: np.ndarray
-    b_tol: float
 
 
 def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
@@ -347,15 +332,16 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
     """Does the window-averaged covariance settle into diagonal (GGE) form?
 
     Two ingredients: the position-momentum block must vanish at t = 0
-    (energy eigenstates guarantee this; a nonzero entry is flagged since it
-    breaks the purely oscillatory structure of the evolved off-diagonals),
-    and the window-averaged off-diagonal residual must fall like c/T.
+    (energy eigenstates guarantee this; an entry above `XP_TOL` is flagged
+    since it breaks the purely oscillatory structure of the evolved
+    off-diagonals), and the window-averaged off-diagonal residual must
+    fall like c/T, with c the first window's times `DECAY_MARGIN`.
     `windows` are at least two finite, positive, strictly increasing
     lengths.  The report carries each window's residual (`max_offdiagonal`
     of `mean_evolved_covariance`, to the bit), their log-log slope and the
     occupancies of the largest window's average.
 
-    The check walks sigma in square tiles of edge `_TILE`, a tile and its
+    The check walks the blocks in square tiles of edge `_TILE`, a tile and its
     transpose together: each pair forms its moments and half phases once,
     then every window's Dirichlet-weighted means, which the 1e-10 symmetry
     guard compares against each other.  Residuals, the flagged pairs and
@@ -369,8 +355,6 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
         raise ValueError("windows must be at least two finite, positive, "
                          f"strictly increasing lengths, got {windows!r}")
     samples = [_samples(window, dt) for window in win]
-    blocks = _blocks(cov)
-    xp = cov.block("xp")
     K = cov.n_modes
     w = mode_frequencies(K, spec.omega0)
     a = spec.mass * w
@@ -382,9 +366,9 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
             diagonal = cols is rows
             pair = [(rows, cols)] if diagonal else [(rows, cols), (cols, rows)]
             for r, c in pair:
-                i, j = np.nonzero(np.abs(xp[r, c]) > _B_TOL)
+                i, j = np.nonzero(np.abs(cov.xp[r, c]) > XP_TOL)
                 flagged.extend(zip(i + (r.start + 1), j + (c.start + 1)))
-            means = zip(*(_tile_means(blocks, a, w, dt, samples, r, c)
+            means = zip(*(_tile_means(cov, a, w, dt, samples, r, c)
                           for r, c in pair))
             for part, tile in zip(parts, means):
                 (xx, _, pp), (xx_t, _, pp_t) = tile[0], tile[-1]
@@ -395,7 +379,7 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
     flagged.sort()
     resid = np.array([np.max(part) for part in parts])
     slope = float(np.polyfit(np.log(win), np.log(resid), 1)[0])
-    c_cal = resid[0] * win[0] * _MARGIN
+    c_cal = resid[0] * win[0] * DECAY_MARGIN
     scaling_ok = bool(np.all(resid[1:] <= c_cal / win[1:]))
     return ThermalFormReport(
         passed=(not flagged) and scaling_ok,
@@ -404,5 +388,4 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
         max_offdiag_avg=resid,
         decay_slope=slope,
         gge_occupancies=_occupations(xx_diag, pp_diag, spec),
-        b_tol=_B_TOL,
     )

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quenchlab import bogoliubov, cli, dynamics, fock_oracle
+from quenchlab import bogoliubov, cli, covariance, dynamics, fock_oracle
 from quenchlab.bogoliubov import build_bogoliubov, pre_quench_energy
 
 from conftest import make_spec
@@ -54,6 +54,9 @@ def test_full_config_run(tmp_path):
     assert summary["recurrence_threshold"] == 0.5
     np.testing.assert_allclose(summary["gge_n"], summary["long_time_avg"],
                                rtol=0, atol=1e-12)
+    with open(out / "covariance_N2_M2.json") as fh:
+        report = json.load(fh)
+    assert report["passed"] is True and "b_tol" not in report
 
 
 def test_full_config_at_non_default_constants(tmp_path):
@@ -198,6 +201,8 @@ def test_manifest_tolerances_are_the_checked_bounds(tmp_path):
     assert tol["imag_tol"] == dynamics.IMAG_TOL
     assert tol["symplectic_tol"] == bogoliubov.SYMPLECTIC_TOL
     assert tol["alpha_condition_limit"] == bogoliubov.COND_LIMIT
+    assert tol["xp_tol"] == covariance.XP_TOL
+    assert tol["decay_margin"] == covariance.DECAY_MARGIN
 
 
 def test_f_matrix_built_once_per_spec(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,11 +31,11 @@ def test_initial_covariance_closed_form():
     assert cov.basis_tag == DISJOINT
     n = spec.initial_state.as_array()
     w = np.concatenate([mode_frequencies(2, 1.1), mode_frequencies(3, 1.1)])
-    np.testing.assert_allclose(np.diagonal(cov.block("xx")),
+    np.testing.assert_allclose(np.diagonal(cov.xx),
                                (n + 0.5) * 0.7 / (1.3 * w), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(np.diagonal(cov.block("pp")),
+    np.testing.assert_allclose(np.diagonal(cov.pp),
                                (n + 0.5) * 0.7 * 1.3 * w, rtol=0, atol=1e-14)
-    assert np.max(np.abs(cov.block("xp"))) == 0.0
+    assert np.max(np.abs(cov.xp)) == 0.0
 
 
 def test_basis_tags_enforced(spec22):
@@ -53,31 +54,46 @@ def test_basis_tags_enforced(spec22):
         thermal_form_check(cov0, spec22)
 
 
+_ASYMMETRIC = np.array([[1.0, 1e-3], [0.0, 1.0]])
+
+
 def test_matrix_validation():
-    with pytest.raises(ValueError):
-        CovarianceMatrix(sigma=np.ones((3, 3)), basis_tag=DISJOINT)
-    bad = np.eye(4)
-    bad[0, 1] = 1e-3
-    with pytest.raises(ValueError):
-        CovarianceMatrix(sigma=bad, basis_tag=DISJOINT)
-    with pytest.raises(ValueError):
-        CovarianceMatrix(sigma=np.eye(4), basis_tag=DISJOINT).block("qq")
+    zero = np.zeros((2, 2))
+    for xx, xp, pp, message in [
+        (np.eye(2), zero, np.eye(3), "square"),         # mismatched shapes
+        (np.eye(2), np.zeros((2, 3)), np.eye(2), "square"),  # non-square xp
+        (np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)), "square"),
+        (np.ones(2), np.ones(2), np.ones(2), "square"),
+        (_ASYMMETRIC, zero, np.eye(2), "symmetric"),
+        (np.eye(2), zero, _ASYMMETRIC, "symmetric"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            CovarianceMatrix(xx, xp, pp, DISJOINT)
 
 
-@pytest.mark.parametrize("entry, where", [
-    (np.nan, "all"), (np.nan, (1, 1)), (np.inf, (0, 0)),
-    (np.inf, (0, 3)), (-np.inf, (3, 3)),
+def test_matrix_sigma_takes_px_from_xp():
+    # xp need not be symmetric: px = xp^T makes the assembled sigma so
+    xp = np.array([[0.1, 0.2], [-0.3, 0.4]])
+    cov = CovarianceMatrix(2 * np.eye(2), xp, 3 * np.eye(2), JOINT)
+    sig = cov.sigma
+    assert sig.shape == (4, 4) and np.array_equal(sig, sig.T)
+    assert np.array_equal(sig[:2, 2:], xp) and np.array_equal(sig[2:, :2], xp.T)
+
+
+@pytest.mark.parametrize("entry, block, where", [
+    (np.nan, None, "all"), (np.nan, "xx", (1, 1)), (np.inf, "xx", (0, 0)),
+    (np.inf, "xp", (0, 1)), (-np.inf, "pp", (1, 1)),
 ], ids=["nan-everywhere", "nan-xx-diagonal", "inf-xx-diagonal",
         "inf-xp-pair", "minus-inf-pp-diagonal"])
-def test_matrix_refuses_non_finite_entries(entry, where):
-    sig = np.eye(4)
-    if where == "all":
-        sig[:] = entry
-    else:
-        i, j = where
-        sig[i, j] = sig[j, i] = entry
+def test_matrix_refuses_non_finite_entries(entry, block, where):
+    blocks = {"xx": np.eye(2), "xp": np.zeros((2, 2)), "pp": np.eye(2)}
+    for name, b in blocks.items():
+        if where == "all":
+            b[:] = entry
+        elif name == block:
+            b[where] = entry
     with pytest.raises(ValueError, match="finite"):
-        CovarianceMatrix(sigma=sig, basis_tag=JOINT)
+        CovarianceMatrix(**blocks, basis_tag=JOINT)
 
 
 def test_symplectic_spectrum_reads_occupations():
@@ -107,7 +123,7 @@ def test_uncertainty_defect_nonpositive(spec_5_10):
 
 
 def test_nonpositive_matrix_rejected():
-    bad = CovarianceMatrix(sigma=-np.eye(4), basis_tag=JOINT)
+    bad = CovarianceMatrix(-np.eye(2), np.zeros((2, 2)), -np.eye(2), JOINT)
     with pytest.raises(ValueError):
         symplectic_eigenvalues(bad)
 
@@ -135,10 +151,7 @@ def _with_xp_block(spec):
     joint = joint_covariance(spec)
     K = joint.n_modes
     xp = 0.1 * np.random.default_rng(0).standard_normal((K, K))
-    sig = joint.sigma.copy()
-    sig[:K, K:] += xp
-    sig[K:, :K] += xp.T
-    return CovarianceMatrix(sigma=sig, basis_tag=JOINT)
+    return replace(joint, xp=joint.xp + xp)
 
 
 @pytest.mark.parametrize("spec, window, dt", [
@@ -203,11 +216,10 @@ def test_thermal_form_check_passes(spec_5_10):
 
 def _with_cross_term(spec):
     # one xp entry, (1, 2), of a size that thermal_form_check flags
-    sig = joint_covariance(spec).sigma.copy()
-    K = spec.total_size
-    sig[0, K + 1] += 1e-6
-    sig[K + 1, 0] += 1e-6
-    return CovarianceMatrix(sigma=sig, basis_tag=JOINT)
+    cov = joint_covariance(spec)
+    xp = cov.xp.copy()
+    xp[0, 1] += 1e-6
+    return replace(cov, xp=xp)
 
 
 def test_thermal_form_check_flags_injected_cross_term(spec22):
@@ -222,7 +234,7 @@ def test_thermal_form_check_flags_injected_cross_term(spec22):
     (make_spec(2, 2, t_max=50.0, t_steps=51), True, (10, 20, 40)),
 ], ids=["5-10", "2-2-cross-term"])
 def test_thermal_form_check_reads_window_means(spec, cross_term, windows):
-    # the check's block residuals are max_offdiagonal of the 2K x 2K means
+    # the check's tile residuals are max_offdiagonal of the whole means
     cov = _with_cross_term(spec) if cross_term else joint_covariance(spec)
     rep = thermal_form_check(cov, spec, windows=windows, dt=0.5)
     means = [mean_evolved_covariance(cov, spec, T, 0.5) for T in windows]
@@ -255,14 +267,12 @@ def _sweep_cases(seed=12):
 
 def _with_tile_offset_terms(spec):
     # large xx and pp entries (j, j + _TILE): on the diagonal of a tile that
-    # lies off sigma's diagonal, where the residual must not skip them
-    sig = joint_covariance(spec).sigma.copy()
-    K = spec.total_size
-    for j in range(K - _TILE):
-        for r, c in ((j, j + _TILE), (K + j, K + j + _TILE)):
-            sig[r, c] += 100.0
-            sig[c, r] += 100.0
-    return CovarianceMatrix(sigma=sig, basis_tag=JOINT)
+    # lies off the blocks' diagonal, where the residual must not skip them
+    cov = joint_covariance(spec)
+    j = np.arange(spec.total_size - _TILE)
+    bump = np.zeros_like(cov.xx)
+    bump[j, j + _TILE] = bump[j + _TILE, j] = 100.0
+    return replace(cov, xx=cov.xx + bump, pp=cov.pp + bump)
 
 
 @pytest.mark.parametrize("modify", [None, _with_cross_term, _with_xp_block,
@@ -279,7 +289,7 @@ def test_tiled_check_equals_full_window_means(spec, dt, windows, modify):
                           [max_offdiagonal(m) for m in means])
     assert np.array_equal(rep.gge_occupancies,
                           occupations_from_covariance(means[-1], spec))
-    rows, cols = np.nonzero(np.abs(cov.block("xp")) > 1e-10)
+    rows, cols = np.nonzero(np.abs(cov.xp) > 1e-10)
     assert rep.flagged_pairs == list(zip(rows + 1, cols + 1))
 
 
@@ -291,32 +301,33 @@ def test_thermal_form_check_refuses_bad_windows(spec22, windows):
 
 
 @pytest.mark.parametrize("spec", [
-    make_spec(2, 2),
-    make_spec(5, 10, modes=(3, 4)),
-    make_spec(7, 9, modes=(2,), mass=1.3, omega0=0.8, hbar=0.7),
-    make_spec(5, 20, modes=(3, 4)),
-], ids=["2-2", "5-10", "7-9-constants", "5-20"])
+    pytest.param(make_spec(2, 2), id="2-2"),
+    pytest.param(make_spec(5, 10, modes=(3, 4)), id="5-10"),
+    pytest.param(make_spec(7, 9, modes=(2,), mass=1.3, omega0=0.8, hbar=0.7),
+                 id="7-9-constants"),
+    pytest.param(make_spec(5, 20, modes=(3, 4)), id="5-20"),
+] + [pytest.param(case.values[0], id="sweep-" + case.id)
+     for case in _sweep_cases()])
 def test_rotations_match_dense_congruence(spec):
     # BLAS may group a K-term block product differently from the 2K-term
     # zero-padded one, so the bound is K roundings of the largest entry
     K = spec.total_size
 
-    def check(got, sigma, mat):
-        ref = conjugate_dense(sigma, mat)
-        tol = K * np.finfo(float).eps * np.max(np.abs(ref))
-        np.testing.assert_allclose(got.sigma, ref, rtol=0, atol=tol)
+    def check(cov):
+        conf = to_configuration(cov, spec)
+        for got, before, mat in ((conf, cov, disjoint_transform(spec)),
+                                 (to_joint_modes(conf, spec), conf,
+                                  sine_transform(K))):
+            ref = conjugate_dense(before.sigma, mat)
+            tol = K * np.finfo(float).eps * np.max(np.abs(ref))
+            np.testing.assert_allclose(got.sigma, ref, rtol=0, atol=tol)
+        return conf
 
     cov0 = initial_covariance(spec)
-    conf = to_configuration(cov0, spec)
-    check(conf, cov0.sigma, disjoint_transform(spec))
-    assert not conf.sigma[:K, K:].any() and not conf.sigma[K:, :K].any()
-    check(to_joint_modes(conf, spec), conf.sigma, sine_transform(K))
-    sig = conf.sigma.copy()
+    conf = check(cov0)
+    assert conf.xp is cov0.xp and not conf.xp.any()     # passed through
     xp = 0.1 * np.random.default_rng(2).standard_normal((K, K))
-    sig[:K, K:] += xp
-    sig[K:, :K] += xp.T
-    check(to_joint_modes(CovarianceMatrix(sigma=sig, basis_tag=CONFIGURATION),
-                         spec), sig, sine_transform(K))
+    check(replace(cov0, xp=xp))
 
 
 def test_covariance_route_memory_bound():
@@ -336,14 +347,15 @@ def test_covariance_route_memory_bound():
         check_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert joint_peak <= 21 * unit, joint_peak / unit
+    assert joint_peak <= 9 * unit, joint_peak / unit
     assert check_peak <= 23 * unit, check_peak / unit
 
 
 def test_max_offdiagonal_skips_only_the_diagonal():
-    sig = np.eye(4) * 7.0
-    sig[0, 2] = sig[2, 0] = 0.25    # an xx cross term
-    cov = CovarianceMatrix(sigma=sig, basis_tag=JOINT)
+    # xp has no diagonal to skip: its (1, 1) entry counts, xx's does not
+    xp = np.zeros((2, 2))
+    xp[0, 0] = 0.25
+    cov = CovarianceMatrix(7.0 * np.eye(2), xp, 7.0 * np.eye(2), JOINT)
     assert max_offdiagonal(cov) == 0.25
 
 

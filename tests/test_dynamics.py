@@ -56,8 +56,8 @@ def test_phases_ignore_hbar_and_mass():
     via_cov = []
     for t in ts:
         sig = evolve_covariance(joint, spec, t)
-        xx = np.diagonal(o @ sig.block("xx") @ o.T)
-        pp = np.diagonal(o @ sig.block("pp") @ o.T)
+        xx = np.diagonal(o @ sig.xx @ o.T)
+        pp = np.diagonal(o @ sig.pp @ o.T)
         via_cov.append(0.5 * (m * w * xx + pp / (m * w)) / hbar - 0.5)
     np.testing.assert_allclose(exact, via_cov, rtol=0, atol=1e-10)
     state = expand_initial_state(spec, bog, f_matrix(bog), order=12, cutoff=8)
