@@ -48,7 +48,9 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         for name in ("xx", "xp", "pp"):
-            block = np.asarray(getattr(self, name), dtype=float)
+            # a contiguous block of its own: a strided view, such as the
+            # real part of a complex moment, keeps its whole base alive
+            block = np.ascontiguousarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(block)):
                 # NaN would also slip through the symmetry guard's comparison
                 raise ValueError("covariance matrix must be finite")

@@ -228,11 +228,21 @@ def delocalization_count(state: ExpandedState, floor: float) -> int:
     return int(np.count_nonzero(np.abs(state.amplitudes) >= floor))
 
 
+def _energies(state: ExpandedState, spec: QuenchSpec) -> np.ndarray:
+    """sum_k w'_k (n_k + 1/2) of every occupation row."""
+    return (state.occupations + 0.5) @ mode_frequencies(spec.total_size,
+                                                         spec.omega0)
+
+
+def _evolved(amplitudes, energies, t):
+    """The amplitudes at time t: each picks up e^{-i E t}."""
+    return amplitudes * np.exp(-1j * energies * t)
+
+
 def exact_evolve(state: ExpandedState, spec: QuenchSpec, t: float) -> ExpandedState:
     """Diagonal evolution: each amplitude picks up e^{-i sum w'_k (n_k+1/2) t}."""
-    w = mode_frequencies(spec.total_size, spec.omega0)
-    phase = np.exp(-1j * ((state.occupations + 0.5) @ w) * t)
-    return replace(state, amplitudes=state.amplitudes * phase)
+    return replace(state, amplitudes=_evolved(state.amplitudes,
+                                              _energies(state, spec), t))
 
 
 def _pre_annihilated_norms(state: ExpandedState, bog: BogoliubovMap):
@@ -292,9 +302,10 @@ def occupation_series(state: ExpandedState, spec: QuenchSpec,
         rows, amplitudes = _ladder_rows(state.occupations, bog.beta[m],
                                         bog.alpha[m])
         ladders.append((amplitudes, *_groups(rows)))
+    energies = _energies(state, spec)
     out = np.empty((len(times), len(ladders)))
     for i, t in enumerate(times):
-        amp = exact_evolve(state, spec, t).amplitudes
+        amp = _evolved(state.amplitudes, energies, t)
         out[i] = np.square([
             np.linalg.norm(np.add.reduceat(amplitudes(amp)[order], first))
             for amplitudes, order, first in ladders])

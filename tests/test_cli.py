@@ -96,6 +96,16 @@ def _csv_tables():
     wide = rng.standard_normal((3000, 3)) * 10.0 ** rng.integers(-300, 300,
                                                                 (3000, 3))
     special = np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 1.0 / 3]])
+    # random bit patterns of both signs; the first 500 are subnormal, and
+    # inf/nan patterns are made finite by clearing an exponent bit
+    bits = rng.integers(0, 2**64, 12000, dtype=np.uint64, endpoint=False)
+    bits[:500] &= np.uint64(2**63 + 2**52 - 1)
+    bits[~np.isfinite(bits.view(np.float64))] ^= np.uint64(2**62)
+    # 1e-280 prints as 9.9999999999999996e-281 though log10 gives -280
+    tens = np.array([float(f"1e{k}") for k in range(-300, 300)])
+    ties = 1 + np.arange(1, 2**17, 16) / 2**17      # 17 digits, then a 5
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    step = np.arange(-40, 41) * 2.0**-52
     return {
         "int": np.arange(12).reshape(4, 3),
         "int-lists": [[5, 10, 695, 3180], [5, 16, 1792, 10857]],
@@ -104,6 +114,18 @@ def _csv_tables():
         "one-column": rng.standard_normal((5000, 1)),
         "rows-not-multiple-of-block": wide,
         "wider-than-block": rng.standard_normal((3, 5000)),
+        "random-bits": bits.view(np.float64).reshape(-1, 6),
+        "powers-of-ten": np.column_stack(
+            [np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf)]),
+        "ties": np.outer(ties, 2.0 ** np.array([0, -40, -7, 9, 33])),
+        "integers-near-2**53": np.arange(2**53 - 1500, 2**53 + 1500,
+                                         dtype=np.int64).reshape(-1, 3),
+        "g-switches": np.concatenate([
+            np.outer(switches, 1 + step).reshape(-1, 3),
+            rng.uniform(0.9e-5, 1.1e-4, (700, 3)),
+            rng.uniform(0.9e16, 1.1e17, (700, 3))]),
+        "two-blocks-and-three-rows": rng.standard_normal(
+            (2 * (cli._CSV_BLOCK // 4) + 3, 4)),
     }
 
 
@@ -116,6 +138,20 @@ def test_csv_writer_matches_savetxt(tmp_path, name):
                header=",".join(header), comments="")
     assert ((tmp_path / "out.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_csv_writer_formats_fig1_without_fallback(tmp_path):
+    # the paper's time series take the vectorized path, not `%`
+    out = tmp_path / "fig1"
+    assert cli.main(["--preset", "fig1", "--out", str(out)]) == 0
+    for M in (10, 16, 20):
+        path = out / f"dynamics_N5_M{M}.csv"
+        header = path.read_text().split("\n", 1)[0].split(",")
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        again = tmp_path / "again.csv"
+        fallbacks = cli._write_csv(str(again), header, table)
+        assert again.read_bytes() == path.read_bytes()
+        assert fallbacks <= 1e-3 * table.size, fallbacks
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -351,6 +351,26 @@ def test_covariance_route_memory_bound():
     assert check_peak <= 23 * unit, check_peak / unit
 
 
+def test_evolved_records_hold_three_blocks():
+    # tracemalloc: what a returned record keeps alive, in K x K float64
+    # arrays at K = 480; its blocks are not views into complex moments
+    K = 480
+    spec = make_spec(160, 320, modes=(80,), t_max=1.0, t_steps=2)
+    cov = joint_covariance(spec)
+    unit = 8 * K * K
+    tracemalloc.start()
+    try:
+        for run in (lambda: evolve_covariance(cov, spec, 3.7),
+                    lambda: mean_evolved_covariance(cov, spec, window=20.0)):
+            held = tracemalloc.get_traced_memory()[0]
+            record = run()
+            kept = (tracemalloc.get_traced_memory()[0] - held) / unit
+            assert kept <= 3.05, kept
+            del record
+    finally:
+        tracemalloc.stop()
+
+
 def test_max_offdiagonal_skips_only_the_diagonal():
     # xp has no diagonal to skip: its (1, 1) entry counts, xx's does not
     xp = np.zeros((2, 2))
