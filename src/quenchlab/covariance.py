@@ -156,16 +156,15 @@ def _from_moments(normal, anomalous, a, rows=_ALL, cols=_ALL):
     return xx, xp, normal.real
 
 
-def _rephase(moment, u, v, out=None):
-    """moment_jk u_j v_k, written into `out` if given.
+def _rephase(moment, u, v):
+    """moment_jk u_j v_k.
 
     Free evolution for a time t, with e = exp(i w t): z_j evolves as
     exp(-i w_j t) z_j, so the normal moments take (u, v) = (e, e*) and
-    the anomalous ones (e*, e*).  `u` and `v` have shape (..., K); each
-    leading index is one time.
+    the anomalous ones (e*, e*).
     """
-    out = np.multiply(u[..., :, None], v[..., None, :], out=out)
-    return np.multiply(moment, out, out=out)
+    phase = np.multiply.outer(u, v)
+    return np.multiply(moment, phase, out=phase)
 
 
 def evolve_covariance(cov: CovarianceMatrix, spec: QuenchSpec, t: float) -> CovarianceMatrix:

@@ -1,11 +1,13 @@
 """Time evolution of occupation numbers and subsystem energies.
 
-Occupations use the covariance route's propagator (`covariance._rephase`):
-the normal and anomalous moments of the initial correlators pick up their
-phases elementwise, O(K^2) per time sample, and each pre-quench occupation
-is read back with one real O(K^3) product per quadrature block and sample,
-in chunks under a fixed byte budget, through one workspace reused by every
-chunk.  Phases are e^{-i w' t}; energies are hbar w'.
+Occupations come from the joint-mode quadrature blocks of the initial
+correlators: free evolution is a real phase-space rotation by w't in each
+joint mode, so each block at time t is a sum of the t = 0 blocks times
+outer products of cos w't and sin w't, O(K^2) real work per time sample,
+and each pre-quench occupation is read back with one real O(K^3) product
+per quadrature block and sample, in chunks under a fixed byte budget,
+through one workspace reused by every chunk.  No complex K x K array is
+formed per sample.  Phases are e^{-i w' t}; energies are hbar w'.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ import numpy as np
 
 from .model import QuenchSpec, RunConfig
 from .bogoliubov import BogoliubovMap, CorrelationSet, ConsistencyError, joint_energy
-from .covariance import _rephase
 
 
-# Working-set budget of one kernel chunk, which the step rule in
-# `_phase_kernel` fills at 8 K x K float64 arrays a sample.  The workspace
-# takes 5 of them (one complex phased moment, s_xx, s_pp and the readout
-# product), allocated once a call and reused by every chunk.
-_CHUNK_BYTES = 4 << 20
+# Working-set budget of one kernel chunk: the workspace of `_phase_kernel`
+# holds 4 K x K float64 arrays a sample (c c^T, s s^T, one quadrature block
+# and a scratch for the readout product), allocated once a call and reused
+# by every chunk.  Of budgets from 0.5 to 4 MiB, 1 MiB was the fastest at
+# the fig1 sizes (K = 15 to 25) and at K = 200 (BENCH_16.json); it is one
+# sample a chunk from K = 129 on.
+_CHUNK_BYTES = 1 << 20
 # Largest correlator Hermiticity defect the kernel accepts.
 IMAG_TOL = 1e-8
 
@@ -69,14 +72,12 @@ class PerModeEnergy:
     right_avg: float
 
 
-def _phase_kernel(bog, corr, times):
-    """<n_m(t)> for all pre-quench modes m and times t.
-
-    Rephases the normal moments (1/2)<{c_j^dag, c_k}> and the anomalous
-    <c_j c_k>, whose sum and difference have as real parts the covariances
-    s_xx, s_pp of (c + c^dag)/sqrt2 and i(c^dag - c)/sqrt2, and reads
-    n_m = ((A s_xx A^T + B s_pp B^T)_mm - 1)/2, A = alpha + beta,
-    B = alpha - beta.  Non-Hermitian correlators, which would leave an
+def _quadratures(corr):
+    """The joint-mode quadrature blocks at t = 0 of the correlators, in <c>
+    units: P = Re(normal + anomalous) (xx), Q = Re(normal - anomalous) (pp)
+    and 2R, R = Im(anomalous) - Im(normal) (px, which is xp^T), or None for
+    2R when the moments are real.  Here normal = (1/2)<{c_j^dag, c_k}> and
+    anomalous = <c_j c_k>.  Non-Hermitian correlators, which would leave an
     imaginary part in <n_m(t)>, are refused.
     """
     c1, c2, c3, c4 = corr.cdag_c, corr.cdag_cdag, corr.c_c, corr.c_cdag
@@ -87,31 +88,54 @@ def _phase_kernel(bog, corr, times):
             f"imaginary residue: correlator Hermiticity defect {defect:.3e} "
             f"exceeds {IMAG_TOL:g}")
     normal, anomalous = 0.5 * (c1 + c4.T), 0.5 * (c3 + np.conj(c2).T)
+    nr, ar = np.real(normal), np.real(anomalous)
+    xp = np.imag(anomalous) - np.imag(normal)
+    return nr + ar, nr - ar, (2.0 * xp if xp.any() else None)
+
+
+def _phase_kernel(bog, corr, times):
+    """<n_m(t)> for all pre-quench modes m and times t.
+
+    Free evolution rotates each joint-mode quadrature pair, x -> x c + p s
+    with c = cos w't and s = sin w't, so the covariance blocks of
+    (c + c^dag)/sqrt2 and i(c^dag - c)/sqrt2 at time t are
+    s_xx = P o (c c^T) + Q o (s s^T) + 2R o (s c^T) and
+    s_pp = Q o (c c^T) + P o (s s^T) - 2R o (c s^T) (`_quadratures`; only
+    their symmetric parts enter below, and the R terms are skipped for real
+    moments).  The readout is n_m = ((A s_xx A^T + B s_pp B^T)_mm - 1)/2,
+    A = alpha + beta, B = alpha - beta: one real O(K^3) product per block
+    and sample, and one fused product and row sum.
+    """
+    p, q, xp2 = _quadratures(corr)
     a, b = bog.alpha + bog.beta, bog.alpha - bog.beta
     w, times = bog.omega_joint, np.asarray(times, dtype=float)
     K = w.size
     out = np.empty((times.size, K))
-    step = max(1, _CHUNK_BYTES // (8 * 8 * K ** 2))
+    step = max(1, _CHUNK_BYTES // (4 * 8 * K ** 2))
     shape = (min(step, times.size), K, K)
-    phased = np.empty(shape, dtype=complex)
-    s_xx, s_pp, product = np.empty(shape), np.empty(shape), np.empty(shape)
+    cc, ss, block, scratch = (np.empty(shape) for _ in range(4))
+
+    def readout(rows, first, second, u, v):
+        """diag(rows S rows^T) of S = first o cc + second o ss + 2R o u v^T
+        over the n samples of the chunk."""
+        x, y = block[:n], scratch[:n]
+        np.multiply(first, cc[:n], out=x)
+        x += np.multiply(second, ss[:n], out=y)
+        if xp2 is not None:
+            np.multiply(u[:, :, None], v[:, None, :], out=y)
+            y *= xp2
+            x += y
+        np.matmul(rows, x, out=y)
+        return np.einsum("nmk,mk->nm", y, rows)
+
     for start in range(0, times.size, step):
-        e = np.exp(1j * np.multiply.outer(times[start:start + step], w))
-        ec = e.conj()
-        n = len(e)
-        ph, xx, pp, prod = phased[:n], s_xx[:n], s_pp[:n], product[:n]
-        _rephase(normal, e, ec, out=ph)
-        np.copyto(xx, ph.real)
-        np.copyto(pp, ph.real)
-        _rephase(anomalous, ec, ec, out=ph)
-        xx += ph.real
-        pp -= ph.real
-        np.matmul(a, xx, out=prod)
-        prod *= a
-        n_a = np.sum(prod, axis=-1)
-        np.matmul(b, pp, out=prod)
-        prod *= b
-        out[start:start + n] = 0.5 * (n_a + np.sum(prod, axis=-1)) - 0.5
+        wt = np.multiply.outer(times[start:start + step], w)
+        c, s = np.cos(wt), np.sin(wt)
+        n = len(wt)
+        np.multiply(c[:, :, None], c[:, None, :], out=cc[:n])
+        np.multiply(s[:, :, None], s[:, None, :], out=ss[:n])
+        out[start:start + n] = 0.5 * (readout(a, p, q, s, c)
+                                      + readout(b, q, p, -c, s)) - 0.5
     return out
 
 

@@ -273,14 +273,26 @@ def oracle_correlators(state: ExpandedState) -> CorrelationSet:
     <c+_l c_k> = (L_l, L_k), <c+_l c+_k> = (L_l, R_k), <c_l c_k> = (R_l, L_k)
     and <c_l c+_k> = (R_l, R_k): the four blocks of [L R]^H [L R]. No
     ladder is capped, so the result is exact for the stored vector.
+    The rows of one image are unique, so each image writes its amplitudes
+    straight into its column of [L R], at its rows' places among the
+    merged rows.
     """
     K = state.modes
     psi = state.occupations, state.amplitudes
-    unit, zero, onehot = np.eye(K), np.zeros(K), np.eye(2 * K)
+    unit, zero = np.eye(K), np.zeros(K)
     images = ([_ladder(psi, zero, unit[k]) for k in range(K)]
               + [_ladder(psi, unit[k], zero) for k in range(K)])
-    _, vecs = _merge(*((o, a[:, None] * onehot[j])
-                       for j, (o, a) in enumerate(images)))
+    order, first = _groups(np.concatenate([o for o, _ in images]))
+    starts = np.zeros(len(order), np.intp)
+    starts[first] = 1
+    place = np.empty_like(order)
+    place[order] = np.cumsum(starts) - 1
+    vecs = np.zeros((len(first), 2 * K),
+                    np.result_type(1.0, *(a for _, a in images)))
+    end = 0
+    for j, (_, a) in enumerate(images):
+        end += len(a)
+        vecs[place[end - len(a):end], j] = a
     g = vecs.conj().T @ vecs
     if np.max(np.abs(g.imag)) < 1e-14:
         g = g.real
@@ -319,23 +331,22 @@ def delocalization_table(floor: float = RunConfig.floor):
     3 or one each in modes 3 and 4.  The expansion is first order and
     uncapped (occupations never exceed four quanta there), mirroring the
     regime where counting support by an amplitude floor is meaningful.
+    The squeezed vacuum is expanded once per bath size, and the pair is
+    lifted from the single's uncapped state: a+_4 a+_3|vac> = a+_4 (a+_3|vac>).
     """
     rows = []
     grid = (0.0,)   # nothing evolves; the default grid would raise the peak
     for m_right in (10, 16, 20):
         total = 5 + m_right
-        spec_s = QuenchSpec(5, m_right, FockExcitation.single(total, 3), grid)
-        spec_p = QuenchSpec(5, m_right,
-                            FockExcitation.from_modes(total, [3, 4]), grid)
-        bog = build_bogoliubov(spec_s)
-        f = f_matrix(bog)
-        single = expand_initial_state(spec_s, bog, f, order=1, cutoff=8)
-        pair = expand_initial_state(spec_p, bog, f, order=1, cutoff=8)
+        spec = QuenchSpec(5, m_right, FockExcitation.single(total, 3), grid)
+        bog = build_bogoliubov(spec)
+        single = _lift(expand_squeezed_vacuum(f_matrix(bog), 1), spec, bog)
+        pair = _merge(_ladder(single, bog.alpha[3], bog.beta[3]))  # a+_4
         rows.append({
             "n_left": 5,
             "n_right": m_right,
-            "single_count": delocalization_count(single, floor),
-            "pair_count": delocalization_count(pair, floor),
+            "single_count": delocalization_count(_project(single, 8), floor),
+            "pair_count": delocalization_count(_project(pair, 8), floor),
             "floor": floor,
             "order": 1,
         })

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from quenchlab.fock_oracle import _pre_annihilated_norms, exact_evolve
+from quenchlab.bogoliubov import CorrelationSet
+from quenchlab.fock_oracle import (_ladder, _merge, _pre_annihilated_norms,
+                                   exact_evolve)
 from quenchlab.model import (FockExcitation, QuenchSpec, RunConfig,
                              default_time_grid)
 
@@ -77,6 +79,41 @@ def evolve_occupations_direct(bog, corr, times):
     return out
 
 
+def occupations_closed_form(bog, n, times):
+    """<n_m(t)> of a pre-quench Fock state with occupations n, from the
+    time-dependent map a_m(t) = sum_j U_mj a_j + V_mj a_j^dag:
+    n_m = sum_j |U_mj|^2 n_j + |V_mj|^2 (n_j + 1), with
+    U = alpha E* alpha^T - beta E beta^T, V = beta E alpha^T - alpha E* beta^T
+    and E = diag(e^{i w' t}).  A reference for the kernel that shares no
+    step with it."""
+    a, b = bog.alpha, bog.beta
+    n = np.asarray(n, dtype=float)
+    out = []
+    for t in np.asarray(times, dtype=float):
+        e = np.exp(1j * bog.omega_joint * t)
+        u = (a * e.conj()) @ a.T - (b * e) @ b.T
+        v = (b * e) @ a.T - (a * e.conj()) @ b.T
+        out.append(np.abs(u) ** 2 @ n + np.abs(v) ** 2 @ (n + 1.0))
+    return np.array(out)
+
+
+def random_specs(seed, count, max_size=40):
+    """Seeded QuenchSpecs: N, M <= max_size, random Fock occupations (0 to 3
+    quanta, about a third of the modes excited) and mass, omega0 and hbar
+    drawn from [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(count):
+        N, M = (int(x) for x in rng.integers(1, max_size + 1, size=2))
+        occ = rng.integers(0, 4, size=N + M) * (rng.random(N + M) < 0.35)
+        mass, omega0, hbar = rng.uniform(0.5, 2.0, size=3)
+        t_max = float(rng.uniform(10.0, 50.0))
+        specs.append(QuenchSpec(N, M, FockExcitation(tuple(int(k) for k in occ)),
+                                default_time_grid(t_max, 9), float(mass),
+                                float(omega0), float(hbar)))
+    return specs
+
+
 def rotate_covariance_dense(sigma, w, mass, t):
     """R(t) sigma R(t)^T with the explicit 2K x 2K free rotation
     R = (cos wt, sin wt/(m w); -m w sin wt, cos wt), a reference for the
@@ -103,6 +140,24 @@ def occupation_series_per_sample(state, spec, bog, times):
     ladder rows in `occupation_series`."""
     return np.array([np.square(_pre_annihilated_norms(
         exact_evolve(state, spec, t), bog)) for t in times])
+
+
+def oracle_correlators_onehot(state):
+    """`fock_oracle.oracle_correlators` with every ladder image merged as a
+    (S_j, 2K) amplitude block that is zero outside column j: a reference
+    for the images written straight into their columns."""
+    K = state.modes
+    psi = state.occupations, state.amplitudes
+    unit, zero, onehot = np.eye(K), np.zeros(K), np.eye(2 * K)
+    images = ([_ladder(psi, zero, unit[k]) for k in range(K)]
+              + [_ladder(psi, unit[k], zero) for k in range(K)])
+    _, vecs = _merge(*((o, a[:, None] * onehot[j])
+                       for j, (o, a) in enumerate(images)))
+    g = vecs.conj().T @ vecs
+    if np.max(np.abs(g.imag)) < 1e-14:
+        g = g.real
+    return CorrelationSet(cdag_c=g[:K, :K].copy(), cdag_cdag=g[:K, K:].copy(),
+                          c_c=g[K:, :K].copy(), c_cdag=g[K:, K:].copy())
 
 
 def groups_bytes(occ):

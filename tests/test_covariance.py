@@ -381,8 +381,8 @@ def test_max_offdiagonal_skips_only_the_diagonal():
 
 def test_window_check_and_kernel_work_in_fixed_memory():
     # tracemalloc peaks above the held inputs, in K x K float64 arrays at
-    # K = 480: the check holds a few tiles, the kernel its moments, A, B
-    # and a one-sample workspace of five arrays
+    # K = 480: the check holds a few tiles, the kernel its blocks, A, B
+    # and a one-sample workspace of four arrays
     K = 480
     spec = make_spec(160, 320, modes=(80,), t_max=1.0, t_steps=2)
     cov = joint_covariance(spec)

@@ -12,7 +12,8 @@ from quenchlab.dynamics import (DegenerateInitial, NumericalError,
                                 _phase_kernel, per_mode_energy)
 from quenchlab.fock_oracle import expand_initial_state, occupation_series
 
-from conftest import evolve_occupations_direct, make_spec
+from conftest import (evolve_occupations_direct, make_spec,
+                      occupations_closed_form, random_specs)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,27 @@ def test_kernel_semigroup_on_complex_correlators():
     assert abs(later.e_total_joint - whole.e_total_joint) < 1e-12
 
 
+RANDOM_SPECS = random_specs(20261019, 8)
+
+
+@pytest.mark.parametrize("spec", RANDOM_SPECS,
+                         ids=lambda s: f"{s.n_left}+{s.n_right}")
+def test_kernel_matches_closed_form_on_random_specs(spec):
+    # real moments: the kernel against the U/V closed form, and the complex
+    # moments of the state evolved by t0 against the whole evolution
+    bog = build_bogoliubov(spec)
+    corr = initial_correlations(bog, spec.initial_state)
+    ts = spec.time_grid
+    got = evolve_occupations(spec, bog, corr, times=ts).n_expect
+    ref = occupations_closed_form(bog, spec.initial_state.as_array(), ts)
+    scale = np.max(ref)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+    t0 = 0.37 * spec.time_grid[-1]
+    later = _phase_kernel(bog, _evolved_correlators(bog, corr, t0), ts)
+    whole = _phase_kernel(bog, corr, t0 + ts)
+    assert np.max(np.abs(later - whole)) <= 1e-12
+
+
 @pytest.mark.parametrize("t0", [None, 3.7], ids=["real", "complex"])
 def test_kernel_output_does_not_depend_on_chunking(monkeypatch, t0):
     # one chunk, one sample at a time, and chunks of three with a short
@@ -110,7 +132,7 @@ def test_kernel_output_does_not_depend_on_chunking(monkeypatch, t0):
     whole = _phase_kernel(bog, corr, ts)
     alone = np.concatenate([_phase_kernel(bog, corr, [t]) for t in ts])
     assert np.array_equal(whole, alone)
-    step_bytes = 8 * 8 * spec.total_size ** 2    # the budget of one sample
+    step_bytes = 4 * 8 * spec.total_size ** 2    # the budget of one sample
     monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 3 * step_bytes)
     assert np.array_equal(_phase_kernel(bog, corr, ts), whole)
 

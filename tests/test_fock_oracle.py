@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from quenchlab.fock_oracle import (CutoffExceeded, ExpandedState, _groups,
                                    oracle_correlators)
 
 from conftest import (groups_bytes, ladder_rows_concatenate, make_spec,
-                      merge_concatenate, occupation_series_per_sample)
+                      merge_concatenate, occupation_series_per_sample,
+                      oracle_correlators_onehot)
 
 # residuals of the truncated expansion certificates, frozen from first runs
 A_RESID_20_12 = 4.736245261861336e-07
@@ -127,6 +129,20 @@ def test_fock_basis_state_correlators():
                                rtol=0, atol=1e-14)
     np.testing.assert_allclose(oc.c_c, np.zeros((4, 4)), rtol=0, atol=1e-14)
     assert oc.commutator_defect() < 1e-12
+
+
+@pytest.mark.parametrize("modes", list(combinations(range(1, 5), 2)),
+                         ids=str)
+def test_correlators_match_onehot_reference(map22, modes):
+    # the six excited pairs of the 2+2 chains at cutoff 8, order 12, as at
+    # t = 0 (real amplitudes) and evolved (complex): the same bits
+    bog, f = map22
+    spec = make_spec(2, 2, modes=modes, t_max=1.0, t_steps=2)
+    state = expand_initial_state(spec, bog, f, order=12, cutoff=8)
+    for psi in (state, exact_evolve(state, spec, 2.9)):
+        got, ref = oracle_correlators(psi), oracle_correlators_onehot(psi)
+        for name in ("cdag_c", "c_cdag", "c_c", "cdag_cdag"):
+            assert _bits(getattr(got, name)) == _bits(getattr(ref, name)), name
 
 
 def test_exact_evolution_is_diagonal_and_unitary(spec22, map22):
