@@ -23,7 +23,7 @@ _EXPORTS = {
     "FockExcitation": "model",
     "ConfigError": "model",
     "BogoliubovMap": "bogoliubov",
-    "CorrelationSet": "bogoliubov",
+    "Moments": "bogoliubov",
     "build_bogoliubov": "bogoliubov",
     "f_matrix": "bogoliubov",
     "initial_correlations": "bogoliubov",
@@ -35,6 +35,7 @@ _EXPORTS = {
     "deviation_delta_g": "gge",
     "joint_covariance": "covariance",
     "thermal_form_check": "covariance",
+    "CorrelationSet": "fock_oracle",
     "expand_initial_state": "fock_oracle",
     "oracle_correlators": "fock_oracle",
     "delocalization_count": "fock_oracle",

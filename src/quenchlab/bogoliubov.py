@@ -14,6 +14,7 @@ against the truncated-Fock oracle, not by notation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .model import (QuenchSpec, FockExcitation, disjoint_frequencies,
 # Bounds on the map; the command line records them in its run manifest.
 SYMPLECTIC_TOL = 1e-10      # bound on BogoliubovMap.symplectic_defect()
 COND_LIMIT = 1e12           # cond(alpha) above which F = alpha^{-1} beta is refused
+IMAG_TOL = 1e-8             # largest xx or pp asymmetry that Moments accepts
 
 
 class SingularAlpha(np.linalg.LinAlgError):
@@ -31,6 +33,10 @@ class SingularAlpha(np.linalg.LinAlgError):
 
 class ConsistencyError(ValueError):
     """Inputs violate an algebraic invariant they were assumed to satisfy."""
+
+
+class NumericalError(ArithmeticError):
+    """A numeric sanity bound was violated (for instance imaginary residue)."""
 
 
 @dataclass(frozen=True)
@@ -59,38 +65,72 @@ class BogoliubovMap:
         """
         a, b = self.alpha, self.beta
         eye = np.eye(self.total_size)
-
-        def skew(x):
-            d = x - x.T
-            return np.max(np.abs(d, out=d))
-
         return max(
             np.max(np.abs(a @ a.T - b @ b.T - eye)),
-            skew(a @ b.T),
+            _asymmetry(a @ b.T),
             np.max(np.abs(a.T @ a - b.T @ b - eye)),
-            skew(a.T @ b),
+            _asymmetry(a.T @ b),
         )
 
 
+def _asymmetry(x):
+    """max |x - x^T|, with one temporary."""
+    d = x - x.T
+    return float(np.max(np.abs(d, out=d)))
+
+
 @dataclass(frozen=True)
-class CorrelationSet:
-    """The four quadratic correlators of the joint-mode operators at t = 0."""
+class Moments:
+    """Joint-mode second moments as quadrature blocks, in <c> units:
+    (1/2)<{x_j, x_k}>, (1/2)<{p_j, p_k}> and (1/2)<{p_j, x_k}> (the xp
+    block's transpose; None for real moments, such as any Fock state's at
+    t = 0) of x = (c + c^dag)/sqrt2 and p = i(c^dag - c)/sqrt2.  Blocks that
+    are not finite, an xx or pp asymmetric beyond IMAG_TOL (an imaginary
+    part in <n_m(t)>) and diag(xx + pp) < 1 - 2e-8 (a negative occupancy)
+    are refused.  The four correlators are derived on demand."""
 
-    cdag_c: np.ndarray
-    c_cdag: np.ndarray
-    c_c: np.ndarray
-    cdag_cdag: np.ndarray
+    xx: np.ndarray
+    pp: np.ndarray
+    px: Optional[np.ndarray] = None
 
-    def commutator_defect(self):
-        eye = np.eye(self.cdag_c.shape[0])
-        return float(np.max(np.abs(self.c_cdag - self.cdag_c.T - eye)))
+    def __post_init__(self):
+        blocks = (self.xx, self.pp) + (() if self.px is None else (self.px,))
+        # NaN would also slip through the comparisons below
+        if not all(np.isfinite(b).all() for b in blocks):
+            raise NumericalError("moments must be finite")
+        defect = max(_asymmetry(self.xx), _asymmetry(self.pp))
+        if defect > IMAG_TOL:
+            raise NumericalError(f"imaginary residue: quadrature block "
+                                 f"asymmetry {defect:.3e} exceeds {IMAG_TOL:g}")
+        if np.min(self.occupations) < -1e-8:
+            raise ConsistencyError("negative occupancy on the moments' diagonal")
 
-    def validate(self):
-        if self.commutator_defect() > 1e-8:
-            raise ConsistencyError(
-                f"correlator commutator defect {self.commutator_defect():.3e} > 1e-08")
-        if np.min(np.diagonal(self.cdag_c)) < -1e-8:
-            raise ConsistencyError("negative occupancy on cdag_c diagonal")
+    @property
+    def occupations(self):
+        """<c_k^dag c_k> = diag(xx + pp)/2 - 1/2."""
+        return 0.5 * (np.diagonal(self.xx) + np.diagonal(self.pp)) - 0.5
+
+    @property
+    def cdag_c(self):
+        """<c_j^dag c_k> = (xx + pp - 1)/2 - i (px - px^T)/2."""
+        out = 0.5 * (self.xx + self.pp - np.eye(len(self.xx)))
+        return out if self.px is None else out - 0.5j * (self.px - self.px.T)
+
+    @property
+    def c_cdag(self):
+        """<c_j c_k^dag> = <c_k^dag c_j> + delta_jk."""
+        return self.cdag_c.T + np.eye(len(self.xx))
+
+    @property
+    def c_c(self):
+        """<c_j c_k> = (xx - pp)/2 + i (px + px^T)/2."""
+        out = 0.5 * (self.xx - self.pp)
+        return out if self.px is None else out + 0.5j * (self.px + self.px.T)
+
+    @property
+    def cdag_cdag(self):
+        """<c_j^dag c_k^dag>, the conjugate of the symmetric <c_j c_k>."""
+        return np.conj(self.c_c)
 
 
 def build_bogoliubov(spec: QuenchSpec) -> BogoliubovMap:
@@ -132,32 +172,30 @@ def f_matrix(bog: BogoliubovMap) -> np.ndarray:
     return f
 
 
-def initial_correlations(bog: BogoliubovMap, state: FockExcitation) -> CorrelationSet:
-    """Correlators of the joint-mode operators in a disjoint-mode Fock state.
+def initial_correlations(bog: BogoliubovMap, state: FockExcitation) -> Moments:
+    """Quadrature moments of the joint modes in a disjoint-mode Fock state.
 
-    Obtained from the inverse map c_k = sum_l alpha[l,k] a_l - beta[l,k] a_l^dag
-    with <a^dag a> = diag(n), <a a^dag> = diag(n+1) and no anomalous pre-quench
-    moments.  All four matrices are real; c_c and cdag_cdag coincide.
+    x_k = sum_l (alpha - beta)[l, k] X_l and p_k = sum_l (alpha + beta)[l, k]
+    P_l, and a Fock state's pre-quench moments are diag(n + 1/2) for XX and
+    PP and zero for PX, so xx = D^T D and pp = S^T S with D, S =
+    diag(sqrt(n + 1/2)) (alpha -/+ beta), each scaled in place.
     """
     if len(state.occupations) != bog.total_size:
         raise ConsistencyError("state length does not match the map")
-    a, b = bog.alpha, bog.beta
-    n = state.as_array()
-    an = a * n[:, None]
-    bn = b * n[:, None]
-    a1 = a * (1.0 + n)[:, None]
-    b1 = b * (1.0 + n)[:, None]
-    cdag_c = b.T @ b1 + a.T @ an
-    c_cdag = a.T @ a1 + b.T @ bn
-    c_c = -(a.T @ b1 + b.T @ an)
-    return CorrelationSet(cdag_c=cdag_c, c_cdag=c_cdag, c_c=c_c, cdag_cdag=c_c.T.copy())
+    scale = np.sqrt(state.as_array() + 0.5)[:, None]
+
+    def gram(rows):
+        rows *= scale
+        return rows.T @ rows
+
+    return Moments(xx=gram(bog.alpha - bog.beta), pp=gram(bog.alpha + bog.beta))
 
 
 def emitted_occupations(bog: BogoliubovMap, state: FockExcitation) -> np.ndarray:
     """Post-quench mode occupancies: vacuum polarization plus stimulated part.
 
     <n'_k> = sum_l beta[l,k]^2 + sum_j (alpha[j,k]^2 + beta[j,k]^2) n_j.
-    Equals the diagonal of initial_correlations(...).cdag_c.
+    Equals initial_correlations(...).occupations.
     """
     n = state.as_array()
     b2 = bog.beta ** 2
@@ -175,8 +213,7 @@ def pre_quench_energy(spec: QuenchSpec) -> float:
     return float(spec.hbar * np.sum(disjoint_frequencies(spec) * (n + 0.5)))
 
 
-def joint_energy(bog: BogoliubovMap, corr: CorrelationSet) -> float:
+def joint_energy(bog: BogoliubovMap, corr: Moments) -> float:
     """<H> from the joint-mode side, sum_k hbar w'_k (<n'_k> + 1/2)."""
-    return float(bog.hbar * np.sum(bog.omega_joint
-                                   * (np.diagonal(corr.cdag_c).real + 0.5)))
+    return float(bog.hbar * np.sum(bog.omega_joint * (corr.occupations + 0.5)))
 

@@ -182,9 +182,8 @@ def _run_oracle(spec, bog, f, outdir, files, cutoff, order):
     del series, vacuum  # not held through the correlators' larger peak
     exact = initial_correlations(bog, spec.initial_state)
     oracle = oracle_correlators(state)
-    gap = max(float(np.max(np.abs(a - b))) for a, b in (
-        (oracle.cdag_c, exact.cdag_c), (oracle.cdag_cdag, exact.cdag_cdag),
-        (oracle.c_c, exact.c_c), (oracle.c_cdag, exact.c_cdag)))
+    gap = max(float(np.max(np.abs(getattr(oracle, k) - getattr(exact, k))))
+              for k in ("cdag_c", "cdag_cdag", "c_c", "c_cdag"))
     payload = {
         "cutoff": cutoff,
         "order": order,
@@ -334,9 +333,8 @@ def main(argv=None) -> int:
 
     outdir = args.out or os.environ.get("QUENCHLAB_OUT") or "."
     t0 = time.perf_counter()
-    from .bogoliubov import COND_LIMIT, SYMPLECTIC_TOL
+    from .bogoliubov import COND_LIMIT, IMAG_TOL, SYMPLECTIC_TOL
     from .covariance import DECAY_MARGIN, XP_TOL
-    from .dynamics import IMAG_TOL
 
     files: list = []
     manifest = {

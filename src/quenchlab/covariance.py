@@ -272,22 +272,6 @@ def _tile_means(cov, a, w, dt, samples, rows=_ALL, cols=_ALL):
         yield _from_moments(mean_normal, mean_anomalous, a, rows, cols)
 
 
-def mean_evolved_covariance(cov: CovarianceMatrix, spec: QuenchSpec,
-                            window: float, dt: float = 0.5) -> CovarianceMatrix:
-    """Mean of sigma(t) over the grid t = j dt in [0, window), in closed form.
-
-    The normal moments pick up exp(i (w_j - w_k) t) and the anomalous ones
-    exp(-i (w_j + w_k) t) (`_rephase`); the mean multiplies each by the
-    grid mean of its phase, which costs O(K^2) however many samples the
-    window holds.
-    """
-    _require(cov, JOINT)
-    samples = _samples(window, dt)
-    w = mode_frequencies(spec.total_size, spec.omega0)
-    (mean,) = _tile_means(cov, spec.mass * w, w, dt, [samples])
-    return CovarianceMatrix(*mean, JOINT)
-
-
 def _residual(xx, xp, pp, diagonal=True):
     """Largest |xx| or |pp| off the diagonal, or any |xp|, of a tile; a
     tile off the diagonal (`diagonal` False) has no entry to skip."""
@@ -298,12 +282,6 @@ def _residual(xx, xp, pp, diagonal=True):
             np.fill_diagonal(block, 0.0)
         parts.append(block.max())
     return float(np.max(parts))
-
-
-def max_offdiagonal(cov: CovarianceMatrix) -> float:
-    """Largest |entry| of a symmetric sigma outside its diagonal: off the
-    diagonal of xx or pp, or anywhere in xp."""
-    return _residual(cov.xx, cov.xp, cov.pp)
 
 
 # Largest |xp| entry at t = 0 that thermal_form_check does not flag, and the
@@ -338,8 +316,9 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
     off-diagonals), and the window-averaged off-diagonal residual must
     fall like c/T, with c the first window's times `DECAY_MARGIN`.
     `windows` are at least two finite, positive, strictly increasing
-    lengths.  The report carries each window's residual (`max_offdiagonal`
-    of `mean_evolved_covariance`, to the bit), their log-log slope and the
+    lengths.  The report carries each window's residual (the largest
+    |entry| off the diagonal of the window's mean covariance: off the
+    diagonal of xx or pp, or anywhere in xp), their log-log slope and the
     occupancies of the largest window's average.
 
     The check walks the blocks in square tiles of edge `_TILE`, a tile and its

@@ -1,13 +1,14 @@
 """Time evolution of occupation numbers and subsystem energies.
 
 Occupations come from the joint-mode quadrature blocks of the initial
-correlators: free evolution is a real phase-space rotation by w't in each
-joint mode, so each block at time t is a sum of the t = 0 blocks times
-outer products of cos w't and sin w't, O(K^2) real work per time sample,
-and each pre-quench occupation is read back with one real O(K^3) product
-per quadrature block and sample, in chunks under a fixed byte budget,
-through one workspace reused by every chunk.  No complex K x K array is
-formed per sample.  Phases are e^{-i w' t}; energies are hbar w'.
+moments (`bogoliubov.Moments`): free evolution is a real phase-space
+rotation by w't in each joint mode, so each block at time t is a sum of
+the t = 0 blocks times outer products of cos w't and sin w't, O(K^2) real
+work per time sample, and each pre-quench occupation is read back with one
+real O(K^3) product per quadrature block and sample, in chunks under a
+fixed byte budget, through one workspace reused by every chunk.  No
+complex K x K array is formed per sample.  Phases are e^{-i w' t};
+energies are hbar w'.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .model import QuenchSpec, RunConfig
-from .bogoliubov import BogoliubovMap, CorrelationSet, ConsistencyError, joint_energy
+from .bogoliubov import (IMAG_TOL, BogoliubovMap, ConsistencyError,
+                         Moments, NumericalError, joint_energy)
 
 
 # Working-set budget of one kernel chunk: the workspace of `_phase_kernel`
@@ -28,12 +30,6 @@ from .bogoliubov import BogoliubovMap, CorrelationSet, ConsistencyError, joint_e
 # the fig1 sizes (K = 15 to 25) and at K = 200 (BENCH_16.json); it is one
 # sample a chunk from K = 129 on.
 _CHUNK_BYTES = 1 << 20
-# Largest correlator Hermiticity defect the kernel accepts.
-IMAG_TOL = 1e-8
-
-
-class NumericalError(ArithmeticError):
-    """A numeric sanity bound was violated (for instance imaginary residue)."""
 
 
 class DegenerateInitial(ValueError):
@@ -72,41 +68,19 @@ class PerModeEnergy:
     right_avg: float
 
 
-def _quadratures(corr):
-    """The joint-mode quadrature blocks at t = 0 of the correlators, in <c>
-    units: P = Re(normal + anomalous) (xx), Q = Re(normal - anomalous) (pp)
-    and 2R, R = Im(anomalous) - Im(normal) (px, which is xp^T), or None for
-    2R when the moments are real.  Here normal = (1/2)<{c_j^dag, c_k}> and
-    anomalous = <c_j c_k>.  Non-Hermitian correlators, which would leave an
-    imaginary part in <n_m(t)>, are refused.
-    """
-    c1, c2, c3, c4 = corr.cdag_c, corr.cdag_cdag, corr.c_c, corr.c_cdag
-    defect = max(float(np.max(np.abs(x - np.conj(y).T)))
-                 for x, y in ((c1, c1), (c4, c4), (c2, c3)))
-    if defect > IMAG_TOL:
-        raise NumericalError(
-            f"imaginary residue: correlator Hermiticity defect {defect:.3e} "
-            f"exceeds {IMAG_TOL:g}")
-    normal, anomalous = 0.5 * (c1 + c4.T), 0.5 * (c3 + np.conj(c2).T)
-    nr, ar = np.real(normal), np.real(anomalous)
-    xp = np.imag(anomalous) - np.imag(normal)
-    return nr + ar, nr - ar, (2.0 * xp if xp.any() else None)
-
-
 def _phase_kernel(bog, corr, times):
     """<n_m(t)> for all pre-quench modes m and times t.
 
     Free evolution rotates each joint-mode quadrature pair, x -> x c + p s
-    with c = cos w't and s = sin w't, so the covariance blocks of
-    (c + c^dag)/sqrt2 and i(c^dag - c)/sqrt2 at time t are
-    s_xx = P o (c c^T) + Q o (s s^T) + 2R o (s c^T) and
-    s_pp = Q o (c c^T) + P o (s s^T) - 2R o (c s^T) (`_quadratures`; only
-    their symmetric parts enter below, and the R terms are skipped for real
+    with c = cos w't and s = sin w't, so the blocks of the moments `corr`
+    at time t are s_xx = xx o (c c^T) + pp o (s s^T) + 2 px o (s c^T) and
+    s_pp = pp o (c c^T) + xx o (s s^T) - 2 px o (c s^T) (only their
+    symmetric parts enter below, and the px terms are skipped for real
     moments).  The readout is n_m = ((A s_xx A^T + B s_pp B^T)_mm - 1)/2,
     A = alpha + beta, B = alpha - beta: one real O(K^3) product per block
     and sample, and one fused product and row sum.
     """
-    p, q, xp2 = _quadratures(corr)
+    xx, pp, px = corr.xx, corr.pp, corr.px
     a, b = bog.alpha + bog.beta, bog.alpha - bog.beta
     w, times = bog.omega_joint, np.asarray(times, dtype=float)
     K = w.size
@@ -116,14 +90,14 @@ def _phase_kernel(bog, corr, times):
     cc, ss, block, scratch = (np.empty(shape) for _ in range(4))
 
     def readout(rows, first, second, u, v):
-        """diag(rows S rows^T) of S = first o cc + second o ss + 2R o u v^T
+        """diag(rows S rows^T) of S = first o cc + second o ss + px o u v^T
         over the n samples of the chunk."""
         x, y = block[:n], scratch[:n]
         np.multiply(first, cc[:n], out=x)
         x += np.multiply(second, ss[:n], out=y)
-        if xp2 is not None:
+        if px is not None:
             np.multiply(u[:, :, None], v[:, None, :], out=y)
-            y *= xp2
+            y *= px
             x += y
         np.matmul(rows, x, out=y)
         return np.einsum("nmk,mk->nm", y, rows)
@@ -134,16 +108,17 @@ def _phase_kernel(bog, corr, times):
         n = len(wt)
         np.multiply(c[:, :, None], c[:, None, :], out=cc[:n])
         np.multiply(s[:, :, None], s[:, None, :], out=ss[:n])
-        out[start:start + n] = 0.5 * (readout(a, p, q, s, c)
-                                      + readout(b, q, p, -c, s)) - 0.5
+        out[start:start + n] = 0.5 * (readout(a, xx, pp, 2.0 * s, c)
+                                      + readout(b, pp, xx, -2.0 * c, s)) - 0.5
     return out
 
 
-def long_time_average(bog: BogoliubovMap, corr: CorrelationSet) -> np.ndarray:
-    """Infinite-time average of <n_m(t)>: only the diagonal (stationary)
-    terms survive; the real diagonals of Hermitian correlators enter."""
-    return ((bog.alpha ** 2) @ np.diagonal(corr.cdag_c).real
-            + (bog.beta ** 2) @ np.diagonal(corr.c_cdag).real)
+def long_time_average(bog: BogoliubovMap, corr: Moments) -> np.ndarray:
+    """Infinite-time average of <n_m(t)>: only the stationary terms
+    survive, the joint occupancies n' = diag(xx + pp)/2 - 1/2 of `corr`
+    (real or evolved) with sum_k alpha_mk^2 n'_k + beta_mk^2 (n'_k + 1)."""
+    n = corr.occupations
+    return (bog.alpha ** 2) @ n + (bog.beta ** 2) @ (n + 1.0)
 
 
 def long_time_energies(bog: BogoliubovMap, avg: np.ndarray) -> tuple:
@@ -154,10 +129,9 @@ def long_time_energies(bog: BogoliubovMap, avg: np.ndarray) -> tuple:
             float(bog.hbar * np.sum(w[N:] * (avg[N:] + 0.5))))
 
 
-def evolve_occupations(spec: QuenchSpec, bog: BogoliubovMap, corr: CorrelationSet,
+def evolve_occupations(spec: QuenchSpec, bog: BogoliubovMap, corr: Moments,
                        times=None) -> ObservableSeries:
     """Occupation numbers and subsystem energies on a time grid."""
-    corr.validate()
     if bog.total_size != spec.total_size:
         raise ConsistencyError("spec and map sizes differ")
     times = spec.time_grid if times is None else np.asarray(times, dtype=float)

@@ -17,12 +17,12 @@ quadratic (correlator) route; it is only viable for a handful of modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import QuenchSpec, FockExcitation, RunConfig, mode_frequencies
-from .bogoliubov import BogoliubovMap, CorrelationSet, build_bogoliubov, f_matrix
+from .bogoliubov import BogoliubovMap, build_bogoliubov, f_matrix
 
 
 # largest squared-norm fraction a projection to the cutoff may discard
@@ -47,6 +47,21 @@ class ExpandedState:
 
     def support_size(self):
         return len(self.amplitudes)
+
+
+@dataclass(frozen=True)
+class CorrelationSet:
+    """The oracle's four correlators of the joint modes, each measured on
+    its own, so the commutator holds only as far as the truncation allows."""
+
+    cdag_c: np.ndarray
+    c_cdag: np.ndarray
+    c_c: np.ndarray
+    cdag_cdag: np.ndarray
+
+    def commutator_defect(self):
+        eye = np.eye(self.cdag_c.shape[0])
+        return float(np.max(np.abs(self.c_cdag - self.cdag_c.T - eye)))
 
 
 def _merge(*parts):
@@ -237,12 +252,6 @@ def _energies(state: ExpandedState, spec: QuenchSpec) -> np.ndarray:
 def _evolved(amplitudes, energies, t):
     """The amplitudes at time t: each picks up e^{-i E t}."""
     return amplitudes * np.exp(-1j * energies * t)
-
-
-def exact_evolve(state: ExpandedState, spec: QuenchSpec, t: float) -> ExpandedState:
-    """Diagonal evolution: each amplitude picks up e^{-i sum w'_k (n_k+1/2) t}."""
-    return replace(state, amplitudes=_evolved(state.amplitudes,
-                                              _energies(state, spec), t))
 
 
 def _pre_annihilated_norms(state: ExpandedState, bog: BogoliubovMap):

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from quenchlab.bogoliubov import CorrelationSet
-from quenchlab.fock_oracle import (_ladder, _merge, _pre_annihilated_norms,
-                                   exact_evolve)
+from quenchlab.covariance import (JOINT, CovarianceMatrix, _require, _residual,
+                                  _samples, _tile_means)
+from quenchlab.fock_oracle import (CorrelationSet, ExpandedState, _energies,
+                                   _evolved, _ladder, _merge,
+                                   _pre_annihilated_norms)
 from quenchlab.model import (FockExcitation, QuenchSpec, RunConfig,
-                             default_time_grid)
+                             default_time_grid, mode_frequencies)
 
 
 def make_spec(N, M, modes=(), t_max=2000.0, t_steps=2001, mass=RunConfig.mass,
@@ -57,6 +61,25 @@ def eigh_bogoliubov(spec):
     alpha = overlap * 0.5 * (ratio + 1.0 / ratio)
     beta = overlap * 0.5 * (ratio - 1.0 / ratio)
     return alpha, beta, w_pre, w_joint, overlap
+
+
+def initial_correlations_four(bog, state):
+    """The four correlators of a disjoint-mode Fock state, each its own
+    pair of products: from c_k = sum_l alpha[l,k] a_l - beta[l,k] a_l^dag
+    with <a^dag a> = diag(n), <a a^dag> = diag(n+1) and no anomalous
+    pre-quench moments.  A reference for the quadrature blocks of
+    `bogoliubov.initial_correlations` and their derived correlators."""
+    a, b = bog.alpha, bog.beta
+    n = state.as_array()
+    an = a * n[:, None]
+    bn = b * n[:, None]
+    a1 = a * (1.0 + n)[:, None]
+    b1 = b * (1.0 + n)[:, None]
+    cdag_c = b.T @ b1 + a.T @ an
+    c_cdag = a.T @ a1 + b.T @ bn
+    c_c = -(a.T @ b1 + b.T @ an)
+    return CorrelationSet(cdag_c=cdag_c, c_cdag=c_cdag, c_c=c_c,
+                          cdag_cdag=c_c.T.copy())
 
 
 def evolve_occupations_direct(bog, corr, times):
@@ -132,6 +155,30 @@ def conjugate_dense(sigma, mat):
     full[:K, :K] = mat
     full[K:, K:] = mat
     return full @ sigma @ full.T
+
+
+def mean_evolved_covariance(cov, spec, window, dt=0.5):
+    """Mean of sigma(t) over the grid t = j dt in [0, window), in closed
+    form, as one untiled K x K record: a reference for the tiles that
+    `thermal_form_check` folds."""
+    _require(cov, JOINT)
+    samples = _samples(window, dt)
+    w = mode_frequencies(spec.total_size, spec.omega0)
+    (mean,) = _tile_means(cov, spec.mass * w, w, dt, [samples])
+    return CovarianceMatrix(*mean, JOINT)
+
+
+def max_offdiagonal(cov):
+    """Largest |entry| of a symmetric sigma outside its diagonal: off the
+    diagonal of xx or pp, or anywhere in xp."""
+    return _residual(cov.xx, cov.xp, cov.pp)
+
+
+def exact_evolve(state, spec, t) -> ExpandedState:
+    """Diagonal evolution of an oracle state: each amplitude picks up
+    e^{-i sum w'_k (n_k+1/2) t}."""
+    return replace(state, amplitudes=_evolved(state.amplitudes,
+                                              _energies(state, spec), t))
 
 
 def occupation_series_per_sample(state, spec, bog, times):

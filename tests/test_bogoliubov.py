@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from quenchlab.bogoliubov import (BogoliubovMap, ConsistencyError,
-                                  CorrelationSet, SingularAlpha,
+from quenchlab.bogoliubov import (BogoliubovMap, ConsistencyError, Moments,
+                                  NumericalError, SingularAlpha,
                                   build_bogoliubov, emitted_occupations,
                                   f_matrix, initial_correlations,
                                   joint_energy, pre_quench_energy)
+from quenchlab.covariance import joint_covariance
 from quenchlab.model import FockExcitation, RunConfig
 
-from conftest import eigh_bogoliubov, make_spec
+from conftest import (eigh_bogoliubov, initial_correlations_four, make_spec,
+                      random_specs)
 
 # measured once through the truncated-Fock route at N=M=2 and frozen;
 # see the package tests for the oracle itself
@@ -82,8 +84,7 @@ def test_vacuum_correlations_are_vacuum_polarization(spec22):
     np.testing.assert_allclose(np.diagonal(corr.cdag_c),
                                (bog.beta ** 2).sum(axis=0),
                                rtol=0, atol=1e-12)
-    assert corr.commutator_defect() < 1e-12
-    corr.validate()
+    assert corr.px is None
 
 
 def test_correlations_beta_zero_identity_case(spec22):
@@ -126,13 +127,6 @@ def test_initial_correlations_rejects_size_mismatch(spec22):
         initial_correlations(bog, FockExcitation.vacuum(6))
 
 
-def test_correlation_validate_flags_broken_commutator():
-    bad = CorrelationSet(cdag_c=np.eye(2), c_cdag=np.eye(2),
-                         c_c=np.zeros((2, 2)), cdag_cdag=np.zeros((2, 2)))
-    with pytest.raises(ConsistencyError):
-        bad.validate()
-
-
 def test_emitted_occupations_grow_with_excitation():
     # adding quanta can only increase every joint occupancy
     spec0 = make_spec(5, 10, t_max=1.0, t_steps=2)
@@ -142,3 +136,51 @@ def test_emitted_occupations_grow_with_excitation():
     n_two = emitted_occupations(bog, FockExcitation.from_modes(15, [3, 4]))
     assert np.all(n_one >= n_vac - 1e-15)
     assert np.all(n_two >= n_one - 1e-15)
+
+
+RECORD_SPECS = random_specs(20261019, 8) + [
+    make_spec(5, 10, modes=(3, 4), mass=1.3, omega0=0.8, hbar=0.7),
+    make_spec(80, 120, modes=(40,))]
+
+
+def _within_rounding(got, ref):
+    """|got - ref| <= K eps max|ref| for K x K arrays."""
+    bound = len(ref) * np.finfo(float).eps * np.max(np.abs(ref))
+    return float(np.max(np.abs(got - ref))) <= bound
+
+
+@pytest.mark.parametrize("spec", RECORD_SPECS,
+                         ids=lambda s: f"{s.n_left}+{s.n_right}")
+def test_moments_match_four_product_reference(spec):
+    bog = build_bogoliubov(spec)
+    corr = initial_correlations(bog, spec.initial_state)
+    ref = initial_correlations_four(bog, spec.initial_state)
+    for name in ("cdag_c", "c_cdag", "c_c", "cdag_cdag"):
+        assert _within_rounding(getattr(corr, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("spec", RECORD_SPECS,
+                         ids=lambda s: f"{s.n_left}+{s.n_right}")
+def test_covariance_route_equals_moments_by_diagonal_scaling(spec):
+    # x = sqrt(a/hbar) x_phys and p = p_phys / sqrt(hbar a) with a = m w'
+    bog = build_bogoliubov(spec)
+    corr = initial_correlations(bog, spec.initial_state)
+    cov = joint_covariance(spec)
+    a = spec.mass * bog.omega_joint
+    root = np.sqrt(np.outer(a, a))
+    assert _within_rounding(cov.xx * root / spec.hbar, corr.xx)
+    assert _within_rounding(cov.pp / (spec.hbar * root), corr.pp)
+    assert not cov.xp.any()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("block", ["xx", "pp", "px"])
+def test_moments_refuse_non_finite_blocks(spec22, block, value):
+    # one bad entry off the diagonal: every later check compares, and a
+    # comparison with NaN is False
+    corr = initial_correlations(build_bogoliubov(spec22), spec22.initial_state)
+    blocks = {"xx": corr.xx.copy(), "pp": corr.pp.copy(),
+              "px": np.zeros_like(corr.xx)}
+    blocks[block][0, 1] = value
+    with pytest.raises(NumericalError):
+        Moments(**blocks)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from quenchlab.bogoliubov import (ConsistencyError, CorrelationSet,
-                                  build_bogoliubov, f_matrix,
-                                  initial_correlations, pre_quench_energy)
+from quenchlab.bogoliubov import (ConsistencyError, Moments, build_bogoliubov,
+                                  f_matrix, initial_correlations,
+                                  pre_quench_energy)
 from quenchlab.covariance import evolve_covariance, joint_covariance
 from quenchlab import dynamics
 from quenchlab.dynamics import (DegenerateInitial, NumericalError,
@@ -68,13 +68,14 @@ def test_phases_ignore_hbar_and_mass():
 
 
 def _evolved_correlators(bog, corr, t0):
-    # c_k(t) = e^{-i w'_k t} c_k, written out per correlator
+    # c_k(t) = e^{-i w'_k t} c_k rephases <c_j^dag c_k> and <c_j c_k>, and
+    # xx, pp and px are their real and imaginary parts recombined
     w = bog.omega_joint
-    diff, tot = np.subtract.outer(w, w) * t0, np.add.outer(w, w) * t0
-    return CorrelationSet(cdag_c=np.exp(1j * diff) * corr.cdag_c,
-                          c_cdag=np.exp(-1j * diff) * corr.c_cdag,
-                          c_c=np.exp(-1j * tot) * corr.c_c,
-                          cdag_cdag=np.exp(1j * tot) * corr.cdag_cdag)
+    hop = np.exp(1j * np.subtract.outer(w, w) * t0) * corr.cdag_c
+    pair = np.exp(-1j * np.add.outer(w, w) * t0) * corr.c_c
+    half = 0.5 * np.eye(len(w))
+    return Moments(xx=hop.real + pair.real + half,
+                   pp=hop.real - pair.real + half, px=pair.imag - hop.imag)
 
 
 def test_kernel_semigroup_on_complex_correlators():
@@ -158,27 +159,28 @@ def test_size_mismatch_rejected(spec22, bundle_5_10):
 
 
 def test_imaginary_residue_raises(spec22):
-    # a real but non-symmetric particle correlator cannot come from a state;
-    # the co-rotating channel then leaves an O(1) imaginary part
-    bog = build_bogoliubov(spec22)
-    K = 4
-    c1 = np.zeros((K, K))
-    c1[0, 1] = 0.3
-    bad = CorrelationSet(cdag_c=c1, c_cdag=c1.T + np.eye(K),
-                         c_c=np.zeros((K, K)), cdag_cdag=np.zeros((K, K)))
+    # a real but non-symmetric xx block cannot come from a state; the
+    # kernel would leave an O(1) imaginary part in <n_m(t)>
+    corr = initial_correlations(build_bogoliubov(spec22), spec22.initial_state)
+    xx = corr.xx.copy()
+    xx[0, 1] += 0.3
     with pytest.raises(NumericalError):
-        evolve_occupations(spec22, bog, bad, times=np.array([0.0, 1.0, 2.0]))
+        Moments(xx=xx, pp=corr.pp)
 
 
 def test_negative_occupancy_raises(spec22):
+    # diag(xx + pp) < 1 is a negative joint occupancy; a record that passes
+    # it but is not positive gives negative pre-quench occupancies, which
+    # the kernel's output check refuses
     bog = build_bogoliubov(spec22)
     K = 4
-    c1 = np.zeros((K, K))
-    c1[0, 1] = c1[1, 0] = 50.0
-    bad = CorrelationSet(cdag_c=c1, c_cdag=c1.T + np.eye(K),
-                         c_c=np.zeros((K, K)), cdag_cdag=np.zeros((K, K)))
+    with pytest.raises(ConsistencyError):
+        Moments(xx=0.45 * np.eye(K), pp=0.45 * np.eye(K))
+    bad = np.eye(K)
+    bad[0, 1] = bad[1, 0] = 50.0
     with pytest.raises(NumericalError):
-        evolve_occupations(spec22, bog, bad, times=np.array([0.0]))
+        evolve_occupations(spec22, bog, Moments(xx=bad, pp=bad),
+                           times=np.array([0.0]))
 
 
 def test_long_time_average_only_keeps_stationary_terms(bundle_5_10):

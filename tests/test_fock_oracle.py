@@ -11,14 +11,14 @@ from quenchlab.fock_oracle import (CutoffExceeded, ExpandedState, _groups,
                                    _ladder, _ladder_rows, _merge,
                                    annihilation_residual,
                                    constraint_residual, delocalization_count,
-                                   delocalization_table, exact_evolve,
+                                   delocalization_table,
                                    expand_initial_state,
                                    expand_squeezed_vacuum, occupation_series,
                                    oracle_correlators)
 
-from conftest import (groups_bytes, ladder_rows_concatenate, make_spec,
-                      merge_concatenate, occupation_series_per_sample,
-                      oracle_correlators_onehot)
+from conftest import (exact_evolve, groups_bytes, ladder_rows_concatenate,
+                      make_spec, merge_concatenate,
+                      occupation_series_per_sample, oracle_correlators_onehot)
 
 # residuals of the truncated expansion certificates, frozen from first runs
 A_RESID_20_12 = 4.736245261861336e-07
