@@ -85,9 +85,10 @@ class Moments:
     (1/2)<{x_j, x_k}>, (1/2)<{p_j, p_k}> and (1/2)<{p_j, x_k}> (the xp
     block's transpose; None for real moments, such as any Fock state's at
     t = 0) of x = (c + c^dag)/sqrt2 and p = i(c^dag - c)/sqrt2.  Blocks that
-    are not finite, an xx or pp asymmetric beyond IMAG_TOL (an imaginary
-    part in <n_m(t)>) and diag(xx + pp) < 1 - 2e-8 (a negative occupancy)
-    are refused.  The four correlators are derived on demand."""
+    are not square and of one shape or not finite, an xx or pp asymmetric
+    beyond IMAG_TOL (an imaginary part in <n_m(t)>) and diag(xx + pp) <
+    1 - 2e-8 (a negative occupancy) are refused.  The four correlators are
+    derived on demand."""
 
     xx: np.ndarray
     pp: np.ndarray
@@ -95,6 +96,11 @@ class Moments:
 
     def __post_init__(self):
         blocks = (self.xx, self.pp) + (() if self.px is None else (self.px,))
+        K = np.shape(self.xx)[0] if np.ndim(self.xx) else 0
+        shapes = [np.shape(b) for b in blocks]
+        if any(shape != (K, K) for shape in shapes):
+            raise ConsistencyError("moment blocks must be square and of one "
+                                   f"shape, got {', '.join(map(str, shapes))}")
         # NaN would also slip through the comparisons below
         if not all(np.isfinite(b).all() for b in blocks):
             raise NumericalError("moments must be finite")

@@ -1,8 +1,9 @@
 """Phase-space covariance matrices through the quench.
 
 The covariance route is the Gaussian-state counterpart of the operator
-route: build second moments in the disjoint normal-mode basis, rotate to
-configuration space, rotate to joint normal modes, evolve (the moments of
+route: build second moments in the disjoint normal-mode basis, rotate them
+to configuration space and on to the joint normal modes (one function,
+`joint_covariance`, the only producer of a record), evolve (the moments of
 z = m w x + i p pick up phases, or their grid means for a window mean),
 and read occupancies off the diagonal.  A covariance is stored as its
 three K x K blocks xx, xp and pp; px is xp^T by construction, and the
@@ -13,8 +14,6 @@ covariance in square tiles of edge `_TILE`, so its working memory does
 not grow with K.
 Fock states are not Gaussian, but their second moments are still exact,
 which is all this module ever uses (higher moments are out of scope).
-
-Basis tags: "disjoint-normal-modes" -> "configuration" -> "joint-normal-modes".
 """
 
 from __future__ import annotations
@@ -27,14 +26,6 @@ import numpy as np
 from .model import (QuenchSpec, RunConfig, disjoint_frequencies,
                     disjoint_transform, mode_frequencies, sine_transform)
 
-DISJOINT = "disjoint-normal-modes"
-CONFIGURATION = "configuration"
-JOINT = "joint-normal-modes"
-
-
-class BasisError(ValueError):
-    """Operation applied to a covariance matrix in the wrong basis."""
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
@@ -44,7 +35,6 @@ class CovarianceMatrix:
     xx: np.ndarray
     xp: np.ndarray
     pp: np.ndarray
-    basis_tag: str
 
     def __post_init__(self):
         for name in ("xx", "xp", "pp"):
@@ -78,51 +68,22 @@ def _check_symmetric(*pairs):
             raise ValueError("covariance matrix must be symmetric")
 
 
-def _require(cov, tag):
-    if cov.basis_tag != tag:
-        raise BasisError(f"expected basis {tag!r}, got {cov.basis_tag!r}")
+def joint_covariance(spec: QuenchSpec) -> CovarianceMatrix:
+    """Second moments of the pre-quench Fock state in the joint normal modes.
 
-
-def initial_covariance(spec: QuenchSpec) -> CovarianceMatrix:
-    """Second moments of the pre-quench Fock state in disjoint normal modes.
-
-    sigma_xx = (n + 1/2) hbar / (m w),  sigma_pp = (n + 1/2) hbar m w,
-    and all cross correlations vanish for energy eigenstates.
+    In the disjoint normal modes sigma_xx = (n + 1/2) hbar / (m w) and
+    sigma_pp = (n + 1/2) hbar m w, and all cross correlations vanish for
+    energy eigenstates.  Each block B is rotated to lattice sites and then
+    to the joint modes, B -> T B T^T; xp stays zero.
     """
     n = spec.initial_state.as_array()
     w = disjoint_frequencies(spec)
     m, hbar = spec.mass, spec.hbar
-    K = spec.total_size
-    return CovarianceMatrix(xx=np.diag((n + 0.5) * hbar / (m * w)),
-                            xp=np.zeros((K, K)),
-                            pp=np.diag((n + 0.5) * hbar * m * w),
-                            basis_tag=DISJOINT)
-
-
-def _conjugate(cov, mat, new_tag):
-    """F sigma F^T for F = blockdiag(mat, mat): each block B becomes
-    mat B mat^T, and a block that is exactly zero passes through as is."""
-    def rotate(block):
-        return mat @ block @ mat.T if block.any() else block
-    return CovarianceMatrix(rotate(cov.xx), rotate(cov.xp), rotate(cov.pp),
-                            new_tag)
-
-
-def to_configuration(cov: CovarianceMatrix, spec: QuenchSpec) -> CovarianceMatrix:
-    """Rotate disjoint normal modes to lattice-site coordinates."""
-    _require(cov, DISJOINT)
-    return _conjugate(cov, disjoint_transform(spec), CONFIGURATION)
-
-
-def to_joint_modes(cov: CovarianceMatrix, spec: QuenchSpec) -> CovarianceMatrix:
-    """Rotate lattice-site coordinates to the joint normal modes."""
-    _require(cov, CONFIGURATION)
-    return _conjugate(cov, sine_transform(spec.total_size), JOINT)
-
-
-def joint_covariance(spec: QuenchSpec) -> CovarianceMatrix:
-    """Initial covariance pushed through both rotations."""
-    return to_joint_modes(to_configuration(initial_covariance(spec), spec), spec)
+    xx = np.diag((n + 0.5) * hbar / (m * w))
+    pp = np.diag((n + 0.5) * hbar * m * w)
+    for mat in (disjoint_transform(spec), sine_transform(spec.total_size)):
+        xx, pp = mat @ xx @ mat.T, mat @ pp @ mat.T
+    return CovarianceMatrix(xx, np.zeros_like(xx), pp)
 
 
 _ALL = slice(None)
@@ -156,27 +117,21 @@ def _from_moments(normal, anomalous, a, rows=_ALL, cols=_ALL):
     return xx, xp, normal.real
 
 
-def _rephase(moment, u, v):
-    """moment_jk u_j v_k.
-
-    Free evolution for a time t, with e = exp(i w t): z_j evolves as
-    exp(-i w_j t) z_j, so the normal moments take (u, v) = (e, e*) and
-    the anomalous ones (e*, e*).
-    """
-    phase = np.multiply.outer(u, v)
-    return np.multiply(moment, phase, out=phase)
-
-
 def evolve_covariance(cov: CovarianceMatrix, spec: QuenchSpec, t: float) -> CovarianceMatrix:
-    """Free evolution in the joint modes, every moment times its phase."""
-    _require(cov, JOINT)
+    """Free evolution in the joint modes, every moment times its phase.
+
+    z_j evolves as exp(-i w_j t) z_j, so the normal moments pick up
+    exp(i (w_j - w_k) t) = exp(2i r-) and the anomalous ones
+    exp(-i (w_j + w_k) t) = exp(-2i r+), with the half phases r-+ of
+    `_half_phases` at dt = t: the phase source of the window means.
+    """
     w = mode_frequencies(spec.total_size, spec.omega0)
     a = spec.mass * w
     normal, anomalous = _moments(cov, a)
-    e = np.exp(1j * w * t)
-    ec = e.conj()
-    return CovarianceMatrix(*_from_moments(
-        _rephase(normal, e, ec), _rephase(anomalous, ec, ec), a), JOINT)
+    (r_minus, _), (r_plus, _) = _half_phases(w, t)
+    normal *= np.exp(2j * r_minus)
+    anomalous *= np.exp(-2j * r_plus)
+    return CovarianceMatrix(*_from_moments(normal, anomalous, a))
 
 
 def _occupations(xx_diag, pp_diag, spec):
@@ -187,7 +142,6 @@ def _occupations(xx_diag, pp_diag, spec):
 
 def occupations_from_covariance(cov: CovarianceMatrix, spec: QuenchSpec) -> np.ndarray:
     """Mode occupancies off the covariance diagonal in the joint basis."""
-    _require(cov, JOINT)
     return _occupations(np.diagonal(cov.xx), np.diagonal(cov.pp), spec)
 
 
@@ -216,7 +170,7 @@ def _half_phases(w, dt, rows=_ALL, cols=_ALL):
     """r = (w_j - w_k) dt / 2 and r = (w_j + w_k) dt / 2 for j in `rows`
     and k in `cols`, each reduced mod pi and paired with sin r: the
     window-independent part of `_dirichlet` for the normal and the
-    anomalous moments."""
+    anomalous moments, and at dt = t the phases of `evolve_covariance`."""
     phases = []
     for omega in (np.subtract.outer(w[rows], w[cols]),
                   np.add.outer(w[rows], w[cols])):
@@ -328,7 +282,6 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
     the diagonal of the last window are folded in tile by tile, so the
     working memory is a few tiles whatever K is.
     """
-    _require(cov, JOINT)
     win = np.asarray(windows, dtype=float)
     if not (win.ndim == 1 and win.size >= 2 and np.all(np.isfinite(win))
             and win[0] > 0 and np.all(np.diff(win) > 0)):

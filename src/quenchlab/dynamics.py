@@ -134,6 +134,9 @@ def evolve_occupations(spec: QuenchSpec, bog: BogoliubovMap, corr: Moments,
     """Occupation numbers and subsystem energies on a time grid."""
     if bog.total_size != spec.total_size:
         raise ConsistencyError("spec and map sizes differ")
+    if len(corr.xx) != bog.total_size:
+        raise ConsistencyError(f"moments of {len(corr.xx)} modes do not fit "
+                               f"a map of {bog.total_size}")
     times = spec.time_grid if times is None else np.asarray(times, dtype=float)
     n_t = _phase_kernel(bog, corr, times)
     if np.min(n_t) < -1e-8:

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quenchlab.covariance import (JOINT, CovarianceMatrix, _require, _residual,
-                                  _samples, _tile_means)
+from quenchlab.covariance import (CovarianceMatrix, _residual, _samples,
+                                  _tile_means)
 from quenchlab.fock_oracle import (CorrelationSet, ExpandedState, _energies,
                                    _evolved, _ladder, _merge,
                                    _pre_annihilated_norms)
@@ -147,9 +147,24 @@ def rotate_covariance_dense(sigma, w, mass, t):
     return rot @ sigma @ rot.T
 
 
+def disjoint_covariance(spec):
+    """Second moments of the pre-quench Fock state in the disjoint normal
+    modes, in closed form: sigma_xx = (n + 1/2) hbar / (m w), sigma_pp =
+    (n + 1/2) hbar m w with w each chain's own mode frequencies, and no
+    cross correlations.  A reference for the input of `joint_covariance`'s
+    rotations."""
+    n = spec.initial_state.as_array()
+    w = np.concatenate([mode_frequencies(spec.n_left, spec.omega0),
+                        mode_frequencies(spec.n_right, spec.omega0)])
+    m, hbar = spec.mass, spec.hbar
+    return CovarianceMatrix(np.diag((n + 0.5) * hbar / (m * w)),
+                            np.zeros((n.size, n.size)),
+                            np.diag((n + 0.5) * hbar * m * w))
+
+
 def conjugate_dense(sigma, mat):
     """F sigma F^T with the explicit 2K x 2K F = blockdiag(mat, mat), a
-    reference for the package's per-block basis rotations."""
+    reference for the per-block rotations of `joint_covariance`."""
     K = mat.shape[0]
     full = np.zeros((2 * K, 2 * K))
     full[:K, :K] = mat
@@ -161,11 +176,10 @@ def mean_evolved_covariance(cov, spec, window, dt=0.5):
     """Mean of sigma(t) over the grid t = j dt in [0, window), in closed
     form, as one untiled K x K record: a reference for the tiles that
     `thermal_form_check` folds."""
-    _require(cov, JOINT)
     samples = _samples(window, dt)
     w = mode_frequencies(spec.total_size, spec.omega0)
     (mean,) = _tile_means(cov, spec.mass * w, w, dt, [samples])
-    return CovarianceMatrix(*mean, JOINT)
+    return CovarianceMatrix(*mean)
 
 
 def max_offdiagonal(cov):

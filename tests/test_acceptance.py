@@ -12,9 +12,7 @@ from quenchlab.bogoliubov import (build_bogoliubov, emitted_occupations,
                                   f_matrix, initial_correlations)
 from quenchlab.covariance import (evolve_covariance, joint_covariance,
                                   occupations_from_covariance,
-                                  symplectic_eigenvalues, thermal_form_check,
-                                  to_configuration, to_joint_modes,
-                                  initial_covariance)
+                                  symplectic_eigenvalues, thermal_form_check)
 from quenchlab.dynamics import (evolve_occupations, fluctuation_series,
                                 long_time_average)
 from quenchlab.fock_oracle import (delocalization_table, expand_initial_state,
@@ -22,7 +20,7 @@ from quenchlab.fock_oracle import (delocalization_table, expand_initial_state,
 from quenchlab.gge import (build_gge, gge_expectations,
                            single_excitation_sweep)
 
-from conftest import make_spec
+from conftest import disjoint_covariance, make_spec
 
 
 def test_criterion_1_symplectic_identities_all_sizes():
@@ -135,9 +133,9 @@ def test_criterion_5_conserved_quantities():
 def test_criterion_6_window_average_reaches_diagonal_form():
     spec = make_spec(5, 10, t_max=1.0, t_steps=2)
     bog = build_bogoliubov(spec)
-    cov0 = initial_covariance(spec)
+    cov0 = disjoint_covariance(spec)
     nu0 = symplectic_eigenvalues(cov0)
-    joint = to_joint_modes(to_configuration(cov0, spec), spec)
+    joint = joint_covariance(spec)
     for cov in (joint, evolve_covariance(joint, spec, 37.0),
                 evolve_covariance(joint, spec, 911.0)):
         gap = np.max(np.abs(symplectic_eigenvalues(cov) - nu0))

@@ -173,6 +173,11 @@ def test_covariance_route_equals_moments_by_diagonal_scaling(spec):
     assert not cov.xp.any()
 
 
+def test_moments_refuse_blocks_of_two_shapes():
+    with pytest.raises(ConsistencyError, match=r"\(4, 4\), \(3, 3\)"):
+        Moments(xx=np.eye(4), pp=np.eye(3))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("block", ["xx", "pp", "px"])
 def test_moments_refuse_non_finite_blocks(spec22, block, value):

@@ -5,53 +5,21 @@ import numpy as np
 import pytest
 
 from quenchlab.bogoliubov import build_bogoliubov, initial_correlations
-from quenchlab.covariance import (_TILE, CONFIGURATION, DISJOINT, JOINT,
-                                  BasisError, CovarianceMatrix,
-                                  evolve_covariance,
-                                  initial_covariance, joint_covariance,
+from quenchlab.covariance import (_TILE, CovarianceMatrix, evolve_covariance,
+                                  joint_covariance,
                                   occupations_from_covariance,
-                                  symplectic_eigenvalues, thermal_form_check,
-                                  to_configuration, to_joint_modes)
+                                  symplectic_eigenvalues, thermal_form_check)
 from quenchlab.dynamics import _phase_kernel
 from quenchlab.model import disjoint_transform, mode_frequencies, sine_transform
 
-from conftest import (conjugate_dense, make_spec, max_offdiagonal,
-                      mean_evolved_covariance, rotate_covariance_dense)
+from conftest import (conjugate_dense, disjoint_covariance, make_spec,
+                      max_offdiagonal, mean_evolved_covariance,
+                      rotate_covariance_dense)
 
 DECAY_SLOPE_5_10 = -0.9438780450316356
 DECAY_RESIDUALS_5_10 = [0.03999838669312959, 0.020591423684891197,
                         0.01023711740646627, 0.005324279523008362,
                         0.0027754017424395996, 0.0015562985979235048]
-
-
-def test_initial_covariance_closed_form():
-    spec = make_spec(2, 3, modes=(2, 4), t_max=1.0, t_steps=2,
-                     mass=1.3, omega0=1.1, hbar=0.7)
-    cov = initial_covariance(spec)
-    assert cov.basis_tag == DISJOINT
-    n = spec.initial_state.as_array()
-    w = np.concatenate([mode_frequencies(2, 1.1), mode_frequencies(3, 1.1)])
-    np.testing.assert_allclose(np.diagonal(cov.xx),
-                               (n + 0.5) * 0.7 / (1.3 * w), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(np.diagonal(cov.pp),
-                               (n + 0.5) * 0.7 * 1.3 * w, rtol=0, atol=1e-14)
-    assert np.max(np.abs(cov.xp)) == 0.0
-
-
-def test_basis_tags_enforced(spec22):
-    cov0 = initial_covariance(spec22)
-    with pytest.raises(BasisError):
-        to_joint_modes(cov0, spec22)
-    with pytest.raises(BasisError):
-        evolve_covariance(cov0, spec22, 1.0)
-    conf = to_configuration(cov0, spec22)
-    assert conf.basis_tag == CONFIGURATION
-    with pytest.raises(BasisError):
-        to_configuration(conf, spec22)
-    joint = to_joint_modes(conf, spec22)
-    assert joint.basis_tag == JOINT
-    with pytest.raises(BasisError):
-        thermal_form_check(cov0, spec22)
 
 
 _ASYMMETRIC = np.array([[1.0, 1e-3], [0.0, 1.0]])
@@ -68,13 +36,13 @@ def test_matrix_validation():
         (np.eye(2), zero, _ASYMMETRIC, "symmetric"),
     ]:
         with pytest.raises(ValueError, match=message):
-            CovarianceMatrix(xx, xp, pp, DISJOINT)
+            CovarianceMatrix(xx, xp, pp)
 
 
 def test_matrix_sigma_takes_px_from_xp():
     # xp need not be symmetric: px = xp^T makes the assembled sigma so
     xp = np.array([[0.1, 0.2], [-0.3, 0.4]])
-    cov = CovarianceMatrix(2 * np.eye(2), xp, 3 * np.eye(2), JOINT)
+    cov = CovarianceMatrix(2 * np.eye(2), xp, 3 * np.eye(2))
     sig = cov.sigma
     assert sig.shape == (4, 4) and np.array_equal(sig, sig.T)
     assert np.array_equal(sig[:2, 2:], xp) and np.array_equal(sig[2:, :2], xp.T)
@@ -93,19 +61,19 @@ def test_matrix_refuses_non_finite_entries(entry, block, where):
         elif name == block:
             b[where] = entry
     with pytest.raises(ValueError, match="finite"):
-        CovarianceMatrix(**blocks, basis_tag=JOINT)
+        CovarianceMatrix(**blocks)
 
 
 def test_symplectic_spectrum_reads_occupations():
     spec = make_spec(2, 3, modes=(2, 4), t_max=1.0, t_steps=2,
                      mass=1.3, omega0=1.1, hbar=0.7)
-    nu = symplectic_eigenvalues(initial_covariance(spec), hbar=0.7)
+    nu = symplectic_eigenvalues(disjoint_covariance(spec), hbar=0.7)
     np.testing.assert_allclose(np.sort(nu), [0.5, 0.5, 0.5, 1.5, 1.5],
                                rtol=0, atol=1e-10)
 
 
 def test_spectrum_invariant_under_transforms_and_evolution(spec_5_10):
-    cov0 = initial_covariance(spec_5_10)
+    cov0 = disjoint_covariance(spec_5_10)
     nu0 = symplectic_eigenvalues(cov0)
     joint = joint_covariance(spec_5_10)
     np.testing.assert_allclose(symplectic_eigenvalues(joint), nu0,
@@ -123,7 +91,7 @@ def test_uncertainty_defect_nonpositive(spec_5_10):
 
 
 def test_nonpositive_matrix_rejected():
-    bad = CovarianceMatrix(-np.eye(2), np.zeros((2, 2)), -np.eye(2), JOINT)
+    bad = CovarianceMatrix(-np.eye(2), np.zeros((2, 2)), -np.eye(2))
     with pytest.raises(ValueError):
         symplectic_eigenvalues(bad)
 
@@ -302,6 +270,8 @@ def test_thermal_form_check_refuses_bad_windows(spec22, windows):
 
 @pytest.mark.parametrize("spec", [
     pytest.param(make_spec(2, 2), id="2-2"),
+    pytest.param(make_spec(2, 3, modes=(2, 4), mass=1.3, omega0=1.1, hbar=0.7),
+                 id="2-3-constants"),
     pytest.param(make_spec(5, 10, modes=(3, 4)), id="5-10"),
     pytest.param(make_spec(7, 9, modes=(2,), mass=1.3, omega0=0.8, hbar=0.7),
                  id="7-9-constants"),
@@ -309,25 +279,18 @@ def test_thermal_form_check_refuses_bad_windows(spec22, windows):
 ] + [pytest.param(case.values[0], id="sweep-" + case.id)
      for case in _sweep_cases()])
 def test_rotations_match_dense_congruence(spec):
-    # BLAS may group a K-term block product differently from the 2K-term
-    # zero-padded one, so the bound is K roundings of the largest entry
+    # joint_covariance against the closed-form disjoint-mode sigma pushed
+    # through both dense 2K x 2K congruences; BLAS may group each K-term
+    # block product differently from the 2K-term zero-padded one, so the
+    # bound is K roundings of the largest entry per rotation, 2 K in all
     K = spec.total_size
-
-    def check(cov):
-        conf = to_configuration(cov, spec)
-        for got, before, mat in ((conf, cov, disjoint_transform(spec)),
-                                 (to_joint_modes(conf, spec), conf,
-                                  sine_transform(K))):
-            ref = conjugate_dense(before.sigma, mat)
-            tol = K * np.finfo(float).eps * np.max(np.abs(ref))
-            np.testing.assert_allclose(got.sigma, ref, rtol=0, atol=tol)
-        return conf
-
-    cov0 = initial_covariance(spec)
-    conf = check(cov0)
-    assert conf.xp is cov0.xp and not conf.xp.any()     # passed through
-    xp = 0.1 * np.random.default_rng(2).standard_normal((K, K))
-    check(replace(cov0, xp=xp))
+    ref = disjoint_covariance(spec).sigma
+    for mat in (disjoint_transform(spec), sine_transform(K)):
+        ref = conjugate_dense(ref, mat)
+    cov = joint_covariance(spec)
+    tol = 2 * K * np.finfo(float).eps * np.max(np.abs(ref))
+    np.testing.assert_allclose(cov.sigma, ref, rtol=0, atol=tol)
+    assert not cov.xp.any()
 
 
 def test_covariance_route_memory_bound():
@@ -347,7 +310,7 @@ def test_covariance_route_memory_bound():
         check_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert joint_peak <= 9 * unit, joint_peak / unit
+    assert joint_peak <= 8 * unit, joint_peak / unit
     assert check_peak <= 23 * unit, check_peak / unit
 
 
@@ -375,7 +338,7 @@ def test_max_offdiagonal_skips_only_the_diagonal():
     # xp has no diagonal to skip: its (1, 1) entry counts, xx's does not
     xp = np.zeros((2, 2))
     xp[0, 0] = 0.25
-    cov = CovarianceMatrix(7.0 * np.eye(2), xp, 7.0 * np.eye(2), JOINT)
+    cov = CovarianceMatrix(7.0 * np.eye(2), xp, 7.0 * np.eye(2))
     assert max_offdiagonal(cov) == 0.25
 
 

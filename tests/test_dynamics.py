@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from quenchlab.bogoliubov import (ConsistencyError, Moments, build_bogoliubov,
+from quenchlab.bogoliubov import (SYMPLECTIC_TOL, ConsistencyError, Moments,
+                                  build_bogoliubov, emitted_occupations,
                                   f_matrix, initial_correlations,
                                   pre_quench_energy)
-from quenchlab.covariance import evolve_covariance, joint_covariance
+from quenchlab.covariance import (evolve_covariance, joint_covariance,
+                                  symplectic_eigenvalues)
 from quenchlab import dynamics
 from quenchlab.dynamics import (DegenerateInitial, NumericalError,
                                 ObservableSeries, evolve_occupations,
                                 fluctuation_series, long_time_average,
                                 _phase_kernel, per_mode_energy)
 from quenchlab.fock_oracle import expand_initial_state, occupation_series
+from quenchlab.gge import build_gge, gge_expectations
 
 from conftest import (evolve_occupations_direct, make_spec,
                       occupations_closed_form, random_specs)
@@ -120,6 +123,27 @@ def test_kernel_matches_closed_form_on_random_specs(spec):
     assert np.max(np.abs(later - whole)) <= 1e-12
 
 
+@pytest.mark.parametrize("spec", RANDOM_SPECS,
+                         ids=lambda s: f"{s.n_left}+{s.n_right}")
+def test_invariants_on_random_specs(spec):
+    # the map is symplectic, the GGE is the long-time average, the kernel
+    # starts at the Fock occupations, the joint energy is the pre-quench
+    # one, and the joint covariance keeps the Williamson spectrum n + 1/2
+    bog = build_bogoliubov(spec)
+    corr = initial_correlations(bog, spec.initial_state)
+    n = spec.initial_state.as_array()
+    assert bog.symplectic_defect() <= SYMPLECTIC_TOL
+    gge = gge_expectations(bog, build_gge(emitted_occupations(
+        bog, spec.initial_state)))
+    assert np.max(np.abs(gge - long_time_average(bog, corr))) <= 1e-12
+    series = evolve_occupations(spec, bog, corr, times=[0.0])
+    assert np.max(np.abs(series.n_expect[0] - n)) <= 1e-8
+    e0 = pre_quench_energy(spec)
+    assert abs(series.e_total_joint - e0) <= 1e-10 * abs(e0)
+    nu = symplectic_eigenvalues(joint_covariance(spec), spec.hbar)
+    assert np.max(np.abs(np.sort(nu) - np.sort(n + 0.5))) <= 1e-8
+
+
 @pytest.mark.parametrize("t0", [None, 3.7], ids=["real", "complex"])
 def test_kernel_output_does_not_depend_on_chunking(monkeypatch, t0):
     # one chunk, one sample at a time, and chunks of three with a short
@@ -156,6 +180,14 @@ def test_size_mismatch_rejected(spec22, bundle_5_10):
     _, bog, corr = bundle_5_10
     with pytest.raises(ConsistencyError):
         evolve_occupations(spec22, bog, corr, times=np.array([0.0]))
+
+
+def test_record_of_another_size_rejected(spec22, bundle_5_10):
+    # a 2+2 state's moments on the 5+10 map, named by their sizes
+    spec, bog, _ = bundle_5_10
+    corr = initial_correlations(build_bogoliubov(spec22), spec22.initial_state)
+    with pytest.raises(ConsistencyError, match="4 modes .* map of 15"):
+        evolve_occupations(spec, bog, corr, times=np.array([0.0]))
 
 
 def test_imaginary_residue_raises(spec22):
