@@ -11,7 +11,10 @@ three K x K blocks xx, xp and pp; px is xp^T by construction, and the
 the Williamson spectrum).  The moment helpers work on any tile (rows x
 columns) of the joint-mode blocks; the diagonal-form verdict walks the
 covariance in square tiles of edge `_TILE`, so its working memory does
-not grow with K.
+not grow with K.  Its window means take sin and cos once per pair of
+tiles (a tile and its transpose share one set of Dirichlet factors), and
+a window of twice the previous window's samples takes none: its factors
+follow from the previous window's by double-angle products.
 Fock states are not Gaussian, but their second moments are still exact,
 which is all this module ever uses (higher moments are out of scope).
 """
@@ -62,9 +65,10 @@ class CovarianceMatrix:
 
 def _check_symmetric(*pairs):
     """Refuse blocks (b, c) of a covariance where b != c^T by more than
-    1e-10."""
+    1e-10 (stacks of blocks transpose their last two axes)."""
     for b, c in pairs:
-        if np.max(np.abs(b - c.T)) > 1e-10:
+        gap = b - np.swapaxes(c, -1, -2)
+        if np.abs(gap, out=gap).max() > 1e-10:
             raise ValueError("covariance matrix must be symmetric")
 
 
@@ -91,47 +95,52 @@ _ALL = slice(None)
 
 def _moments(cov, a, rows=_ALL, cols=_ALL):
     """Normal and anomalous moments (1/2)<z_j* z_k>, (1/2)<z_j z_k> of the
-    amplitudes z = a x + i p, symmetrized, from the blocks of a covariance,
-    for j in `rows` and k in `cols` (the px entries come from xp on the
-    transposed tile)."""
+    amplitudes z = a x + i p, symmetrized, stacked, from the blocks of a
+    covariance, for j in `rows` and k in `cols` (the px entries come from
+    xp on the transposed tile)."""
     xx, xp, pp = cov.xx, cov.xp, cov.pp
     ar, ac = a[rows], a[cols]
-    aax = np.outer(ar, ac) * xx[rows, cols]
+    aax = np.outer(ar, ac)
+    aax *= xx[rows, cols]
     axp, apx = ar[:, None] * xp[rows, cols], (ac[:, None] * xp[cols, rows]).T
-    return (0.5 * (aax + pp[rows, cols] + 1j * (axp - apx)),
-            0.5 * (aax - pp[rows, cols] + 1j * (axp + apx)))
+    moments = np.empty((2,) + aax.shape, complex)
+    np.add(aax, pp[rows, cols], out=moments.real[0])
+    np.subtract(aax, pp[rows, cols], out=moments.real[1])
+    np.subtract(axp, apx, out=moments.imag[0])
+    np.add(axp, apx, out=moments.imag[1])
+    moments *= 0.5
+    return moments
 
 
-def _from_moments(normal, anomalous, a, rows=_ALL, cols=_ALL):
-    """The xx, xp and pp blocks, on the tile rows x cols, whose moments
-    `_moments` returns.
-
-    They are views: xx and xp into one new array, pp into `normal`, which
-    is overwritten.
-    """
-    total = normal + anomalous
-    xx, xp = total.real, total.imag
-    xx /= np.outer(a[rows], a[cols])
-    xp /= a[rows][:, None]
-    normal -= anomalous
-    return xx, xp, normal.real
+def _from_moments(normal, anomalous, aa, a_rows, out):
+    """The xx, xp and pp blocks whose moments `_moments` returns, written
+    into `out`, stacked on its first axis (each of the shape of `normal`,
+    a tile or a stack of tiles); `aa` is outer(a_j, a_k) on the tile and
+    `a_rows` broadcasts a_j, the row's a."""
+    xx, xp, pp = out
+    np.add(normal.real, anomalous.real, out=xx)
+    xx /= aa
+    np.add(normal.imag, anomalous.imag, out=xp)
+    xp /= a_rows
+    np.subtract(normal.real, anomalous.real, out=pp)
+    return out
 
 
 def evolve_covariance(cov: CovarianceMatrix, spec: QuenchSpec, t: float) -> CovarianceMatrix:
     """Free evolution in the joint modes, every moment times its phase.
 
     z_j evolves as exp(-i w_j t) z_j, so the normal moments pick up
-    exp(i (w_j - w_k) t) = exp(2i r-) and the anomalous ones
-    exp(-i (w_j + w_k) t) = exp(-2i r+), with the half phases r-+ of
-    `_half_phases` at dt = t: the phase source of the window means.
+    exp(i (w_j - w_k) t) and the anomalous ones exp(-i (w_j + w_k) t):
+    each exp(2i r) with its half phase r of `_half_phases` at dt = t, the
+    phase source of the window means.
     """
     w = mode_frequencies(spec.total_size, spec.omega0)
     a = spec.mass * w
-    normal, anomalous = _moments(cov, a)
-    (r_minus, _), (r_plus, _) = _half_phases(w, t)
-    normal *= np.exp(2j * r_minus)
-    anomalous *= np.exp(-2j * r_plus)
-    return CovarianceMatrix(*_from_moments(normal, anomalous, a))
+    moments = _moments(cov, a)
+    moments *= np.exp(2j * _half_phases(w, t))
+    out = np.empty((3,) + moments.shape[1:])
+    return CovarianceMatrix(*_from_moments(*moments, np.outer(a, a),
+                                           a[:, None], out))
 
 
 def _occupations(xx_diag, pp_diag, spec):
@@ -167,34 +176,71 @@ def symplectic_eigenvalues(cov: CovarianceMatrix, hbar=RunConfig.hbar) -> np.nda
 
 
 def _half_phases(w, dt, rows=_ALL, cols=_ALL):
-    """r = (w_j - w_k) dt / 2 and r = (w_j + w_k) dt / 2 for j in `rows`
-    and k in `cols`, each reduced mod pi and paired with sin r: the
-    window-independent part of `_dirichlet` for the normal and the
-    anomalous moments, and at dt = t the phases of `evolve_covariance`."""
-    phases = []
-    for omega in (np.subtract.outer(w[rows], w[cols]),
-                  np.add.outer(w[rows], w[cols])):
-        r = 0.5 * dt * omega
-        r -= np.pi * np.round(r / np.pi)
-        phases.append((r, np.sin(r)))
-    return phases
+    """Half phases (w_j - w_k) dt / 2 of the normal and -(w_j + w_k) dt / 2
+    of the anomalous moments, for j in `rows` and k in `cols`, stacked
+    and each reduced mod pi: per step dt each moment picks up exp(2i r)."""
+    r = np.stack([np.subtract.outer(w[rows], w[cols]),
+                  np.add.outer(w[rows], w[cols])])
+    r *= np.array([0.5, -0.5])[:, None, None] * dt
+    r -= np.pi * np.round(r / np.pi)
+    return r
 
 
-def _dirichlet(r, sin_r, samples):
-    """Mean of exp(i omega t) over the grid t = j dt, j < S = samples.
+def _dirichlet(r, samples):
+    """Mean of exp(2i j r) over j < S for each S in `samples`, one window
+    at a time (a generator; each window overwrites the previous one's
+    means, and `r` becomes |r|).
 
-    The mean is exp(i (S-1) r) sin(S r) / (S sin r) with r = omega dt / 2.
-    It has period pi in r, so r comes reduced mod pi (`_half_phases`): at
-    an aliased beat (omega dt near a multiple of 2 pi) the unreduced ratio
-    divides two rounding errors.  r = 0 gives 1.
+    The closed form is exp(i (S-1) r) sin(S r) / (S sin r).  It has period
+    pi in r, so r comes reduced mod pi (`_half_phases`): at an aliased beat
+    (omega dt near a multiple of 2 pi) the unreduced ratio divides two
+    rounding errors.  r = 0 gives 1.  A window of twice the previous
+    window's samples follows from it by D_2S = D_S (1 + E_S) / 2 with
+    E_S = exp(2i S r), so a doubling window evaluates no sin or cos.
+    E_2S = E_S^2 is formed as E_S / conj(E_S), that is E_S^2 / |E_S|^2:
+    squaring alone would double the rounding drift of |E_S| from 1 at
+    every window, 4000 eps in D after 13 doublings.  The closed form is
+    taken at |r| and conjugated where r < 0, so D(-r) = conj D(r) does not
+    rest on sin being odd to the bit; the recurrence's products and
+    quotients keep it.
     """
-    den = samples * sin_r
-    ratio = np.divide(np.sin(samples * r), den, out=np.ones_like(r),
-                      where=den != 0)
-    mean = 1j * (samples - 1) * r
-    np.exp(mean, out=mean)
-    mean *= ratio
-    return mean
+    flip = r < 0
+    x = np.abs(r, out=r)
+    mean = np.empty(x.shape, complex)
+    phase = np.empty_like(mean)     # E_S of the last window
+    work = np.empty_like(mean)
+    for prev, s, nxt in zip([0, *samples], samples, [*samples[1:], 0]):
+        if s == 2 * prev:
+            np.multiply(phase, 0.5, out=work)
+            work += 0.5
+            mean *= work
+            if nxt == 2 * s:
+                np.conjugate(phase, out=work)
+                phase /= work
+        else:
+            _closed_form(x, s, mean, work)
+            if nxt == 2 * s:
+                np.multiply(work, work, out=phase)
+                np.conjugate(phase, out=phase, where=flip)
+            np.conjugate(mean, out=mean, where=flip)
+        yield mean
+
+
+def _closed_form(x, s, mean, work):
+    """exp(i (S-1) x) sin(S x) / (S sin x) at S = s into `mean`, with 1
+    where sin x is 0, and exp(i S x) into `work`."""
+    den = np.sin(x)
+    np.cos(x, out=mean.real)
+    np.negative(den, out=mean.imag)                 # exp(-i x)
+    arg = s * x
+    np.cos(arg, out=work.real)
+    np.sin(arg, out=work.imag)                      # exp(i S x)
+    mean *= work
+    den *= s
+    ratio = np.divide(work.imag, den, out=arg, where=den != 0)
+    ratio[den == 0] = 1.0
+    mean.real *= ratio
+    mean.imag *= ratio
 
 
 def _samples(window, dt):
@@ -208,34 +254,48 @@ def _samples(window, dt):
 
 
 def _tile_means(cov, a, w, dt, samples, rows=_ALL, cols=_ALL):
-    """xx, xp and pp blocks, on the tile rows x cols, of the mean of
-    sigma(t) over the grid of each length in `samples`, one window at a
-    time (a generator), from the covariance `cov`.
+    """Means of sigma(t) over the grid of each length in `samples`, one
+    window at a time (a generator), from the covariance `cov`: the xx, xp
+    and pp blocks stacked on the first axis, each on the tile rows x cols
+    and, for a tile off the diagonal (`cols is not rows`), on its transpose
+    cols x rows, stored transposed (the second axis picks the tile).  The
+    next window overwrites them.
 
-    The tile's moments and half phases are formed once; each window
-    multiplies them by its Dirichlet means.
+    The pair forms its half phases and Dirichlet factors once; the
+    transposed tile takes the normal factor conjugated and the anomalous
+    one as it is.  Each tile forms its own moments from its own block
+    entries, so the two tiles' means are built independently.
     """
-    normal, anomalous = _moments(cov, a, rows, cols)
-    phases = _half_phases(w, dt, rows, cols)
-    for s in samples:
-        mean_normal = _dirichlet(*phases[0], s)
-        mean_normal *= normal
-        mean_anomalous = _dirichlet(*phases[1], s)
-        np.conj(mean_anomalous, out=mean_anomalous)
-        mean_anomalous *= anomalous
-        yield _from_moments(mean_normal, mean_anomalous, a, rows, cols)
+    ar, ac = a[rows], a[cols]
+    aa = np.outer(ar, ac)
+    pair = cols is not rows
+    moments = np.empty((1 + pair, 2) + aa.shape, complex)
+    a_rows = np.empty((1 + pair,) + aa.shape)   # a_j of each tile's rows
+    moments[0], a_rows[0] = _moments(cov, a, rows, cols), ar[:, None]
+    if pair:
+        moments[1] = _moments(cov, a, cols, rows).transpose(0, 2, 1)
+        a_rows[1] = ac
+    product = np.empty_like(moments)
+    blocks = np.empty((3,) + a_rows.shape)
+    for factor in _dirichlet(_half_phases(w, dt, rows, cols), samples):
+        np.multiply(factor, moments[0], out=product[0])
+        if pair:
+            np.conjugate(factor[0], out=product[1, 0])
+            product[1, 0] *= moments[1, 0]
+            np.multiply(factor[1], moments[1, 1], out=product[1, 1])
+        yield _from_moments(product[:, 0], product[:, 1], aa, a_rows, blocks)
 
 
-def _residual(xx, xp, pp, diagonal=True):
-    """Largest |xx| or |pp| off the diagonal, or any |xp|, of a tile; a
-    tile off the diagonal (`diagonal` False) has no entry to skip."""
-    parts = [np.max(np.abs(xp))]
-    for block in (xx, pp):
-        block = np.abs(block)
-        if diagonal:
-            np.fill_diagonal(block, 0.0)
-        parts.append(block.max())
-    return float(np.max(parts))
+def _residual(blocks, diagonal=True):
+    """Largest |xx| or |pp| off the diagonal, or any |xp|, of the blocks
+    xx, xp and pp stacked on the first axis (each a tile or a stack of
+    them); a tile off the diagonal (`diagonal` False) has no entry to
+    skip.  The blocks are overwritten with their absolute values."""
+    np.abs(blocks, out=blocks)
+    if diagonal:
+        i = np.arange(blocks.shape[-1])
+        blocks[::2, ..., i, i] = 0.0
+    return float(blocks.max())
 
 
 # Largest |xp| entry at t = 0 that thermal_form_check does not flag, and the
@@ -276,11 +336,16 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
     occupancies of the largest window's average.
 
     The check walks the blocks in square tiles of edge `_TILE`, a tile and its
-    transpose together: each pair forms its moments and half phases once,
-    then every window's Dirichlet-weighted means, which the 1e-10 symmetry
-    guard compares against each other.  Residuals, the flagged pairs and
-    the diagonal of the last window are folded in tile by tile, so the
-    working memory is a few tiles whatever K is.
+    transpose together: each pair forms one set of half phases and
+    Dirichlet factors (the transposed tile takes them conjugated or
+    transposed), each tile its own moments, then every window's
+    Dirichlet-weighted means, which the 1e-10 symmetry guard compares
+    against each other.  A window of twice the previous window's samples
+    (the default windows at dt = 0.5 double five times) updates the
+    factors by double-angle products; any other takes the closed form.
+    Residuals, the flagged pairs and the diagonal of the last window are
+    folded in tile by tile, so the working memory is a few tiles whatever
+    K is.
     """
     win = np.asarray(windows, dtype=float)
     if not (win.ndim == 1 and win.size >= 2 and np.all(np.isfinite(win))
@@ -301,14 +366,17 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
             for r, c in pair:
                 i, j = np.nonzero(np.abs(cov.xp[r, c]) > XP_TOL)
                 flagged.extend(zip(i + (r.start + 1), j + (c.start + 1)))
-            means = zip(*(_tile_means(cov, a, w, dt, samples, r, c)
-                          for r, c in pair))
-            for part, tile in zip(parts, means):
-                (xx, _, pp), (xx_t, _, pp_t) = tile[0], tile[-1]
-                _check_symmetric((xx, xx_t), (pp, pp_t))
-                part.extend(_residual(*m, diagonal) for m in tile)
-            if diagonal:        # xx and pp now hold the last window's tile
-                xx_diag[rows], pp_diag[rows] = np.diagonal(xx), np.diagonal(pp)
+            means = _tile_means(cov, a, w, dt, samples, rows, cols)
+            for part, blocks in zip(parts, means):
+                tile, other = blocks[::2, 0], blocks[::2, -1]   # xx and pp
+                if diagonal:            # the last window's is the one kept
+                    xx_diag[rows] = np.diagonal(tile[0])
+                    pp_diag[rows] = np.diagonal(tile[1])
+                else:                   # the transposed tile, stored transposed
+                    other = np.swapaxes(other, 1, 2)
+                _check_symmetric((tile, other))
+                part.append(_residual(blocks, diagonal))
+            del blocks, tile, other     # free this pair's tiles before the next
     flagged.sort()
     resid = np.array([np.max(part) for part in parts])
     slope = float(np.polyfit(np.log(win), np.log(resid), 1)[0])

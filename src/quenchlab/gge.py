@@ -26,6 +26,11 @@ class GgeEnsemble:
     lambdas: np.ndarray         # +inf where the charge vanishes
 
     def __post_init__(self):
+        bad = ~np.isfinite(self.charges)
+        if np.any(bad):
+            raise ValueError(f"charges must be finite, got "
+                             f"{self.charges[bad].tolist()} in modes "
+                             f"{(np.flatnonzero(bad) + 1).tolist()}")
         if np.any(self.charges < 0):
             raise ValueError("charges must be non-negative")
 

@@ -175,17 +175,21 @@ def conjugate_dense(sigma, mat):
 def mean_evolved_covariance(cov, spec, window, dt=0.5):
     """Mean of sigma(t) over the grid t = j dt in [0, window), in closed
     form, as one untiled K x K record: a reference for the tiles that
-    `thermal_form_check` folds."""
-    samples = _samples(window, dt)
+    `thermal_form_check` folds.  A sequence of windows gives one record
+    per window from one pass, as the check forms them (a window of twice
+    the previous window's samples follows from it)."""
+    windows = np.atleast_1d(window)
+    samples = [_samples(T, dt) for T in windows]
     w = mode_frequencies(spec.total_size, spec.omega0)
-    (mean,) = _tile_means(cov, spec.mass * w, w, dt, [samples])
-    return CovarianceMatrix(*mean)
+    means = [CovarianceMatrix(*blocks[:, 0].copy())
+             for blocks in _tile_means(cov, spec.mass * w, w, dt, samples)]
+    return means if np.ndim(window) else means[0]
 
 
 def max_offdiagonal(cov):
     """Largest |entry| of a symmetric sigma outside its diagonal: off the
     diagonal of xx or pp, or anywhere in xp."""
-    return _residual(cov.xx, cov.xp, cov.pp)
+    return _residual(np.array([cov.xx, cov.xp, cov.pp]))
 
 
 def exact_evolve(state, spec, t) -> ExpandedState:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from quenchlab.bogoliubov import build_bogoliubov, initial_correlations
-from quenchlab.covariance import (_TILE, CovarianceMatrix, evolve_covariance,
+from quenchlab.covariance import (_TILE, CovarianceMatrix, _dirichlet,
+                                  _samples, evolve_covariance,
                                   joint_covariance,
                                   occupations_from_covariance,
                                   symplectic_eigenvalues, thermal_form_check)
@@ -139,6 +140,41 @@ def test_mean_matches_brute_force_average(spec, window, dt):
     np.testing.assert_allclose(mean.sigma, acc / len(ts), rtol=0, atol=1e-12)
 
 
+def _reduced_half_phases():
+    """r = 0, +-pi/2, within 1e-9 of both, and random reduced r of both
+    signs, as `_half_phases` returns them."""
+    edge = np.pi / 2
+    near = np.array([0.0, 1e-9, 3e-10, 1e-12, edge, edge - 1e-9,
+                     edge - 3e-10, edge - 1e-15])
+    random = np.random.default_rng(19).uniform(-edge, edge, 4000)
+    return np.concatenate([near, -near[1:], random])
+
+
+def _bits(z):
+    return np.stack([z.real.view(np.int64), z.imag.view(np.int64)])
+
+
+@pytest.mark.parametrize("samples", [[2 ** k for k in range(14)],
+                                     [250 * 2 ** k for k in range(6)]],
+                         ids=["1-to-8192", "250-to-8000"])
+def test_doubling_chain_matches_closed_form(samples):
+    # each doubling window's Dirichlet means follow from the previous
+    # window's by products; |D| <= 1, so the bound is absolute
+    r = _reduced_half_phases()
+    chain = [mean.copy() for mean in _dirichlet(r.copy(), samples)]
+    flipped = [mean.copy() for mean in _dirichlet(-r, samples)]
+    nonzero = r != 0
+    for S, mean, mirror in zip(samples, chain, flipped):
+        (closed,) = _dirichlet(r.copy(), [S])
+        assert np.max(np.abs(mean - closed)) <= 32 * np.finfo(float).eps, S
+        # D(-r) = conj D(r) exactly, to the bit where r is not 0 (at r = 0
+        # both are 1, and only the sign of the zero imaginary part differs)
+        assert np.array_equal(mirror, mean.conj())
+        assert np.array_equal(_bits(mirror)[:, nonzero],
+                              _bits(mean.conj())[:, nonzero])
+    assert np.all(chain[-1][r == 0] == 1)
+
+
 @pytest.mark.parametrize("t", [0.7, 13.0, 211.5, 300 * _ALIAS_DT],
                          ids=["0.7", "13", "211.5", "aliased-beat"])
 def test_evolve_matches_dense_rotation(t):
@@ -205,31 +241,52 @@ def test_thermal_form_check_reads_window_means(spec, cross_term, windows):
     # the check's tile residuals are max_offdiagonal of the whole means
     cov = _with_cross_term(spec) if cross_term else joint_covariance(spec)
     rep = thermal_form_check(cov, spec, windows=windows, dt=0.5)
-    means = [mean_evolved_covariance(cov, spec, T, 0.5) for T in windows]
+    means = mean_evolved_covariance(cov, spec, windows, 0.5)
     assert rep.max_offdiag_avg.tolist() == [max_offdiagonal(m) for m in means]
     assert np.array_equal(rep.gge_occupancies,
                           occupations_from_covariance(means[-1], spec))
 
 
+def _sweep_spec(rng, N, M):
+    """N + M chains with random quanta and chain constants."""
+    modes = tuple(int(m) for m in rng.integers(1, N + M + 1, size=3))
+    mass, omega0, hbar = (float(x) for x in rng.uniform(0.5, 2.0, size=3))
+    return make_spec(N, M, modes=modes[:int(rng.integers(0, 4))], t_max=1.0,
+                     t_steps=2, mass=mass, omega0=omega0, hbar=hbar)
+
+
 def _sweep_cases(seed=12):
     """Random sizes N, M <= 40, then K = N + M on both sides of the check's
-    tile edge, each with random quanta, chain constants, dt and windows."""
+    tile edge, each with random quanta, chain constants, dt and windows.
+    At the tile-edge sizes, windows of T, 2T, 4T samples (the doubling
+    recurrence) and T, 2T, 3T, 6T (closed form and recurrence in turn)
+    follow, from a generator of their own."""
     rng = np.random.default_rng(seed)
     sizes = [tuple(int(x) for x in rng.integers(1, 41, size=2))
              for _ in range(4)]
-    for K in (_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1):
+    edges = (_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1)
+    for K in edges:
         n = int(rng.integers(1, K))
         sizes.append((n, K - n))
     cases = []
     for N, M in sizes:
-        modes = tuple(int(m) for m in rng.integers(1, N + M + 1, size=3))
-        mass, omega0, hbar = (float(x) for x in rng.uniform(0.5, 2.0, size=3))
-        spec = make_spec(N, M, modes=modes[:int(rng.integers(0, 4))],
-                         t_max=1.0, t_steps=2, mass=mass, omega0=omega0,
-                         hbar=hbar)
+        spec = _sweep_spec(rng, N, M)
         dt = float(rng.uniform(0.2, 1.0))
         windows = tuple(float(T) for T in np.cumsum(rng.uniform(5, 200, 3)))
         cases.append(pytest.param(spec, dt, windows, id=f"{N}-{M}"))
+    rng = np.random.default_rng(seed + 1)
+    for K in edges:
+        for name, multiples in (("doubling", (1, 2, 4)),
+                                ("mixed", (1, 2, 3, 6))):
+            n = int(rng.integers(1, K))
+            spec = _sweep_spec(rng, n, K - n)
+            # dt a multiple of 1/64, so each window is an exact multiple
+            dt = int(rng.integers(13, 65)) / 64
+            S = int(rng.integers(10, 300))
+            windows = tuple(m * S * dt for m in multiples)
+            assert [_samples(T, dt) for T in windows] == [m * S for m in multiples]
+            cases.append(pytest.param(spec, dt, windows,
+                                      id=f"{n}-{K - n}-{name}"))
     return cases
 
 
@@ -252,7 +309,7 @@ def test_tiled_check_equals_full_window_means(spec, dt, windows, modify):
     # occupancies and the flagged pairs exactly as the whole-matrix means do
     cov = joint_covariance(spec) if modify is None else modify(spec)
     rep = thermal_form_check(cov, spec, windows=windows, dt=dt)
-    means = [mean_evolved_covariance(cov, spec, T, dt) for T in windows]
+    means = mean_evolved_covariance(cov, spec, windows, dt)
     assert np.array_equal(rep.max_offdiag_avg,
                           [max_offdiagonal(m) for m in means])
     assert np.array_equal(rep.gge_occupancies,

@@ -59,6 +59,15 @@ def test_negative_charge_rejected():
         GgeEnsemble(charges=np.array([-1.0]), lambdas=np.array([1.0]))
 
 
+@pytest.mark.parametrize("charge", [np.nan, np.inf, -np.inf])
+def test_non_finite_charge_rejected(charge):
+    # NaN would become the +inf "unoccupied" sentinel, inf a zero multiplier
+    with pytest.raises(ValueError, match=r"finite, got \[.*\] in modes \[2\]"):
+        build_gge([0.5, charge])
+    with pytest.raises(ValueError, match="finite"):
+        GgeEnsemble(charges=np.array([charge]), lambdas=np.array([1.0]))
+
+
 @pytest.mark.parametrize("M", [10, 16, 20])
 @pytest.mark.parametrize("modes", [(), (3,), (3, 4)])
 def test_gge_reproduces_long_time_average(M, modes):
