@@ -4,9 +4,9 @@ Reads a key = value config or a named preset, runs the requested analyses,
 and writes CSV/JSON datasets plus a manifest into the output directory.
 Exit codes: 0 success, 2 bad config, 3 numeric failure, 4 I/O trouble.
 
-Compute modules are imported inside the worker functions, not at module
-top, so that --threads can pin the BLAS thread pools through environment
-variables before numpy is first loaded.
+The BLAS/OpenMP thread pools are sized when numpy loads; pin them by setting
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and
+NUMEXPR_NUM_THREADS before the process starts.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ import sys
 import time
 from dataclasses import asdict, replace
 
-PRESETS = ("fig1", "table1", "sweep")
+import numpy as np
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS")
+from . import (__version__, bogoliubov, covariance, dynamics, fock_oracle, gge,
+               model)
+
+PRESETS = ("fig1", "table1", "sweep")
 
 
 # Values per block of _write_csv.  The formatter's work arrays peak at about
@@ -36,8 +38,7 @@ def _write_csv(path, header, table):
     header=",".join(header), comments="").  A block of whole rows at a
     time goes through the exact vectorized formatter of `_csvformat`;
     returns how many values it handed to `%` instead."""
-    import numpy as np
-
+    # imported on first use: a run that writes no CSV never builds its tables
     from ._csvformat import write_rows
 
     table = np.asarray(table, dtype=np.float64)
@@ -62,8 +63,6 @@ def _tagged(name, spec, ext):
 
 
 def _dump_bogoliubov(spec, bog, f, outdir, files):
-    import numpy as np
-
     K = spec.total_size
     joint_cols = [f"joint_{k}" for k in range(1, K + 1)]
     modes = np.arange(1.0, K + 1)
@@ -77,14 +76,8 @@ def _dump_bogoliubov(spec, bog, f, outdir, files):
 
 
 def _run_dynamics(spec, bog, outdir, files, threshold, skip):
-    import numpy as np
-
-    from .bogoliubov import emitted_occupations, initial_correlations
-    from .dynamics import evolve_occupations, fluctuation_series, per_mode_energy
-    from .gge import build_gge, gge_expectations
-
-    corr = initial_correlations(bog, spec.initial_state)
-    series = evolve_occupations(spec, bog, corr)
+    corr = bogoliubov.initial_correlations(bog, spec.initial_state)
+    series = dynamics.evolve_occupations(spec, bog, corr)
 
     K = spec.total_size
     header = (["t"] + [f"n_{m}" for m in range(1, K + 1)]
@@ -97,27 +90,28 @@ def _run_dynamics(spec, bog, outdir, files, threshold, skip):
     _write_csv(os.path.join(outdir, fname), header, table)
     files.append(fname)
 
-    fluct = fluctuation_series(series, threshold=threshold,
-                               relaxation_skip=skip)
+    fluct = dynamics.fluctuation_series(series, threshold=threshold,
+                                        relaxation_skip=skip)
     fname = _tagged("fluctuations", spec, "csv")
     _write_csv(os.path.join(outdir, fname), ["t", "ratio"],
                np.column_stack([fluct.times, fluct.ratio]))
     files.append(fname)
 
-    pme = per_mode_energy(series, spec)
     fname = _tagged("permode", spec, "csv")
     _write_csv(os.path.join(outdir, fname),
                ["t", "e_left_per_site", "e_right_per_site"],
-               np.column_stack([pme.times, pme.left, pme.right]))
+               np.column_stack([series.times, series.e_left / spec.n_left,
+                                series.e_right / spec.n_right]))
     files.append(fname)
 
-    ens = build_gge(emitted_occupations(bog, spec.initial_state))
+    ens = gge.build_gge(
+        bogoliubov.emitted_occupations(bog, spec.initial_state))
     summary = {
         "n_left": spec.n_left,
         "n_right": spec.n_right,
         "occupations": list(spec.initial_state.occupations),
         "long_time_avg": series.long_time_avg.tolist(),
-        "gge_n": gge_expectations(bog, ens).tolist(),
+        "gge_n": gge.gge_expectations(bog, ens).tolist(),
         "e_left_avg": series.e_left_avg,
         "e_right_avg": series.e_right_avg,
         "e_total_joint": series.e_total_joint,
@@ -132,20 +126,16 @@ def _run_dynamics(spec, bog, outdir, files, threshold, skip):
 
 
 def _run_gge(spec, bog, outdir, files):
-    from .gge import gge_summary_json
-
     fname = _tagged("gge", spec, "json")
     with open(os.path.join(outdir, fname), "w", newline="\n") as fh:
-        fh.write(gge_summary_json(bog, spec.initial_state, indent=2))
+        fh.write(gge.gge_summary_json(bog, spec.initial_state, indent=2))
         fh.write("\n")
     files.append(fname)
 
 
 def _run_covariance(spec, outdir, files):
-    from .covariance import joint_covariance, thermal_form_check
-
-    cov = joint_covariance(spec)
-    rep = thermal_form_check(cov, spec)
+    cov = covariance.joint_covariance(spec)
+    rep = covariance.thermal_form_check(cov, spec)
     payload = {
         "passed": rep.passed,
         "flagged_pairs": [list(p) for p in rep.flagged_pairs],
@@ -160,28 +150,22 @@ def _run_covariance(spec, outdir, files):
 
 
 def _run_oracle(spec, bog, f, outdir, files, cutoff, order):
-    import numpy as np
-
-    from .bogoliubov import initial_correlations
-    from .fock_oracle import (CutoffExceeded, _lift, _project,
-                              annihilation_residual, constraint_residual,
-                              expand_squeezed_vacuum, oracle_correlators)
-
     if spec.total_size > 8:
-        raise CutoffExceeded(
+        raise fock_oracle.CutoffExceeded(
             f"truncated-Fock oracle requested for {spec.total_size} joint "
             "modes; the brute-force basis is only practical for <= 8")
-    series = expand_squeezed_vacuum(f, order)
+    series = fock_oracle.expand_squeezed_vacuum(f, order)
     # the annihilation identities certify the squeezed vacuum, not states
     # with creation operators stacked on top, so measure them on the vacuum
-    vacuum = _project(series, cutoff)
-    a_resid = annihilation_residual(vacuum, bog)
-    f_resid = constraint_residual(vacuum, f)
-    state = (_project(_lift(series, spec, bog), cutoff)
+    vacuum = fock_oracle._project(series, cutoff)
+    a_resid = fock_oracle.annihilation_residual(vacuum, bog)
+    f_resid = fock_oracle.constraint_residual(vacuum, f)
+    state = (fock_oracle._project(fock_oracle._lift(series, spec, bog),
+                                  cutoff)
              if spec.initial_state.total else vacuum)
     del series, vacuum  # not held through the correlators' larger peak
-    exact = initial_correlations(bog, spec.initial_state)
-    oracle = oracle_correlators(state)
+    exact = bogoliubov.initial_correlations(bog, spec.initial_state)
+    oracle = fock_oracle.oracle_correlators(state)
     gap = max(float(np.max(np.abs(getattr(oracle, k) - getattr(exact, k))))
               for k in ("cdag_c", "cdag_cdag", "c_c", "c_cdag"))
     payload = {
@@ -199,13 +183,12 @@ def _run_oracle(spec, bog, f, outdir, files, cutoff, order):
 
 
 def _run_delocalization(spec, bog, f, outdir, files, floor):
-    from .fock_oracle import expand_initial_state, delocalization_count
-
     order = 1
     big = 4 * order + 2 * spec.initial_state.total + 2
-    state = expand_initial_state(spec, bog, f, order=order, cutoff=big)
+    state = fock_oracle.expand_initial_state(spec, bog, f, order=order,
+                                             cutoff=big)
     payload = {
-        "count": delocalization_count(state, floor),
+        "count": fock_oracle.delocalization_count(state, floor),
         "floor": floor,
         "order": order,
         "support_size": state.support_size(),
@@ -217,9 +200,7 @@ def _run_delocalization(spec, bog, f, outdir, files, floor):
 
 
 def _run_sweep(outdir, files):
-    from .gge import single_excitation_sweep
-
-    res = single_excitation_sweep()
+    res = gge.single_excitation_sweep()
     payload = {
         "total_sizes": list(res.sizes),
         "delta_g_at_observation_mode": list(res.delta_values),
@@ -240,18 +221,15 @@ def _run_config(cfg, outdir, files, dump):
     """
     spec = bog = f = t_rec = None
     if set(cfg.analyses) - {"sweep"} or dump:
-        from .bogoliubov import (SYMPLECTIC_TOL, ConsistencyError,
-                                 build_bogoliubov, f_matrix)
-        from .model import quench_from_config
-
-        spec = quench_from_config(cfg)
-        bog = build_bogoliubov(spec)
+        spec = model.quench_from_config(cfg)
+        bog = bogoliubov.build_bogoliubov(spec)
         defect = bog.symplectic_defect()
-        if defect > SYMPLECTIC_TOL:
-            raise ConsistencyError(
-                f"symplectic defect {defect:.3e} > {SYMPLECTIC_TOL:g}")
+        if defect > bogoliubov.SYMPLECTIC_TOL:
+            raise bogoliubov.ConsistencyError(
+                f"symplectic defect {defect:.3e} > "
+                f"{bogoliubov.SYMPLECTIC_TOL:g}")
         if dump or {"fock-oracle", "delocalization"} & set(cfg.analyses):
-            f = f_matrix(bog)
+            f = bogoliubov.f_matrix(bog)
     if dump:
         _dump_bogoliubov(spec, bog, f, outdir, files)
     for name in cfg.analyses:
@@ -282,9 +260,7 @@ def _run_preset(name, base, outdir, files, dump):
         _write_json(os.path.join(outdir, "recurrence_times.json"), recurrences)
         files.append("recurrence_times.json")
     elif name == "table1":
-        from .fock_oracle import delocalization_table
-
-        rows = delocalization_table(floor=base.floor)
+        rows = fock_oracle.delocalization_table(floor=base.floor)
         _write_json(os.path.join(outdir, "delocalization_table.json"), rows)
         files.append("delocalization_table.json")
         _write_csv(os.path.join(outdir, "delocalization_table.csv"),
@@ -297,16 +273,11 @@ def _run_preset(name, base, outdir, files, dump):
 
 
 def _versions():
-    import numpy
-
-    from . import __version__
-    return {"python": sys.version.split()[0], "numpy": numpy.__version__,
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
             "quenchlab": __version__}
 
 
 def main(argv=None) -> int:
-    # the BLAS pools read the thread variables once, when numpy loads
-    numpy_loaded = "numpy" in sys.modules
     parser = argparse.ArgumentParser(
         prog="quenchlab",
         description="Coupled-chain quench simulator: batch datasets from "
@@ -316,8 +287,6 @@ def main(argv=None) -> int:
                         help="named batch run (overrides --config)")
     parser.add_argument("--out", help="output directory (falls back to "
                         "QUENCHLAB_OUT, then the working directory)")
-    parser.add_argument("--threads", type=int,
-                        help="pin BLAS/OpenMP thread pools to this count")
     parser.add_argument("--dump-bogoliubov", action="store_true",
                         help="also write alpha, beta and F matrices as CSV")
     parser.add_argument("--floor", type=float,
@@ -325,17 +294,8 @@ def main(argv=None) -> int:
                              "(the config's floor key wins)")
     args = parser.parse_args(argv)
 
-    if args.threads is not None:
-        if args.threads < 1:
-            parser.error("--threads must be a positive integer")
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
-
     outdir = args.out or os.environ.get("QUENCHLAB_OUT") or "."
     t0 = time.perf_counter()
-    from .bogoliubov import COND_LIMIT, IMAG_TOL, SYMPLECTIC_TOL
-    from .covariance import DECAY_MARGIN, XP_TOL
-
     files: list = []
     manifest = {
         "argv": list(argv) if argv is not None else sys.argv[1:],
@@ -346,15 +306,12 @@ def main(argv=None) -> int:
         "versions": _versions(),
         "tolerances": {
             "floor": None,
-            "imag_tol": IMAG_TOL,
-            "symplectic_tol": SYMPLECTIC_TOL,
-            "alpha_condition_limit": COND_LIMIT,
-            "xp_tol": XP_TOL,
-            "decay_margin": DECAY_MARGIN,
+            "imag_tol": bogoliubov.IMAG_TOL,
+            "symplectic_tol": bogoliubov.SYMPLECTIC_TOL,
+            "alpha_condition_limit": bogoliubov.COND_LIMIT,
+            "xp_tol": covariance.XP_TOL,
+            "decay_margin": covariance.DECAY_MARGIN,
         },
-        "threads": args.threads,
-        "threads_applied": (None if args.threads is None
-                            else not numpy_loaded),
         "status": "error",
         "error": None,
         "wall_time_s": None,
@@ -363,12 +320,11 @@ def main(argv=None) -> int:
     code = 0
     try:
         os.makedirs(outdir, exist_ok=True)
-        from .model import RunConfig, parse_config
-
-        cfg = RunConfig() if args.floor is None else RunConfig(floor=args.floor)
+        cfg = (model.RunConfig() if args.floor is None
+               else model.RunConfig(floor=args.floor))
         if args.config and not args.preset:
             with open(args.config) as fh:
-                cfg = parse_config(fh.read(), cfg)
+                cfg = model.parse_config(fh.read(), cfg)
             manifest["config"] = asdict(cfg)
         manifest["tolerances"]["floor"] = cfg.floor
         if args.preset:
@@ -391,11 +347,7 @@ def main(argv=None) -> int:
 
 
 def _exit_code_for(exc) -> int:
-    import numpy as np
-
-    from .model import ConfigError
-
-    if isinstance(exc, ConfigError):
+    if isinstance(exc, model.ConfigError):
         return 2
     if isinstance(exc, OSError):
         return 4

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import QuenchSpec, RunConfig
+from .model import QuenchSpec, RunConfig, _number
 from .bogoliubov import (IMAG_TOL, BogoliubovMap, ConsistencyError,
                          Moments, NumericalError, joint_energy)
 
@@ -46,8 +46,6 @@ class ObservableSeries:
     long_time_avg: np.ndarray
     e_left_avg: float
     e_right_avg: float
-    n_left: int
-    n_right: int
 
 
 @dataclass(frozen=True)
@@ -57,15 +55,6 @@ class FluctuationSeries:
     first_recurrence_time: Optional[float]
     recurrence_threshold: float
     relaxation_skip: float
-
-
-@dataclass(frozen=True)
-class PerModeEnergy:
-    times: np.ndarray
-    left: np.ndarray            # E_N(t)/N
-    right: np.ndarray           # E_M(t)/M
-    left_avg: float
-    right_avg: float
 
 
 def _phase_kernel(bog, corr, times):
@@ -139,8 +128,9 @@ def evolve_occupations(spec: QuenchSpec, bog: BogoliubovMap, corr: Moments,
                                f"a map of {bog.total_size}")
     times = spec.time_grid if times is None else np.asarray(times, dtype=float)
     n_t = _phase_kernel(bog, corr, times)
-    if np.min(n_t) < -1e-8:
-        raise NumericalError(f"negative occupancy {np.min(n_t):.3e}")
+    low = np.min(n_t)
+    if not low >= -1e-8:  # nan, from a non-finite time, fails it too
+        raise NumericalError(f"negative or undefined occupancy {low:.3e}")
 
     hbar = spec.hbar
     omega = bog.omega_pre
@@ -158,8 +148,6 @@ def evolve_occupations(spec: QuenchSpec, bog: BogoliubovMap, corr: Moments,
         long_time_avg=avg,
         e_left_avg=e_left_avg,
         e_right_avg=e_right_avg,
-        n_left=N,
-        n_right=spec.n_right,
     )
 
 
@@ -171,8 +159,12 @@ def fluctuation_series(series: ObservableSeries,
 
     ratio(t) = |E_M(t) - E_M_avg| / |E_M(0) - E_M_avg|.  The first
     recurrence is the earliest sample beyond the relaxation skip where the
-    ratio climbs back above the threshold.
+    ratio climbs back above the threshold.  Both bounds are RunConfig's:
+    a finite threshold > 0 and a finite skip >= 0 (a ValueError otherwise).
     """
+    threshold = _number("threshold", threshold, float, 0.0, strict=True)
+    relaxation_skip = _number("relaxation_skip", relaxation_skip, float, 0.0,
+                              strict=False)
     denom = abs(series.e_right[0] - series.e_right_avg)
     if denom < 1e-12:
         raise DegenerateInitial("E_M starts at its long-time average")
@@ -191,13 +183,3 @@ def fluctuation_series(series: ObservableSeries,
         relaxation_skip=relaxation_skip,
     )
 
-
-def per_mode_energy(series: ObservableSeries, spec: QuenchSpec) -> PerModeEnergy:
-    N, M = spec.n_left, spec.n_right
-    return PerModeEnergy(
-        times=series.times,
-        left=series.e_left / N,
-        right=series.e_right / M,
-        left_avg=series.e_left_avg / N,
-        right_avg=series.e_right_avg / M,
-    )

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QuenchSpec, FockExcitation, RunConfig, mode_frequencies
+from .model import (QuenchSpec, FockExcitation, RunConfig, _number,
+                    mode_frequencies)
 from .bogoliubov import BogoliubovMap, build_bogoliubov, f_matrix
 
 
@@ -237,9 +238,9 @@ def _project(psi, cutoff: int,
 
 
 def delocalization_count(state: ExpandedState, floor: float) -> int:
-    """Number of basis amplitudes at or above the floor."""
-    if floor <= 0.0:
-        raise ValueError("floor must be positive")
+    """Number of basis amplitudes at or above the floor, a finite float
+    > 0 as in RunConfig (a ValueError otherwise)."""
+    floor = _number("floor", floor, float, 0.0, strict=True)
     return int(np.count_nonzero(np.abs(state.amplitudes) >= floor))
 
 

@@ -17,6 +17,20 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+def _occupation(n):
+    """n as an occupation number; a ConfigError unless it is a non-negative
+    integer (an integral float or a string of digits counts, 1.7 does not)."""
+    try:
+        k = int(n)
+        ok = k >= 0 and k == float(n)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError("occupations must be non-negative integers, "
+                          f"got {n!r}")
+    return k
+
+
 @dataclass(frozen=True)
 class FockExcitation:
     """Occupation numbers of the pre-quench (disjoint) normal modes.
@@ -28,10 +42,8 @@ class FockExcitation:
     occupations: tuple
 
     def __post_init__(self):
-        occ = tuple(int(n) for n in self.occupations)
-        if any(n < 0 for n in occ):
-            raise ConfigError("occupations must be non-negative integers")
-        object.__setattr__(self, "occupations", occ)
+        object.__setattr__(self, "occupations",
+                           tuple(map(_occupation, self.occupations)))
 
     @classmethod
     def vacuum(cls, total_size):
@@ -126,10 +138,7 @@ class RunConfig:
             if f.metadata and value is not None:
                 object.__setattr__(self, f.name,
                                    _number(f.name, value, **f.metadata))
-        try:
-            occ = tuple(int(n) for n in _items(self.occupations))
-        except ValueError as exc:
-            raise ConfigError(f"occupations: bad integer: {exc}") from None
+        occ = tuple(map(_occupation, _items(self.occupations)))
         names = _items(self.analyses)
         for name in names:
             if name not in ANALYSES:
@@ -178,6 +187,8 @@ class QuenchSpec:
         grid = np.asarray(self.time_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
             raise ConfigError("time grid must be 1-d and start at t = 0")
+        if not np.all(np.isfinite(grid)):
+            raise ConfigError("time grid must be finite")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ConfigError("time grid must be strictly increasing")
         object.__setattr__(self, "time_grid", grid)

@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quenchlab import bogoliubov, cli, covariance, dynamics, fock_oracle
+import quenchlab
+from quenchlab import (bogoliubov, cli, covariance, dynamics, fock_oracle, gge,
+                       model)
 from quenchlab.bogoliubov import build_bogoliubov, pre_quench_energy
 
 from conftest import make_spec
@@ -41,7 +43,6 @@ def test_full_config_run(tmp_path):
     man = _manifest(out)
     assert man["status"] == "ok"
     assert man["error"] is None
-    assert man["threads"] is None and man["threads_applied"] is None
     expected = ["dynamics_N2_M2.csv", "fluctuations_N2_M2.csv",
                 "permode_N2_M2.csv", "dynamics_summary_N2_M2.json",
                 "gge_N2_M2.json", "covariance_N2_M2.json",
@@ -345,43 +346,63 @@ def test_out_env_fallback(tmp_path, monkeypatch):
     assert (target / "manifest.json").exists()
 
 
-def test_threads_flag_sets_pools(tmp_path):
+def test_threads_flag_is_a_usage_error(tmp_path):
+    # thread pools are pinned through the environment before the process
+    # starts; the command line has no option for it
     cfg = _write_config(tmp_path, "N = 2\nM = 2\nanalyses =\n")
-    out = tmp_path / "out"
-    saved = {var: os.environ.get(var) for var in cli._THREAD_VARS}
-    try:
-        assert cli.main(["--config", cfg, "--out", str(out),
-                         "--threads", "2"]) == 0
-        for var in cli._THREAD_VARS:
-            assert os.environ[var] == "2"
-    finally:
-        for var, val in saved.items():
-            if val is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = val
-    man = _manifest(out)
-    assert man["threads"] == 2
-    # numpy is loaded in this process, so the pools were already sized
-    assert "numpy" in sys.modules and man["threads_applied"] is False
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", cfg, "--out", str(tmp_path / "out"),
+                  "--threads", "1"])
+    assert exc.value.code == 2
 
 
-def test_threads_applied_in_fresh_interpreter(tmp_path):
+def test_config_run_in_fresh_interpreter(tmp_path):
+    # the module entry point, with the pools pinned the documented way
     cfg = _write_config(tmp_path, "N = 2\nM = 2\nanalyses = gge\n")
     out = tmp_path / "out"
     src = os.path.dirname(os.path.dirname(cli.__file__))
     paths = (src, os.environ.get("PYTHONPATH", ""))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", NUMEXPR_NUM_THREADS="1")
     subprocess.run([sys.executable, "-m", "quenchlab.cli", "--config", cfg,
-                    "--out", str(out), "--threads", "1"], env=env, check=True)
+                    "--out", str(out)], env=env, check=True)
     man = _manifest(out)
     assert man["status"] == "ok"
-    assert man["threads"] == 1 and man["threads_applied"] is True
+    assert not [key for key in man if "threads" in key]
+    assert (out / "gge_N2_M2.json").exists()
 
 
-def test_nonpositive_threads_rejected(tmp_path):
-    with pytest.raises(SystemExit):
-        cli.main(["--threads", "0"])
+PACKAGE_EXPORTS = {
+    model: ("QuenchSpec", "FockExcitation", "ConfigError"),
+    bogoliubov: ("BogoliubovMap", "Moments", "build_bogoliubov", "f_matrix",
+                 "initial_correlations"),
+    dynamics: ("evolve_occupations", "fluctuation_series",
+               "long_time_average"),
+    gge: ("build_gge", "gge_expectations", "deviation_delta_g"),
+    covariance: ("joint_covariance", "thermal_form_check"),
+    fock_oracle: ("CorrelationSet", "expand_initial_state",
+                  "oracle_correlators", "delocalization_count"),
+}
+
+
+@pytest.mark.parametrize("module", PACKAGE_EXPORTS, ids=lambda m: m.__name__)
+def test_package_exports(module):
+    for name in PACKAGE_EXPORTS[module]:
+        assert getattr(quenchlab, name) is getattr(module, name), name
+
+
+def test_permode_is_energy_per_site(tmp_path):
+    cfg = _write_config(tmp_path, "N = 2\nM = 3\noccupations = 0, 1, 1, 0, 0\n"
+                        "t_max = 50\nt_steps = 26\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+    dyn = np.loadtxt(out / "dynamics_N2_M3.csv", delimiter=",", skiprows=1)
+    per = np.loadtxt(out / "permode_N2_M3.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(per[:, 0], dyn[:, 0])
+    # columns 6 and 7 are E_N and E_M, after t and the 5 occupations
+    np.testing.assert_array_equal(per[:, 1], dyn[:, 6] / 2)
+    np.testing.assert_array_equal(per[:, 2], dyn[:, 7] / 3)
 
 
 def test_preset_fig1(tmp_path):

@@ -11,7 +11,7 @@ from quenchlab import dynamics
 from quenchlab.dynamics import (DegenerateInitial, NumericalError,
                                 ObservableSeries, evolve_occupations,
                                 fluctuation_series, long_time_average,
-                                _phase_kernel, per_mode_energy)
+                                _phase_kernel)
 from quenchlab.fock_oracle import expand_initial_state, occupation_series
 from quenchlab.gge import build_gge, gge_expectations
 
@@ -215,6 +215,17 @@ def test_negative_occupancy_raises(spec22):
                            times=np.array([0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_time_raises(spec22, bad):
+    # cos(w t) is nan at t = inf or nan (numpy warns on inf only); the
+    # output check must catch it
+    bog = build_bogoliubov(spec22)
+    corr = initial_correlations(bog, spec22.initial_state)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalError, match="nan"):
+        evolve_occupations(spec22, bog, corr, times=[0.0, bad])
+
+
 def test_long_time_average_only_keeps_stationary_terms(bundle_5_10):
     _, bog, corr = bundle_5_10
     avg = long_time_average(bog, corr)
@@ -242,13 +253,24 @@ def test_recurrence_none_when_window_too_short(bundle_5_10):
     assert fluc.first_recurrence_time is None
 
 
+@pytest.mark.parametrize("name, value", [
+    ("threshold", np.nan), ("threshold", 0.0), ("threshold", np.inf),
+    ("relaxation_skip", np.nan), ("relaxation_skip", -1.0),
+    ("relaxation_skip", np.inf)])
+def test_fluctuation_bounds_refused(bundle_5_10, name, value):
+    # RunConfig's bounds; a nan threshold used to find no recurrence
+    spec, bog, corr = bundle_5_10
+    series = evolve_occupations(spec, bog, corr, times=np.array([0.0, 3.0]))
+    with pytest.raises(ValueError, match=name):
+        fluctuation_series(series, **{name: value})
+
+
 def test_degenerate_initial_raises():
     times = np.array([0.0, 1.0, 2.0])
     flat = ObservableSeries(times=times, n_expect=np.zeros((3, 2)),
                             e_left=np.ones(3), e_right=np.full(3, 2.0),
                             e_total_joint=3.0, long_time_avg=np.zeros(2),
-                            e_left_avg=1.0, e_right_avg=2.0,
-                            n_left=1, n_right=1)
+                            e_left_avg=1.0, e_right_avg=2.0)
     with pytest.raises(DegenerateInitial):
         fluctuation_series(flat)
 
@@ -284,13 +306,3 @@ def test_beat_set_contents(spec22):
         for k in range(4):
             assert np.min(np.abs(beats - abs(w[l] - w[k]))) < 1e-9
             assert np.min(np.abs(beats - (w[l] + w[k]))) < 1e-9
-
-
-def test_per_mode_energy_is_plain_division(bundle_5_10):
-    spec, bog, corr = bundle_5_10
-    series = evolve_occupations(spec, bog, corr, times=np.array([0.0, 3.0]))
-    pme = per_mode_energy(series, spec)
-    np.testing.assert_allclose(pme.left, series.e_left / 5, rtol=0, atol=0)
-    np.testing.assert_allclose(pme.right, series.e_right / 10, rtol=0, atol=0)
-    assert pme.left_avg == series.e_left_avg / 5
-    assert pme.right_avg == series.e_right_avg / 10

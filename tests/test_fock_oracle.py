@@ -231,8 +231,9 @@ def test_delocalization_table_frozen():
 def test_delocalization_count_behavior(spec22, map22):
     bog, f = map22
     state = expand_initial_state(spec22, bog, f, order=8, cutoff=8)
-    with pytest.raises(ValueError):
-        delocalization_count(state, 0.0)
+    for bad in (0.0, -1e-12, np.nan, np.inf):
+        with pytest.raises(ValueError, match="floor"):
+            delocalization_count(state, bad)
     counts = [delocalization_count(state, fl)
               for fl in (1e-12, 1e-8, 1e-4, 1e-1)]
     assert counts == sorted(counts, reverse=True)

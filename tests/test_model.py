@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,10 +86,20 @@ def test_fock_excitation_constructors():
     pair = FockExcitation.from_modes(15, [3, 4])
     assert pair.total == 2
     assert pair.as_array()[2] == 1 and pair.as_array()[3] == 1
+    assert FockExcitation((2.0, np.int64(1))).occupations == (2, 1)
     with pytest.raises(ConfigError):
         FockExcitation((-1, 0))
     with pytest.raises(ConfigError):
         FockExcitation.single(4, 5)
+
+
+@pytest.mark.parametrize("value", [1.7, "x", np.nan, np.inf, -1.0])
+def test_fock_excitation_refuses_non_integers(value):
+    # named in the error, not truncated (1.7 used to become 1)
+    with pytest.raises(ConfigError, match=re.escape(repr(value))):
+        FockExcitation((value, 0))
+    with pytest.raises(ConfigError, match=re.escape(repr(value))):
+        RunConfig(occupations=(value, 0))
 
 
 def test_quench_spec_validation():
@@ -98,6 +110,9 @@ def test_quench_spec_validation():
         QuenchSpec(2, 2, state, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ConfigError):
         QuenchSpec(2, 2, FockExcitation.vacuum(3), default_time_grid(1.0, 2))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ConfigError, match="time grid"):
+            QuenchSpec(2, 2, FockExcitation((0, 1, 0, 0)), [0.0, bad])
 
 
 def test_quench_spec_properties(spec_5_10):
