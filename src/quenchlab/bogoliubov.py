@@ -41,12 +41,10 @@ class NumericalError(ArithmeticError):
 
 @dataclass(frozen=True)
 class BogoliubovMap:
-    """alpha/beta coefficients plus the ingredients they were built from."""
+    """alpha/beta coefficients and the two frequency vectors they join."""
 
     alpha: np.ndarray
     beta: np.ndarray
-    gamma: np.ndarray
-    overlap: np.ndarray
     omega_pre: np.ndarray       # disjoint-mode frequencies, left block then right
     omega_joint: np.ndarray
     n_left: int
@@ -144,7 +142,9 @@ def build_bogoliubov(spec: QuenchSpec) -> BogoliubovMap:
 
     The overlap matrix is the product of the block-diagonal disjoint sine
     transform with the joint sine transform, which evaluates the double
-    sine sums as one dense matrix product.
+    sine sums as one dense matrix product.  The overlap O and the rapidity
+    gamma = log(w/w')/2 are temporaries: the map keeps alpha = O cosh gamma
+    and beta = O sinh gamma only.
     """
     K = spec.total_size
     omega_pre = disjoint_frequencies(spec)
@@ -155,8 +155,6 @@ def build_bogoliubov(spec: QuenchSpec) -> BogoliubovMap:
     return BogoliubovMap(
         alpha=overlap * np.cosh(gamma),
         beta=overlap * np.sinh(gamma),
-        gamma=gamma,
-        overlap=overlap,
         omega_pre=omega_pre,
         omega_joint=omega_joint,
         n_left=spec.n_left,

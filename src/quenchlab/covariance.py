@@ -1,15 +1,16 @@
-"""Phase-space covariance matrices through the quench.
+"""Phase-space covariance matrices through the quench, and the verdict on
+their relaxation.
 
 The covariance route is the Gaussian-state counterpart of the operator
-route: build second moments in the disjoint normal-mode basis, rotate them
-to configuration space and on to the joint normal modes (one function,
-`joint_covariance`, the only producer of a record), evolve (the moments of
-z = m w x + i p pick up phases, or their grid means for a window mean),
-and read occupancies off the diagonal.  A covariance is stored as its
-three K x K blocks xx, xp and pp; px is xp^T by construction, and the
-2K x 2K sigma is assembled only on demand (`CovarianceMatrix.sigma`, for
-the Williamson spectrum).  The moment helpers work on any tile (rows x
-columns) of the joint-mode blocks; the diagonal-form verdict walks the
+route: build second moments in the disjoint normal-mode basis and rotate
+them to configuration space and on to the joint normal modes (one
+function, `joint_covariance`, the only producer of a record), then ask
+whether their window means settle into diagonal (GGE) form
+(`thermal_form_check`).  A covariance is stored as its three K x K blocks
+xx, xp and pp; px is xp^T by construction.  Each moment of z = m w x + i p
+picks up a phase under free evolution, so a window mean is each moment
+times the grid mean of its phase.  The moment helpers work on any tile
+(rows x columns) of the joint-mode blocks; the verdict walks the
 covariance in square tiles of edge `_TILE`, so its working memory does
 not grow with K.  Its window means take sin and cos once per pair of
 tiles (a tile and its transpose share one set of Dirichlet factors), and
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (QuenchSpec, RunConfig, disjoint_frequencies,
-                    disjoint_transform, mode_frequencies, sine_transform)
+from .model import (QuenchSpec, disjoint_frequencies, disjoint_transform,
+                    mode_frequencies, sine_transform)
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,6 @@ class CovarianceMatrix:
     @property
     def n_modes(self):
         return self.xx.shape[0]
-
-    @property
-    def sigma(self):
-        """The 2K x 2K matrix, assembled on demand."""
-        return np.block([[self.xx, self.xp], [self.xp.T, self.pp]])
 
 
 def _check_symmetric(*pairs):
@@ -126,53 +122,11 @@ def _from_moments(normal, anomalous, aa, a_rows, out):
     return out
 
 
-def evolve_covariance(cov: CovarianceMatrix, spec: QuenchSpec, t: float) -> CovarianceMatrix:
-    """Free evolution in the joint modes, every moment times its phase.
-
-    z_j evolves as exp(-i w_j t) z_j, so the normal moments pick up
-    exp(i (w_j - w_k) t) and the anomalous ones exp(-i (w_j + w_k) t):
-    each exp(2i r) with its half phase r of `_half_phases` at dt = t, the
-    phase source of the window means.
-    """
-    w = mode_frequencies(spec.total_size, spec.omega0)
-    a = spec.mass * w
-    moments = _moments(cov, a)
-    moments *= np.exp(2j * _half_phases(w, t))
-    out = np.empty((3,) + moments.shape[1:])
-    return CovarianceMatrix(*_from_moments(*moments, np.outer(a, a),
-                                           a[:, None], out))
-
-
 def _occupations(xx_diag, pp_diag, spec):
+    """Joint-mode occupancies from the diagonals of the xx and pp blocks."""
     w = mode_frequencies(spec.total_size, spec.omega0)
     m, hbar = spec.mass, spec.hbar
     return 0.5 * (m * w * xx_diag + pp_diag / (m * w)) / hbar - 0.5
-
-
-def occupations_from_covariance(cov: CovarianceMatrix, spec: QuenchSpec) -> np.ndarray:
-    """Mode occupancies off the covariance diagonal in the joint basis."""
-    return _occupations(np.diagonal(cov.xx), np.diagonal(cov.pp), spec)
-
-
-def symplectic_eigenvalues(cov: CovarianceMatrix, hbar=RunConfig.hbar) -> np.ndarray:
-    """Williamson spectrum in units of hbar (vacuum modes give 1/2).
-
-    Uses the Hermitian similarity sqrt(sigma) (i Omega) sqrt(sigma), whose
-    spectrum is +-nu_k, instead of the non-normal i Omega sigma.
-    """
-    sig = cov.sigma / hbar
-    K = cov.n_modes
-    omega = np.zeros((2 * K, 2 * K))
-    omega[:K, K:] = np.eye(K)
-    omega[K:, :K] = -np.eye(K)
-    w, v = np.linalg.eigh(sig)
-    if np.min(w) < -1e-12:
-        raise ValueError("covariance matrix is not positive semidefinite")
-    sqrt_sig = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    herm = 1j * (sqrt_sig @ omega @ sqrt_sig)
-    ev = np.linalg.eigvalsh(herm)
-    pos = np.sort(ev[ev > 0])
-    return pos
 
 
 def _half_phases(w, dt, rows=_ALL, cols=_ALL):

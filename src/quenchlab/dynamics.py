@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import QuenchSpec, RunConfig, _number
+from .model import QuenchSpec, RunConfig, _number, _time_grid
 from .bogoliubov import (IMAG_TOL, BogoliubovMap, ConsistencyError,
                          Moments, NumericalError, joint_energy)
 
@@ -120,16 +120,18 @@ def long_time_energies(bog: BogoliubovMap, avg: np.ndarray) -> tuple:
 
 def evolve_occupations(spec: QuenchSpec, bog: BogoliubovMap, corr: Moments,
                        times=None) -> ObservableSeries:
-    """Occupation numbers and subsystem energies on a time grid."""
+    """Occupation numbers and subsystem energies on a time grid: the spec's,
+    or `times`, finite and strictly increasing (a ConfigError otherwise)."""
     if bog.total_size != spec.total_size:
         raise ConsistencyError("spec and map sizes differ")
     if len(corr.xx) != bog.total_size:
         raise ConsistencyError(f"moments of {len(corr.xx)} modes do not fit "
                                f"a map of {bog.total_size}")
-    times = spec.time_grid if times is None else np.asarray(times, dtype=float)
+    times = spec.time_grid if times is None else _time_grid(times, "times",
+                                                            from_zero=False)
     n_t = _phase_kernel(bog, corr, times)
     low = np.min(n_t)
-    if not low >= -1e-8:  # nan, from a non-finite time, fails it too
+    if not low >= -1e-8:  # nan fails it too
         raise NumericalError(f"negative or undefined occupancy {low:.3e}")
 
     hbar = spec.hbar
@@ -160,8 +162,10 @@ def fluctuation_series(series: ObservableSeries,
     ratio(t) = |E_M(t) - E_M_avg| / |E_M(0) - E_M_avg|.  The first
     recurrence is the earliest sample beyond the relaxation skip where the
     ratio climbs back above the threshold.  Both bounds are RunConfig's:
-    a finite threshold > 0 and a finite skip >= 0 (a ValueError otherwise).
+    a finite threshold > 0 and a finite skip >= 0, and the series' times
+    start at t = 0 (a ValueError otherwise).
     """
+    _time_grid(series.times, "times")
     threshold = _number("threshold", threshold, float, 0.0, strict=True)
     relaxation_skip = _number("relaxation_skip", relaxation_skip, float, 0.0,
                               strict=False)

@@ -154,6 +154,21 @@ def default_time_grid(t_max=RunConfig.t_max, samples=RunConfig.t_steps):
     return np.linspace(0.0, float(t_max), int(samples))
 
 
+def _time_grid(times, name="time grid", from_zero=True):
+    """times as a 1-d float array of finite, strictly increasing values that
+    starts at t = 0 (anywhere when not `from_zero`); a ConfigError naming
+    `name` otherwise."""
+    grid = np.asarray(times, dtype=float)
+    first = "start at t = 0" if from_zero else "hold a sample"
+    if grid.ndim != 1 or grid.size < 1 or (from_zero and grid[0] != 0.0):
+        raise ConfigError(f"{name} must be 1-d and {first}")
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"{name} must be finite")
+    if not np.all(np.diff(grid) > 0):
+        raise ConfigError(f"{name} must be strictly increasing")
+    return grid
+
+
 def _size(n):
     """n as a chain size; a ConfigError unless it is a positive integer."""
     if not isinstance(n, (int, np.integer)) or n < 1:
@@ -184,14 +199,7 @@ class QuenchSpec:
             raise ConfigError(
                 f"initial state has {len(self.initial_state.occupations)} occupations, "
                 f"expected N+M = {self.total_size}")
-        grid = np.asarray(self.time_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
-            raise ConfigError("time grid must be 1-d and start at t = 0")
-        if not np.all(np.isfinite(grid)):
-            raise ConfigError("time grid must be finite")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise ConfigError("time grid must be strictly increasing")
-        object.__setattr__(self, "time_grid", grid)
+        object.__setattr__(self, "time_grid", _time_grid(self.time_grid))
 
     @property
     def total_size(self):

@@ -3,13 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quenchlab.covariance import (CovarianceMatrix, _residual, _samples,
-                                  _tile_means)
+from quenchlab.covariance import (CovarianceMatrix, _from_moments,
+                                  _half_phases, _moments, _occupations,
+                                  _residual, _samples, _tile_means)
 from quenchlab.fock_oracle import (CorrelationSet, ExpandedState, _energies,
                                    _evolved, _ladder, _merge,
                                    _pre_annihilated_norms)
 from quenchlab.model import (FockExcitation, QuenchSpec, RunConfig,
-                             default_time_grid, mode_frequencies)
+                             default_time_grid, disjoint_frequencies,
+                             disjoint_transform, mode_frequencies,
+                             sine_transform)
 
 
 def make_spec(N, M, modes=(), t_max=2000.0, t_steps=2001, mass=RunConfig.mass,
@@ -61,6 +64,16 @@ def eigh_bogoliubov(spec):
     alpha = overlap * 0.5 * (ratio + 1.0 / ratio)
     beta = overlap * 0.5 * (ratio - 1.0 / ratio)
     return alpha, beta, w_pre, w_joint, overlap
+
+
+def map_factors(spec):
+    """The overlap O of the disjoint and joint sine modes and the rapidity
+    gamma = log(w/w')/2, formed as `bogoliubov.build_bogoliubov` forms them
+    before it keeps alpha = O cosh gamma and beta = O sinh gamma only."""
+    overlap = disjoint_transform(spec) @ sine_transform(spec.total_size)
+    joint = mode_frequencies(spec.total_size, spec.omega0)
+    gamma = 0.5 * np.log(disjoint_frequencies(spec)[:, None] / joint[None, :])
+    return overlap, gamma
 
 
 def initial_correlations_four(bog, state):
@@ -135,6 +148,54 @@ def random_specs(seed, count, max_size=40):
                                 default_time_grid(t_max, 9), float(mass),
                                 float(omega0), float(hbar)))
     return specs
+
+
+def sigma_matrix(cov):
+    """The 2K x 2K matrix [[xx, xp], [xp^T, pp]] of a covariance record."""
+    return np.block([[cov.xx, cov.xp], [cov.xp.T, cov.pp]])
+
+
+def evolve_covariance(cov, spec, t):
+    """Free evolution in the joint modes, every moment times its phase: a
+    single-time reference for the window means of `thermal_form_check`.
+
+    z_j evolves as exp(-i w_j t) z_j, so the normal moments pick up
+    exp(i (w_j - w_k) t) and the anomalous ones exp(-i (w_j + w_k) t):
+    each exp(2i r) with its half phase r of `_half_phases` at dt = t, the
+    phase source of the window means.
+    """
+    w = mode_frequencies(spec.total_size, spec.omega0)
+    a = spec.mass * w
+    moments = _moments(cov, a)
+    moments *= np.exp(2j * _half_phases(w, t))
+    out = np.empty((3,) + moments.shape[1:])
+    return CovarianceMatrix(*_from_moments(*moments, np.outer(a, a),
+                                           a[:, None], out))
+
+
+def occupations_from_covariance(cov, spec):
+    """Mode occupancies off the covariance diagonal in the joint basis."""
+    return _occupations(np.diagonal(cov.xx), np.diagonal(cov.pp), spec)
+
+
+def symplectic_eigenvalues(cov, hbar=RunConfig.hbar):
+    """Williamson spectrum in units of hbar (vacuum modes give 1/2).
+
+    Uses the Hermitian similarity sqrt(sigma) (i Omega) sqrt(sigma), whose
+    spectrum is +-nu_k, instead of the non-normal i Omega sigma.
+    """
+    sig = sigma_matrix(cov) / hbar
+    K = cov.n_modes
+    omega = np.zeros((2 * K, 2 * K))
+    omega[:K, K:] = np.eye(K)
+    omega[K:, :K] = -np.eye(K)
+    w, v = np.linalg.eigh(sig)
+    if np.min(w) < -1e-12:
+        raise ValueError("covariance matrix is not positive semidefinite")
+    sqrt_sig = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    herm = 1j * (sqrt_sig @ omega @ sqrt_sig)
+    ev = np.linalg.eigvalsh(herm)
+    return np.sort(ev[ev > 0])
 
 
 def rotate_covariance_dense(sigma, w, mass, t):

@@ -10,9 +10,7 @@ import pytest
 
 from quenchlab.bogoliubov import (build_bogoliubov, emitted_occupations,
                                   f_matrix, initial_correlations)
-from quenchlab.covariance import (evolve_covariance, joint_covariance,
-                                  occupations_from_covariance,
-                                  symplectic_eigenvalues, thermal_form_check)
+from quenchlab.covariance import joint_covariance, thermal_form_check
 from quenchlab.dynamics import (evolve_occupations, fluctuation_series,
                                 long_time_average)
 from quenchlab.fock_oracle import (delocalization_table, expand_initial_state,
@@ -20,7 +18,8 @@ from quenchlab.fock_oracle import (delocalization_table, expand_initial_state,
 from quenchlab.gge import (build_gge, gge_expectations,
                            single_excitation_sweep)
 
-from conftest import disjoint_covariance, make_spec
+from conftest import (disjoint_covariance, evolve_covariance, make_spec,
+                      occupations_from_covariance, symplectic_eigenvalues)
 
 
 def test_criterion_1_symplectic_identities_all_sizes():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from quenchlab.covariance import joint_covariance
 from quenchlab.model import FockExcitation, RunConfig
 
 from conftest import (eigh_bogoliubov, initial_correlations_four, make_spec,
-                      random_specs)
+                      map_factors, random_specs)
 
 # measured once through the truncated-Fock route at N=M=2 and frozen;
 # see the package tests for the oracle itself
@@ -35,7 +37,8 @@ def test_matches_independent_eigendecomposition(N, M, mass, omega0):
     np.testing.assert_allclose(bog.beta, beta, rtol=0, atol=1e-12)
     np.testing.assert_allclose(bog.omega_pre, w_pre, rtol=0, atol=1e-12)
     np.testing.assert_allclose(bog.omega_joint, w_joint, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(bog.overlap, overlap, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(map_factors(spec)[0], overlap, rtol=0,
+                               atol=1e-12)
 
 
 @pytest.mark.parametrize("N,M", [(1, 1), (2, 2), (2, 9), (5, 10), (5, 20),
@@ -47,12 +50,31 @@ def test_symplectic_identities(N, M):
 
 def test_cosh_sinh_structure():
     # alpha^2 - beta^2 = overlap^2 entrywise, since cosh^2 - sinh^2 = 1
-    bog = build_bogoliubov(make_spec(4, 9, t_max=1.0, t_steps=2))
+    spec = make_spec(4, 9, t_max=1.0, t_steps=2)
+    bog = build_bogoliubov(spec)
+    overlap, gamma = map_factors(spec)
     np.testing.assert_allclose(bog.alpha ** 2 - bog.beta ** 2,
-                               bog.overlap ** 2, rtol=0, atol=1e-12)
+                               overlap ** 2, rtol=0, atol=1e-12)
     np.testing.assert_allclose(bog.alpha + bog.beta,
-                               bog.overlap * np.exp(bog.gamma),
+                               overlap * np.exp(gamma),
                                rtol=0, atol=1e-12)
+
+
+def test_built_map_holds_two_blocks():
+    # tracemalloc: what a built map keeps alive, in K x K float64 arrays at
+    # K = 480: alpha and beta, not the overlap and gamma they came from
+    K = 480
+    spec = make_spec(160, 320, modes=(80,), t_max=1.0, t_steps=2)
+    unit = 8 * K * K
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        bog = build_bogoliubov(spec)
+        kept = (tracemalloc.get_traced_memory()[0] - held) / unit
+    finally:
+        tracemalloc.stop()
+    assert bog.alpha.shape == (K, K)
+    assert kept <= 2.1, kept
 
 
 def test_f_matrix_anchors(spec22):
@@ -68,7 +90,6 @@ def test_f_matrix_anchors(spec22):
 def test_f_matrix_rejects_singular_alpha(spec22):
     bog = build_bogoliubov(spec22)
     broken = BogoliubovMap(alpha=np.zeros_like(bog.alpha), beta=bog.beta,
-                           gamma=bog.gamma, overlap=bog.overlap,
                            omega_pre=bog.omega_pre, omega_joint=bog.omega_joint,
                            n_left=bog.n_left, n_right=bog.n_right,
                            hbar=bog.hbar)
@@ -90,7 +111,6 @@ def test_vacuum_correlations_are_vacuum_polarization(spec22):
 def test_correlations_beta_zero_identity_case(spec22):
     bog = build_bogoliubov(spec22)
     trivial = BogoliubovMap(alpha=np.eye(4), beta=np.zeros((4, 4)),
-                            gamma=np.zeros((4, 4)), overlap=np.eye(4),
                             omega_pre=bog.omega_pre, omega_joint=bog.omega_pre,
                             n_left=2, n_right=2, hbar=1.0)
     corr = initial_correlations(trivial, FockExcitation.vacuum(4))

@@ -6,16 +6,16 @@ import pytest
 
 from quenchlab.bogoliubov import build_bogoliubov, initial_correlations
 from quenchlab.covariance import (_TILE, CovarianceMatrix, _dirichlet,
-                                  _samples, evolve_covariance,
-                                  joint_covariance,
-                                  occupations_from_covariance,
-                                  symplectic_eigenvalues, thermal_form_check)
+                                  _samples, joint_covariance,
+                                  thermal_form_check)
 from quenchlab.dynamics import _phase_kernel
 from quenchlab.model import disjoint_transform, mode_frequencies, sine_transform
 
-from conftest import (conjugate_dense, disjoint_covariance, make_spec,
-                      max_offdiagonal, mean_evolved_covariance,
-                      rotate_covariance_dense)
+from conftest import (conjugate_dense, disjoint_covariance,
+                      evolve_covariance, make_spec, max_offdiagonal,
+                      mean_evolved_covariance, occupations_from_covariance,
+                      rotate_covariance_dense, sigma_matrix,
+                      symplectic_eigenvalues)
 
 DECAY_SLOPE_5_10 = -0.9438780450316356
 DECAY_RESIDUALS_5_10 = [0.03999838669312959, 0.020591423684891197,
@@ -44,7 +44,7 @@ def test_matrix_sigma_takes_px_from_xp():
     # xp need not be symmetric: px = xp^T makes the assembled sigma so
     xp = np.array([[0.1, 0.2], [-0.3, 0.4]])
     cov = CovarianceMatrix(2 * np.eye(2), xp, 3 * np.eye(2))
-    sig = cov.sigma
+    sig = sigma_matrix(cov)
     assert sig.shape == (4, 4) and np.array_equal(sig, sig.T)
     assert np.array_equal(sig[:2, 2:], xp) and np.array_equal(sig[2:, :2], xp.T)
 
@@ -100,7 +100,8 @@ def test_nonpositive_matrix_rejected():
 def test_evolution_at_zero_is_identity(spec22):
     joint = joint_covariance(spec22)
     back = evolve_covariance(joint, spec22, 0.0)
-    np.testing.assert_allclose(back.sigma, joint.sigma, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sigma_matrix(back), sigma_matrix(joint),
+                               rtol=0, atol=1e-14)
 
 
 def test_occupations_match_emission_diagonal(spec_5_10):
@@ -134,10 +135,11 @@ def test_mean_matches_brute_force_average(spec, window, dt):
     mean = mean_evolved_covariance(cov, spec, window, dt)
     w = mode_frequencies(spec.total_size, spec.omega0)
     ts = np.arange(0.0, window, dt)
-    acc = np.zeros_like(cov.sigma)
+    acc = np.zeros_like(sigma_matrix(cov))
     for t in ts:
-        acc += rotate_covariance_dense(cov.sigma, w, spec.mass, t)
-    np.testing.assert_allclose(mean.sigma, acc / len(ts), rtol=0, atol=1e-12)
+        acc += rotate_covariance_dense(sigma_matrix(cov), w, spec.mass, t)
+    np.testing.assert_allclose(sigma_matrix(mean), acc / len(ts),
+                               rtol=0, atol=1e-12)
 
 
 def _reduced_half_phases():
@@ -181,8 +183,9 @@ def test_evolve_matches_dense_rotation(t):
     spec = make_spec(2, 3, modes=(2, 4), mass=1.3, hbar=0.7)
     cov = _with_xp_block(spec)
     w = mode_frequencies(spec.total_size, spec.omega0)
-    np.testing.assert_allclose(evolve_covariance(cov, spec, t).sigma,
-                               rotate_covariance_dense(cov.sigma, w, spec.mass, t),
+    np.testing.assert_allclose(sigma_matrix(evolve_covariance(cov, spec, t)),
+                               rotate_covariance_dense(sigma_matrix(cov), w,
+                                                       spec.mass, t),
                                rtol=0, atol=1e-12)
 
 
@@ -341,12 +344,12 @@ def test_rotations_match_dense_congruence(spec):
     # block product differently from the 2K-term zero-padded one, so the
     # bound is K roundings of the largest entry per rotation, 2 K in all
     K = spec.total_size
-    ref = disjoint_covariance(spec).sigma
+    ref = sigma_matrix(disjoint_covariance(spec))
     for mat in (disjoint_transform(spec), sine_transform(K)):
         ref = conjugate_dense(ref, mat)
     cov = joint_covariance(spec)
     tol = 2 * K * np.finfo(float).eps * np.max(np.abs(ref))
-    np.testing.assert_allclose(cov.sigma, ref, rtol=0, atol=tol)
+    np.testing.assert_allclose(sigma_matrix(cov), ref, rtol=0, atol=tol)
     assert not cov.xp.any()
 
 

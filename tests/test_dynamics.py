@@ -5,8 +5,7 @@ from quenchlab.bogoliubov import (SYMPLECTIC_TOL, ConsistencyError, Moments,
                                   build_bogoliubov, emitted_occupations,
                                   f_matrix, initial_correlations,
                                   pre_quench_energy)
-from quenchlab.covariance import (evolve_covariance, joint_covariance,
-                                  symplectic_eigenvalues)
+from quenchlab.covariance import joint_covariance
 from quenchlab import dynamics
 from quenchlab.dynamics import (DegenerateInitial, NumericalError,
                                 ObservableSeries, evolve_occupations,
@@ -14,9 +13,11 @@ from quenchlab.dynamics import (DegenerateInitial, NumericalError,
                                 _phase_kernel)
 from quenchlab.fock_oracle import expand_initial_state, occupation_series
 from quenchlab.gge import build_gge, gge_expectations
+from quenchlab.model import ConfigError
 
-from conftest import (evolve_occupations_direct, make_spec,
-                      occupations_closed_form, random_specs)
+from conftest import (evolve_covariance, evolve_occupations_direct,
+                      make_spec, map_factors, occupations_closed_form,
+                      random_specs, symplectic_eigenvalues)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +57,7 @@ def test_phases_ignore_hbar_and_mass():
     ts = spec.time_grid
     exact = evolve_occupations(spec, bog, corr, times=ts).n_expect
     joint = joint_covariance(spec)
-    o, w = bog.overlap, bog.omega_pre
+    o, w = map_factors(spec)[0], bog.omega_pre
     via_cov = []
     for t in ts:
         sig = evolve_covariance(joint, spec, t)
@@ -217,13 +218,28 @@ def test_negative_occupancy_raises(spec22):
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_time_raises(spec22, bad):
-    # cos(w t) is nan at t = inf or nan (numpy warns on inf only); the
-    # output check must catch it
+    # cos(w t) is nan at t = inf or nan (numpy warns on inf); the grid
+    # check refuses such a time before the kernel sees it
     bog = build_bogoliubov(spec22)
     corr = initial_correlations(bog, spec22.initial_state)
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(NumericalError, match="nan"):
+    with pytest.raises(ConfigError, match="times must be finite"):
         evolve_occupations(spec22, bog, corr, times=[0.0, bad])
+
+
+@pytest.mark.parametrize("times, message", [
+    ([5.0, 3.0, 1.0], "times must be strictly increasing"),
+    ([1.0, 2.0, 3.0], "times must be 1-d and start at t = 0")],
+    ids=["decreasing", "not-from-zero"])
+def test_recurrence_grid_refused(times, message):
+    # the ratio is normalized by the first sample, which it takes as t = 0,
+    # so [5, 3, 1] would report a first recurrence at t = 5.0.  A grid that
+    # does not start at 0 still evolves, but has no fluctuation series
+    spec = make_spec(2, 2, modes=(2, 3), t_max=50.0, t_steps=51)
+    bog = build_bogoliubov(spec)
+    corr = initial_correlations(bog, spec.initial_state)
+    with pytest.raises(ConfigError, match=message):
+        series = evolve_occupations(spec, bog, corr, times=times)
+        fluctuation_series(series, relaxation_skip=0.0)
 
 
 def test_long_time_average_only_keeps_stationary_terms(bundle_5_10):

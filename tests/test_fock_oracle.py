@@ -244,7 +244,6 @@ def test_trivial_map_stays_on_vacuum(spec22):
     K = 4
     w = np.ones(K)
     trivial = BogoliubovMap(alpha=np.eye(K), beta=np.zeros((K, K)),
-                            gamma=np.zeros((K, K)), overlap=np.eye(K),
                             omega_pre=w, omega_joint=w,
                             n_left=2, n_right=2, hbar=1.0)
     state = expand_initial_state(spec22, trivial, np.zeros((K, K)),

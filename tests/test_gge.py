@@ -99,7 +99,6 @@ def test_dead_mode_raises():
     K = 3
     w = np.array([1.0, 2.0, 3.0])
     flat = BogoliubovMap(alpha=np.eye(K), beta=np.zeros((K, K)),
-                         gamma=np.zeros((K, K)), overlap=np.eye(K),
                          omega_pre=w, omega_joint=w,
                          n_left=1, n_right=2, hbar=1.0)
     with pytest.raises(ZeroDivisionError):
