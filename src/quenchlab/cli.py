@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -128,7 +128,7 @@ def _run_dynamics(spec, bog, outdir, files, threshold, skip):
 def _run_gge(spec, bog, outdir, files):
     fname = _tagged("gge", spec, "json")
     with open(os.path.join(outdir, fname), "w", newline="\n") as fh:
-        fh.write(gge.gge_summary_json(bog, spec.initial_state, indent=2))
+        fh.write(gge.gge_summary_json(bog, spec.initial_state))
         fh.write("\n")
     files.append(fname)
 
@@ -150,10 +150,6 @@ def _run_covariance(spec, outdir, files):
 
 
 def _run_oracle(spec, bog, f, outdir, files, cutoff, order):
-    if spec.total_size > 8:
-        raise fock_oracle.CutoffExceeded(
-            f"truncated-Fock oracle requested for {spec.total_size} joint "
-            "modes; the brute-force basis is only practical for <= 8")
     series = fock_oracle.expand_squeezed_vacuum(f, order)
     # the annihilation identities certify the squeezed vacuum, not states
     # with creation operators stacked on top, so measure them on the vacuum
@@ -250,17 +246,17 @@ def _run_config(cfg, outdir, files, dump):
     return t_rec
 
 
-def _run_preset(name, base, outdir, files, dump):
+def _run_preset(name, outdir, files, dump):
     if name == "fig1":
         recurrences = {}
         for M in (10, 16, 20):
-            cfg = replace(base, N=5, M=M,
-                          occupations=(0, 0, 1, 1, 0) + (0,) * M)
+            cfg = model.RunConfig(N=5, M=M,
+                                  occupations=(0, 0, 1, 1, 0) + (0,) * M)
             recurrences[f"M={M}"] = _run_config(cfg, outdir, files, dump)
         _write_json(os.path.join(outdir, "recurrence_times.json"), recurrences)
         files.append("recurrence_times.json")
     elif name == "table1":
-        rows = fock_oracle.delocalization_table(floor=base.floor)
+        rows = fock_oracle.delocalization_table()
         _write_json(os.path.join(outdir, "delocalization_table.json"), rows)
         files.append("delocalization_table.json")
         _write_csv(os.path.join(outdir, "delocalization_table.csv"),
@@ -282,16 +278,13 @@ def main(argv=None) -> int:
         prog="quenchlab",
         description="Coupled-chain quench simulator: batch datasets from "
                     "configs or presets.")
-    parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--preset", choices=PRESETS,
-                        help="named batch run (overrides --config)")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="path to a key = value config file")
+    source.add_argument("--preset", choices=PRESETS, help="named batch run")
     parser.add_argument("--out", help="output directory (falls back to "
                         "QUENCHLAB_OUT, then the working directory)")
     parser.add_argument("--dump-bogoliubov", action="store_true",
                         help="also write alpha, beta and F matrices as CSV")
-    parser.add_argument("--floor", type=float,
-                        help="amplitude floor for delocalization counts "
-                             "(the config's floor key wins)")
     args = parser.parse_args(argv)
 
     outdir = args.out or os.environ.get("QUENCHLAB_OUT") or "."
@@ -320,16 +313,14 @@ def main(argv=None) -> int:
     code = 0
     try:
         os.makedirs(outdir, exist_ok=True)
-        cfg = (model.RunConfig() if args.floor is None
-               else model.RunConfig(floor=args.floor))
-        if args.config and not args.preset:
-            with open(args.config) as fh:
-                cfg = model.parse_config(fh.read(), cfg)
-            manifest["config"] = asdict(cfg)
-        manifest["tolerances"]["floor"] = cfg.floor
         if args.preset:
-            _run_preset(args.preset, cfg, outdir, files, args.dump_bogoliubov)
-        elif args.config:
+            manifest["tolerances"]["floor"] = model.RunConfig.floor
+            _run_preset(args.preset, outdir, files, args.dump_bogoliubov)
+        else:
+            with open(args.config) as fh:
+                cfg = model.parse_config(fh.read())
+            manifest["config"] = asdict(cfg)
+            manifest["tolerances"]["floor"] = cfg.floor
             _run_config(cfg, outdir, files, args.dump_bogoliubov)
         manifest["status"] = "ok"
     except Exception as exc:

@@ -17,6 +17,7 @@ quadratic (correlator) route; it is only viable for a handful of modes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,23 @@ from .bogoliubov import BogoliubovMap, build_bogoliubov, f_matrix
 # largest squared-norm fraction a projection to the cutoff may discard
 MAX_LEAKAGE = 0.01
 
+# most occupation rows an uncapped expansion may reach: 3+4 chains at order
+# 12 reach 2.6 M (1.2 GB at the peak), 4+4 would reach 10.5 M
+MAX_ROWS = 1 << 22
+
 
 class CutoffExceeded(ValueError):
     """Requested operation needs occupations the truncated basis cannot hold."""
+
+
+def _check_rows(modes, top):
+    """Refuse, before allocating, an expansion whose rows may hold `top`
+    quanta in all: `modes` modes hold comb(top + modes, modes) such rows."""
+    rows = math.comb(top + modes, modes)
+    if rows > MAX_ROWS:
+        raise CutoffExceeded(
+            f"{modes} joint modes with up to {top} quanta make {rows} "
+            f"occupation rows (limit {MAX_ROWS})")
 
 
 @dataclass(frozen=True)
@@ -67,26 +82,12 @@ class CorrelationSet:
 
 def _merge(*parts):
     """Stack (rows, amplitudes) parts; unique rows, sorted on their bytes,
-    with the summed amplitudes (which may carry a trailing axis).
-
-    The amplitudes of several parts are written straight to their sorted
-    places, so no stacked copy of them is made.
-    """
-    occ = [o for o, _ in parts]
-    occ = np.ascontiguousarray(np.concatenate(occ) if len(occ) > 1 else occ[0])
+    with the summed amplitudes (which may carry a trailing axis)."""
+    occ, amp = (np.concatenate(x) if len(x) > 1 else x[0]
+                for x in zip(*parts))
+    occ = np.ascontiguousarray(occ)
     order, first = _groups(occ)
-    if len(parts) > 1:
-        amp = np.empty((len(order),) + parts[0][1].shape[1:],
-                       np.result_type(*(a for _, a in parts)))
-        place = np.empty_like(order)
-        place[order] = np.arange(len(order))
-        end = 0
-        for _, a in parts:
-            end += len(a)
-            amp[place[end - len(a):end]] = a
-    else:
-        amp = parts[0][1][order]
-    return occ[order[first]], np.add.reduceat(amp, first, axis=0)
+    return occ[order[first]], np.add.reduceat(amp[order], first, axis=0)
 
 
 def _groups(occ):
@@ -181,6 +182,7 @@ def expand_squeezed_vacuum(f: np.ndarray, order: int):
     first and project once at the end.
     """
     K = f.shape[0]
+    _check_rows(K, 2 * order)
     unit, zero = np.eye(K), np.zeros(K)
     # int16 rows exhaust memory long before they wrap; uint8 would wrap at
     # occupation 256, which order 128 reaches on a 1+1 chain
@@ -194,45 +196,46 @@ def expand_squeezed_vacuum(f: np.ndarray, order: int):
 
 
 def expand_initial_state(spec: QuenchSpec, bog: BogoliubovMap, f: np.ndarray,
-                         order: int, cutoff: int = 8,
-                         max_leakage: float = MAX_LEAKAGE) -> ExpandedState:
+                         order: int,
+                         cutoff: int = RunConfig.cutoff) -> ExpandedState:
     """Pre-quench Fock eigenstate written out in joint-mode amplitudes.
 
     Works uncapped so the annihilation parts of the stacked a+ operators can
     move weight back below the cutoff, then projects once at the end.
     Leakage is the squared-norm fraction the projection discards; above
-    max_leakage the truncation is refused.
+    MAX_LEAKAGE the truncation is refused.
     """
     if order < 1:
         raise ValueError("expansion order must be >= 1")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     psi = _lift(expand_squeezed_vacuum(f, order), spec, bog)
-    return _project(psi, cutoff, max_leakage)
+    return _project(psi, cutoff)
 
 
 def _lift(psi, spec: QuenchSpec, bog: BogoliubovMap):
     """Stack the pre-quench creation operators of spec's Fock state,
     a+_j = sum_k alpha_jk c+_k + beta_jk c_k, on the uncapped psi."""
+    _check_rows(psi[0].shape[1],
+                int(psi[0].sum(axis=1).max()) + spec.initial_state.total)
     for j, nj in enumerate(spec.initial_state.occupations):
         for _ in range(nj):
             psi = _merge(_ladder(psi, bog.alpha[j], bog.beta[j]))
     return psi
 
 
-def _project(psi, cutoff: int,
-             max_leakage: float = MAX_LEAKAGE) -> ExpandedState:
+def _project(psi, cutoff: int) -> ExpandedState:
     """Keep the rows with every occupation <= cutoff and renormalize;
-    refuse when the discarded squared-norm fraction exceeds max_leakage."""
+    refuse when the discarded squared-norm fraction exceeds MAX_LEAKAGE."""
     occ, amp = psi
     kept = occ.max(axis=1) <= cutoff
     weight = np.abs(amp) ** 2
     kept_weight = weight[kept].sum()
     leakage = 1.0 - kept_weight / weight.sum()
-    if leakage > max_leakage:
+    if leakage > MAX_LEAKAGE:
         raise CutoffExceeded(
             f"projection to cutoff {cutoff} discards {leakage:.3e} of the "
-            f"squared norm (limit {max_leakage:.3e})")
+            f"squared norm (limit {MAX_LEAKAGE:.3e})")
     return ExpandedState(occ[kept], amp[kept] / np.sqrt(kept_weight),
                          float(leakage))
 
@@ -334,28 +337,30 @@ def occupation_series(state: ExpandedState, spec: QuenchSpec,
     return out
 
 
-def delocalization_table(floor: float = RunConfig.floor):
+def delocalization_table():
     """Support counts of expanded single and pair excitations vs bath size.
 
     The table1 geometry: N = 5 and M = 10, 16, 20, with one quantum in mode
-    3 or one each in modes 3 and 4.  The expansion is first order and
-    uncapped (occupations never exceed four quanta there), mirroring the
-    regime where counting support by an amplitude floor is meaningful.
-    The squeezed vacuum is expanded once per bath size, and the pair is
-    lifted from the single's uncapped state: a+_4 a+_3|vac> = a+_4 (a+_3|vac>).
+    3 or one each in modes 3 and 4.  The expansion is first order
+    (occupations never exceed four quanta there, so no projection discards
+    anything), mirroring the regime where counting support by RunConfig's
+    amplitude floor is meaningful.  The single is expanded once per bath
+    size, and the pair is lifted from it: a+_4 a+_3|vac> = a+_4 (a+_3|vac>).
     """
+    floor = RunConfig.floor
     rows = []
     grid = (0.0,)   # nothing evolves; the default grid would raise the peak
     for m_right in (10, 16, 20):
         total = 5 + m_right
         spec = QuenchSpec(5, m_right, FockExcitation.single(total, 3), grid)
         bog = build_bogoliubov(spec)
-        single = _lift(expand_squeezed_vacuum(f_matrix(bog), 1), spec, bog)
-        pair = _merge(_ladder(single, bog.alpha[3], bog.beta[3]))  # a+_4
+        single = expand_initial_state(spec, bog, f_matrix(bog), 1)
+        pair = _merge(_ladder((single.occupations, single.amplitudes),
+                              bog.alpha[3], bog.beta[3]))  # a+_4
         rows.append({
             "n_left": 5,
             "n_right": m_right,
-            "single_count": delocalization_count(_project(single, 8), floor),
+            "single_count": delocalization_count(single, floor),
             "pair_count": delocalization_count(_project(pair, 8), floor),
             "floor": floor,
             "order": 1,

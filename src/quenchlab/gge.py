@@ -145,6 +145,9 @@ def single_excitation_sweep(total_sizes=(10, 20, 40, 80)) -> SweepResult:
     for size 10 this is mode 3 of the five-site chain.
     """
     sizes = sorted(int(s) for s in total_sizes)
+    if len(sizes) < 2 or len(set(sizes)) < len(sizes):
+        raise ValueError("sweep sizes must be at least two distinct sizes, "
+                         f"got {list(total_sizes)}")
     deltas, densities, gaps = [], [], []
     for size in sizes:
         if size % 2 or size < 4:
@@ -172,8 +175,8 @@ def single_excitation_sweep(total_sizes=(10, 20, 40, 80)) -> SweepResult:
     )
 
 
-def gge_summary_json(bog, state, indent=None) -> str:
-    """The JSON summary block with 1-based mode ordering."""
+def gge_summary_json(bog, state) -> str:
+    """The JSON summary block with 1-based mode ordering, indented by 2."""
     charges = emitted_occupations(bog, state)
     ens = build_gge(charges)
     rep = deviation_delta_g(bog, state)
@@ -185,4 +188,4 @@ def gge_summary_json(bog, state, indent=None) -> str:
         "delta_g": rep.delta_g.tolist(),
         "delta_g_normalization": "total lattice size N+M",
     }
-    return json.dumps(payload, indent=indent)
+    return json.dumps(payload, indent=2)

@@ -8,7 +8,7 @@ normal-mode bases constructed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -247,11 +247,11 @@ def disjoint_transform(spec: QuenchSpec) -> np.ndarray:
     return blocks
 
 
-def parse_config(text, base=RunConfig()) -> RunConfig:
+def parse_config(text) -> RunConfig:
     """Parse a plain `key = value` config document into a RunConfig.
 
     Lines starting with # are comments.  Unknown and repeated keys raise
-    ConfigError.  Keys the text leaves out keep their value in `base`.
+    ConfigError.  Keys the text leaves out keep their RunConfig default.
     """
     keys = {f.name for f in fields(RunConfig)}
     out = {}
@@ -267,7 +267,7 @@ def parse_config(text, base=RunConfig()) -> RunConfig:
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = val
-    return replace(base, **out)
+    return RunConfig(**out)
 
 
 def quench_from_config(cfg: RunConfig) -> QuenchSpec:

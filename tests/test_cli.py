@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -203,15 +204,18 @@ def test_invalid_value_exits_2(tmp_path, lines, key):
     assert key in man["error"]["message"]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_bad_floor_flag_exits_2(tmp_path, value):
+@pytest.mark.parametrize("args", [
+    [],
+    ["--preset", "sweep", "--config", "missing.cfg"],
+    ["--preset", "table1", "--floor", "1e-6"],
+], ids=["no-input", "preset-and-config", "floor-flag"])
+def test_usage_error_exits_2_and_writes_nothing(tmp_path, args):
+    # one input per run, the config or a preset; the floor is a config key
     out = tmp_path / "out"
-    assert cli.main(["--preset", "table1", "--floor", value,
-                     "--out", str(out)]) == 2
-    man = _manifest(out)
-    assert man["error"]["type"] == "ConfigError"
-    assert "floor" in man["error"]["message"]
-    assert man["outputs"] == []
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_manifest_records_values_in_effect(tmp_path):
@@ -306,6 +310,37 @@ def test_oversized_oracle_exits_3(tmp_path):
     man = _manifest(out)
     assert man["status"] == "error"
     assert man["error"]["type"] == "CutoffExceeded"
+
+
+def test_oracle_beyond_row_budget_exits_3_at_once(tmp_path):
+    # 4+4 at order 12 would reach comb(32, 8) = 10.5 M rows
+    cfg = _write_config(tmp_path, "N = 4\nM = 4\nanalyses = fock-oracle\n")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 1.0
+    man = _manifest(out)
+    assert man["error"]["type"] == "CutoffExceeded"
+    assert "rows" in man["error"]["message"]
+
+
+def test_delocalization_beyond_row_budget_exits_3(tmp_path):
+    # 16 quanta on 5+5 chains would reach comb(28, 10) = 13.1 M rows
+    cfg = _write_config(tmp_path, "N = 5\nM = 5\noccupations = 16"
+                        + ", 0" * 9 + "\nanalyses = delocalization\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 3
+    assert _manifest(out)["error"]["type"] == "CutoffExceeded"
+
+
+def test_oracle_on_nine_modes_at_first_order_runs(tmp_path):
+    # 5+4 chains at order 1 hold comb(11, 9) = 55 rows
+    cfg = _write_config(tmp_path, "N = 5\nM = 4\norder = 1\n"
+                        "analyses = fock-oracle\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+    with open(out / "oracle_N5_M4.json") as fh:
+        assert json.load(fh)["support_size"] <= 55
 
 
 def test_missing_config_file_exits_4(tmp_path):

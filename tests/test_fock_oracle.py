@@ -7,7 +7,8 @@ import pytest
 from quenchlab.bogoliubov import (BogoliubovMap, build_bogoliubov, f_matrix,
                                   initial_correlations)
 from quenchlab.dynamics import evolve_occupations
-from quenchlab.fock_oracle import (CutoffExceeded, ExpandedState, _groups,
+from quenchlab.fock_oracle import (MAX_LEAKAGE, CutoffExceeded,
+                                   ExpandedState, _groups,
                                    _ladder, _ladder_rows, _merge,
                                    annihilation_residual,
                                    constraint_residual, delocalization_count,
@@ -69,13 +70,12 @@ def test_expansion_parameter_validation(spec22, map22):
 def test_leakage_accounting_and_refusal(map22):
     bog, f = map22
     spec = make_spec(2, 2, modes=(2, 3), t_max=1.0, t_steps=2)
+    # cutoff 2 at order 8 would discard 0.89 of the norm, past MAX_LEAKAGE
     with pytest.raises(CutoffExceeded):
-        expand_initial_state(spec, bog, f, order=8, cutoff=2,
-                             max_leakage=1e-12)
-    loose = expand_initial_state(spec, bog, f, order=8, cutoff=2,
-                                 max_leakage=1.0)
-    assert loose.leakage > 1e-12
-    assert abs(np.linalg.norm(loose.amplitudes) - 1.0) < 1e-12
+        expand_initial_state(spec, bog, f, order=8, cutoff=2)
+    kept = expand_initial_state(spec, bog, f, order=12, cutoff=8)
+    assert 1e-12 < kept.leakage <= MAX_LEAKAGE
+    assert abs(np.linalg.norm(kept.amplitudes) - 1.0) < 1e-12
 
 
 def test_frozen_expansion_certificates(spec22, map22):
