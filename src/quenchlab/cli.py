@@ -313,14 +313,15 @@ def main(argv=None) -> int:
     code = 0
     try:
         os.makedirs(outdir, exist_ok=True)
-        if args.preset:
-            manifest["tolerances"]["floor"] = model.RunConfig.floor
-            _run_preset(args.preset, outdir, files, args.dump_bogoliubov)
-        else:
+        cfg = model.RunConfig()
+        if args.config:
             with open(args.config) as fh:
                 cfg = model.parse_config(fh.read())
             manifest["config"] = asdict(cfg)
-            manifest["tolerances"]["floor"] = cfg.floor
+        manifest["tolerances"]["floor"] = cfg.floor
+        if args.preset:
+            _run_preset(args.preset, outdir, files, args.dump_bogoliubov)
+        else:
             _run_config(cfg, outdir, files, args.dump_bogoliubov)
         manifest["status"] = "ok"
     except Exception as exc:

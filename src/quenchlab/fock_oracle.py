@@ -30,23 +30,30 @@ from .bogoliubov import BogoliubovMap, build_bogoliubov, f_matrix
 # largest squared-norm fraction a projection to the cutoff may discard
 MAX_LEAKAGE = 0.01
 
-# most occupation rows an uncapped expansion may reach: 3+4 chains at order
-# 12 reach 2.6 M (1.2 GB at the peak), 4+4 would reach 10.5 M
-MAX_ROWS = 1 << 22
+# most bytes the work on one state may take, by _check_size's estimate:
+# 3+4 chains at order 12 come to 3.4 GiB (1.3 GB measured), 4+4 to 15.8 GiB
+MAX_BYTES = 5 << 30
 
 
 class CutoffExceeded(ValueError):
     """Requested operation needs occupations the truncated basis cannot hold."""
 
 
-def _check_rows(modes, top):
-    """Refuse, before allocating, an expansion whose rows may hold `top`
-    quanta in all: `modes` modes hold comb(top + modes, modes) such rows."""
-    rows = math.comb(top + modes, modes)
-    if rows > MAX_ROWS:
+def _check_size(occ, quanta=0):
+    """Refuse, before allocating, work on the rows occ with `quanta` more
+    stacked on. K modes holding up to q quanta make comb(q + K, K) rows; a
+    ladder on them writes 2K rows per row, of 2K bytes and some 64 more of
+    amplitudes, scales and sort keys, and the Gram matrix over its images
+    2K complex columns on comb(q + 1 + K, K) rows."""
+    K = occ.shape[1]
+    q = int(occ.sum(axis=1).max()) + quanta
+    rows = math.comb(q + K, K)
+    need = 2 * K * (rows * (2 * K + 64) + 16 * math.comb(q + 1 + K, K))
+    if need > MAX_BYTES:
         raise CutoffExceeded(
-            f"{modes} joint modes with up to {top} quanta make {rows} "
-            f"occupation rows (limit {MAX_ROWS})")
+            f"{K} joint modes with up to {q} quanta make {rows} occupation "
+            f"rows, whose ladders need about {need / 2**30:.1f} GiB "
+            f"(limit {MAX_BYTES / 2**30:g} GiB)")
 
 
 @dataclass(frozen=True)
@@ -182,11 +189,11 @@ def expand_squeezed_vacuum(f: np.ndarray, order: int):
     first and project once at the end.
     """
     K = f.shape[0]
-    _check_rows(K, 2 * order)
     unit, zero = np.eye(K), np.zeros(K)
     # int16 rows exhaust memory long before they wrap; uint8 would wrap at
     # occupation 256, which order 128 reaches on a 1+1 chain
     term = (np.zeros((1, K), dtype=np.int16), np.ones(1))
+    _check_size(term[0], 2 * order)
     terms = [term]
     for p in range(1, order + 1):
         term = _merge(*(_ladder(_ladder(term, unit[l], zero), -0.5 * f[l] / p,
@@ -216,8 +223,7 @@ def expand_initial_state(spec: QuenchSpec, bog: BogoliubovMap, f: np.ndarray,
 def _lift(psi, spec: QuenchSpec, bog: BogoliubovMap):
     """Stack the pre-quench creation operators of spec's Fock state,
     a+_j = sum_k alpha_jk c+_k + beta_jk c_k, on the uncapped psi."""
-    _check_rows(psi[0].shape[1],
-                int(psi[0].sum(axis=1).max()) + spec.initial_state.total)
+    _check_size(psi[0], spec.initial_state.total)
     for j, nj in enumerate(spec.initial_state.occupations):
         for _ in range(nj):
             psi = _merge(_ladder(psi, bog.alpha[j], bog.beta[j]))
@@ -261,6 +267,7 @@ def _evolved(amplitudes, energies, t):
 def _pre_annihilated_norms(state: ExpandedState, bog: BogoliubovMap):
     """||a_m psi|| for a_m = sum_k alpha_mk c_k + beta_mk c+_k, uncapped."""
     psi = state.occupations, state.amplitudes
+    _check_size(psi[0])
     return [np.linalg.norm(_merge(_ladder(psi, bog.beta[m], bog.alpha[m]))[1])
             for m in range(bog.alpha.shape[0])]
 
@@ -274,6 +281,7 @@ def constraint_residual(state: ExpandedState, f: np.ndarray) -> float:
     """max_k ||(c_k + sum_l F_kl c+_l) psi||, the defining property of the
     squeezed vacuum. Creation parts are evaluated uncapped."""
     psi = state.occupations, state.amplitudes
+    _check_size(psi[0])
     unit = np.eye(state.modes)
     return float(max(np.linalg.norm(_merge(_ladder(psi, f[k], unit[k]))[1])
                      for k in range(state.modes)))
@@ -292,6 +300,7 @@ def oracle_correlators(state: ExpandedState) -> CorrelationSet:
     """
     K = state.modes
     psi = state.occupations, state.amplitudes
+    _check_size(psi[0])
     unit, zero = np.eye(K), np.zeros(K)
     images = ([_ladder(psi, zero, unit[k]) for k in range(K)]
               + [_ladder(psi, unit[k], zero) for k in range(K)])
@@ -322,6 +331,7 @@ def occupation_series(state: ExpandedState, spec: QuenchSpec,
     sums its evolved amplitudes.
     """
     times = np.asarray(times, dtype=float)
+    _check_size(state.occupations)
     ladders = []
     for m in range(bog.alpha.shape[0]):
         rows, amplitudes = _ladder_rows(state.occupations, bog.beta[m],
@@ -361,7 +371,8 @@ def delocalization_table():
             "n_left": 5,
             "n_right": m_right,
             "single_count": delocalization_count(single, floor),
-            "pair_count": delocalization_count(_project(pair, 8), floor),
+            "pair_count": delocalization_count(
+                _project(pair, RunConfig.cutoff), floor),
             "floor": floor,
             "order": 1,
         })

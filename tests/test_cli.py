@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -312,25 +311,34 @@ def test_oversized_oracle_exits_3(tmp_path):
     assert man["error"]["type"] == "CutoffExceeded"
 
 
-def test_oracle_beyond_row_budget_exits_3_at_once(tmp_path):
-    # 4+4 at order 12 would reach comb(32, 8) = 10.5 M rows
-    cfg = _write_config(tmp_path, "N = 4\nM = 4\nanalyses = fock-oracle\n")
+@pytest.mark.parametrize("text, top", [
+    ("N = 4\nM = 4\n", 24),                # comb(32, 8) = 10.5 M rows
+    ("N = 100\nM = 100\norder = 1\n", 2),  # a Gram on comb(203, 3) rows
+], ids=["4+4-order-12", "100+100-order-1"])
+def test_oracle_beyond_budget_exits_3_before_any_ladder(tmp_path, monkeypatch,
+                                                        text, top):
+    def no_ladder(*args):
+        raise AssertionError("a ladder ran past the budget")
+
+    monkeypatch.setattr(cli.fock_oracle, "_ladder_rows", no_ladder)
+    cfg = _write_config(tmp_path, text + "analyses = fock-oracle\n")
     out = tmp_path / "out"
-    start = time.perf_counter()
     assert cli.main(["--config", cfg, "--out", str(out)]) == 3
-    assert time.perf_counter() - start < 1.0
     man = _manifest(out)
     assert man["error"]["type"] == "CutoffExceeded"
-    assert "rows" in man["error"]["message"]
+    assert f"up to {top} quanta" in man["error"]["message"]
 
 
-def test_delocalization_beyond_row_budget_exits_3(tmp_path):
-    # 16 quanta on 5+5 chains would reach comb(28, 10) = 13.1 M rows
+def test_delocalization_beyond_budget_exits_3_before_lifting(tmp_path):
+    # 16 quanta on 5+5 chains would reach comb(28, 10) = 13.1 M rows; the
+    # lift refuses them all at once, not at the lift that crosses the budget
     cfg = _write_config(tmp_path, "N = 5\nM = 5\noccupations = 16"
                         + ", 0" * 9 + "\nanalyses = delocalization\n")
     out = tmp_path / "out"
     assert cli.main(["--config", cfg, "--out", str(out)]) == 3
-    assert _manifest(out)["error"]["type"] == "CutoffExceeded"
+    man = _manifest(out)
+    assert man["error"]["type"] == "CutoffExceeded"
+    assert "up to 18 quanta" in man["error"]["message"]
 
 
 def test_oracle_on_nine_modes_at_first_order_runs(tmp_path):

@@ -67,6 +67,18 @@ def test_expansion_parameter_validation(spec22, map22):
         expand_initial_state(spec22, bog, f, order=4, cutoff=0)
 
 
+def test_ladders_refuse_rows_past_the_budget():
+    # the budget follows the modes and quanta, not the support: one row of
+    # two quanta on 200 modes has ladder images on comb(203, 3) rows
+    occ = np.zeros((1, 200), np.int16)
+    occ[0, 0] = 2
+    state = ExpandedState(occ, np.ones(1), 0.0)
+    with pytest.raises(CutoffExceeded, match="200 joint modes with up to 2"):
+        oracle_correlators(state)
+    with pytest.raises(CutoffExceeded, match="200 joint modes with up to 2"):
+        annihilation_residual(state, build_bogoliubov(make_spec(100, 100)))
+
+
 def test_leakage_accounting_and_refusal(map22):
     bog, f = map22
     spec = make_spec(2, 2, modes=(2, 3), t_max=1.0, t_steps=2)
