@@ -1,18 +1,19 @@
 """Truncated-Fock brute force for small joint chains.
 
 A state is an (S, K) int16 array of unique occupation rows, one column per
-joint mode, plus an (S,) amplitude vector. Two helpers do all the work:
-`_ladder` applies sum_k x_k c+_k + y_k c_k and returns the raw rows, and
-`_merge` sorts rows on packed integer keys, in the order of their bytes,
-and sums the amplitudes of equal rows. Their row halves, `_ladder_rows`
-and `_groups`, depend on the rows alone, so the occupation series finds
-them once and reuses them at every sample. Merged rows whose amplitudes
-cancel are kept, so a support counts every occupation an operator
-reached. The pre-quench eigenstate is reconstructed in the joint basis by
-expanding the squeezed-vacuum exponential as a power series and applying
-the Bogoliubov-expanded creation operators on top. Evolution is a
-diagonal phase. This is the independent reference used to certify the
-quadratic (correlator) route; it is only viable for a handful of modes.
+joint mode, plus an (S,) amplitude vector. `_ladder` applies
+sum_k x_k c+_k + y_k c_k and returns the raw rows, and `_merge` sorts rows
+on packed integer keys, in the order of their bytes, and sums the
+amplitudes of equal rows; rows whose amplitudes cancel are kept, so a
+support counts every occupation an operator reached. The pre-quench
+eigenstate is the squeezed-vacuum exponential, expanded as a power series,
+with the Bogoliubov-expanded creation operators stacked on top; evolution
+is a diagonal phase. Every read-out comes from one matrix of ladder images,
+[L R] with L_k = c_k psi and R_k = c+_k psi, whose rows `_images` finds
+once: the correlators are its Gram matrix, the residuals and the
+occupation series column norms of its product with a coefficient matrix.
+This is the independent reference used to certify the quadratic
+(correlator) route; it is only viable for a handful of modes.
 """
 
 from __future__ import annotations
@@ -23,15 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (QuenchSpec, FockExcitation, RunConfig, _number,
-                    mode_frequencies)
-from .bogoliubov import BogoliubovMap, build_bogoliubov, f_matrix
+                    _time_grid, mode_frequencies)
+from .bogoliubov import (BogoliubovMap, ConsistencyError, build_bogoliubov,
+                         f_matrix)
 
 
 # largest squared-norm fraction a projection to the cutoff may discard
 MAX_LEAKAGE = 0.01
 
 # most bytes the work on one state may take, by _check_size's estimate:
-# 3+4 chains at order 12 come to 3.4 GiB (1.3 GB measured), 4+4 to 15.8 GiB
+# 3+4 chains at order 12 come to 3.7 GiB (1.3 GB measured), 4+4 to 17.5 GiB
 MAX_BYTES = 5 << 30
 
 
@@ -43,12 +45,13 @@ def _check_size(occ, quanta=0):
     """Refuse, before allocating, work on the rows occ with `quanta` more
     stacked on. K modes holding up to q quanta make comb(q + K, K) rows; a
     ladder on them writes 2K rows per row, of 2K bytes and some 64 more of
-    amplitudes, scales and sort keys, and the Gram matrix over its images
-    2K complex columns on comb(q + 1 + K, K) rows."""
+    amplitudes, scales and sort keys, and the matrix of its images takes
+    2K complex columns on comb(q + 1 + K, K) rows, its product with a
+    coefficient matrix K more."""
     K = occ.shape[1]
     q = int(occ.sum(axis=1).max()) + quanta
     rows = math.comb(q + K, K)
-    need = 2 * K * (rows * (2 * K + 64) + 16 * math.comb(q + 1 + K, K))
+    need = 2 * K * rows * (2 * K + 64) + 48 * K * math.comb(q + 1 + K, K)
     if need > MAX_BYTES:
         raise CutoffExceeded(
             f"{K} joint modes with up to {q} quanta make {rows} occupation "
@@ -264,57 +267,71 @@ def _evolved(amplitudes, energies, t):
     return amplitudes * np.exp(-1j * energies * t)
 
 
-def _pre_annihilated_norms(state: ExpandedState, bog: BogoliubovMap):
-    """||a_m psi|| for a_m = sum_k alpha_mk c_k + beta_mk c+_k, uncapped."""
-    psi = state.occupations, state.amplitudes
-    _check_size(psi[0])
-    return [np.linalg.norm(_merge(_ladder(psi, bog.beta[m], bog.alpha[m]))[1])
-            for m in range(bog.alpha.shape[0])]
+def _images(occ):
+    """The map from an (S,) amplitude vector psi on the rows occ to the
+    (S', 2K) matrix [L R] of its ladder images, L_k = c_k psi and
+    R_k = c+_k psi. One ladder and one sort find the merged rows; the rows
+    of one image are unique, so each amplitude goes straight to its place."""
+    _check_size(occ)
+    S, K = occ.shape
+    rows, amplitudes = _ladder_rows(occ, np.ones(K), np.ones(K))
+    order, first = _groups(rows)
+    place = np.empty_like(order)
+    place[order] = np.repeat(np.arange(0, 2 * K * len(first), 2 * K),
+                             np.diff(first, append=len(order)))
+    # the ladder writes c+_k psi for every k, then c_k psi where n_k > 0
+    place += np.concatenate([np.repeat(np.arange(K, 2 * K), S),
+                             np.repeat(np.arange(K),
+                                       np.count_nonzero(occ > 0, axis=0))])
+
+    def images(amp):
+        out = np.zeros((len(first), 2 * K), np.result_type(1.0, amp))
+        np.put(out, place, amplitudes(amp))
+        return out
+
+    return images
+
+
+def _fits(state: ExpandedState, what, *sizes):
+    """Refuse `what` unless each of its sizes is the state's mode count."""
+    if any(n != state.modes for n in sizes):
+        raise ConsistencyError(
+            f"{what} of size {' x '.join(map(str, sizes))} does not fit a "
+            f"state of {state.modes} joint modes")
+
+
+def _largest_norm(state: ExpandedState, y, x):
+    """max_m ||(sum_k y_mk c_k + x_mk c+_k) psi||, the largest column norm
+    of [L R] [y^T; x^T]."""
+    # no name holds the images, so they are freed before the norms' temporary
+    product = (_images(state.occupations)(state.amplitudes)
+               @ np.concatenate([y.T, x.T]))
+    return float(np.max(np.linalg.norm(product, axis=0)))
 
 
 def annihilation_residual(state: ExpandedState, bog: BogoliubovMap) -> float:
-    """max_m ||a_m psi||: zero in exact arithmetic for the expanded vacuum."""
-    return float(max(_pre_annihilated_norms(state, bog)))
+    """max_m ||a_m psi|| for a_m = sum_k alpha_mk c_k + beta_mk c+_k: zero
+    in exact arithmetic for the expanded vacuum."""
+    _fits(state, "map", bog.total_size)
+    return _largest_norm(state, bog.alpha, bog.beta)
 
 
 def constraint_residual(state: ExpandedState, f: np.ndarray) -> float:
     """max_k ||(c_k + sum_l F_kl c+_l) psi||, the defining property of the
     squeezed vacuum. Creation parts are evaluated uncapped."""
-    psi = state.occupations, state.amplitudes
-    _check_size(psi[0])
-    unit = np.eye(state.modes)
-    return float(max(np.linalg.norm(_merge(_ladder(psi, f[k], unit[k]))[1])
-                     for k in range(state.modes)))
+    _fits(state, "F", *np.shape(f))
+    return _largest_norm(state, np.eye(state.modes), f)
 
 
 def oracle_correlators(state: ExpandedState) -> CorrelationSet:
-    """All four quadratic correlators as one Gram matrix of ladder images.
+    """All four quadratic correlators, the Gram matrix of `_images`' [L R].
 
-    With L_k = c_k psi and R_k = c+_k psi merged onto common rows,
     <c+_l c_k> = (L_l, L_k), <c+_l c+_k> = (L_l, R_k), <c_l c_k> = (R_l, L_k)
     and <c_l c+_k> = (R_l, R_k): the four blocks of [L R]^H [L R]. No
     ladder is capped, so the result is exact for the stored vector.
-    The rows of one image are unique, so each image writes its amplitudes
-    straight into its column of [L R], at its rows' places among the
-    merged rows.
     """
     K = state.modes
-    psi = state.occupations, state.amplitudes
-    _check_size(psi[0])
-    unit, zero = np.eye(K), np.zeros(K)
-    images = ([_ladder(psi, zero, unit[k]) for k in range(K)]
-              + [_ladder(psi, unit[k], zero) for k in range(K)])
-    order, first = _groups(np.concatenate([o for o, _ in images]))
-    starts = np.zeros(len(order), np.intp)
-    starts[first] = 1
-    place = np.empty_like(order)
-    place[order] = np.cumsum(starts) - 1
-    vecs = np.zeros((len(first), 2 * K),
-                    np.result_type(1.0, *(a for _, a in images)))
-    end = 0
-    for j, (_, a) in enumerate(images):
-        end += len(a)
-        vecs[place[end - len(a):end], j] = a
+    vecs = _images(state.occupations)(state.amplitudes)
     g = vecs.conj().T @ vecs
     if np.max(np.abs(g.imag)) < 1e-14:
         g = g.real
@@ -326,24 +343,21 @@ def occupation_series(state: ExpandedState, spec: QuenchSpec,
                       bog: BogoliubovMap, times) -> np.ndarray:
     """<n_m(t)> for every pre-quench mode m, via ||a_m psi(t)||^2.
 
-    Evolution only rephases the amplitudes, so the rows a_m reaches and the
-    way equal rows merge are found once per mode; each sample then maps and
-    sums its evolved amplitudes.
+    Evolution only rephases the amplitudes, so the images' rows and places
+    are found once; each sample places its evolved amplitudes and takes the
+    column norms of [L R] [alpha^T; beta^T]. `times` must be finite and
+    strictly increasing (a ConfigError otherwise).
     """
-    times = np.asarray(times, dtype=float)
-    _check_size(state.occupations)
-    ladders = []
-    for m in range(bog.alpha.shape[0]):
-        rows, amplitudes = _ladder_rows(state.occupations, bog.beta[m],
-                                        bog.alpha[m])
-        ladders.append((amplitudes, *_groups(rows)))
+    _fits(state, "spec", spec.total_size)
+    _fits(state, "map", bog.total_size)
+    times = _time_grid(times, "times", from_zero=False)
+    images = _images(state.occupations)
+    coefficients = np.concatenate([bog.alpha.T, bog.beta.T])
     energies = _energies(state, spec)
-    out = np.empty((len(times), len(ladders)))
+    out = np.empty((len(times), len(bog.alpha)))
     for i, t in enumerate(times):
-        amp = _evolved(state.amplitudes, energies, t)
-        out[i] = np.square([
-            np.linalg.norm(np.add.reduceat(amplitudes(amp)[order], first))
-            for amplitudes, order, first in ladders])
+        product = images(_evolved(state.amplitudes, energies, t)) @ coefficients
+        out[i] = np.square(np.linalg.norm(product, axis=0))
     return out
 
 

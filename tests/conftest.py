@@ -7,8 +7,7 @@ from quenchlab.covariance import (CovarianceMatrix, _from_moments,
                                   _half_phases, _moments, _occupations,
                                   _residual, _samples, _tile_means)
 from quenchlab.fock_oracle import (CorrelationSet, ExpandedState, _energies,
-                                   _evolved, _ladder, _merge,
-                                   _pre_annihilated_norms)
+                                   _evolved, _images, _ladder, _merge)
 from quenchlab.model import (FockExcitation, QuenchSpec, RunConfig,
                              default_time_grid, disjoint_frequencies,
                              disjoint_transform, mode_frequencies,
@@ -260,12 +259,26 @@ def exact_evolve(state, spec, t) -> ExpandedState:
                                               _energies(state, spec), t))
 
 
+def ladder_norms(state, x, y):
+    """||(sum_k x_mk c+_k + y_mk c_k) psi|| for every row m of x and y, each
+    ladder applied and merged on its own: the per-mode reference for the
+    oracle's image matrix. (bog.beta, bog.alpha) gives the ||a_m psi||."""
+    psi = state.occupations, state.amplitudes
+    return np.array([np.linalg.norm(_merge(_ladder(psi, xm, ym))[1])
+                     for xm, ym in zip(x, y)])
+
+
 def occupation_series_per_sample(state, spec, bog, times):
-    """The oracle's <n_m(t)> by definition: evolve, apply every a_m and
-    merge from scratch at each sample. A slow reference for the reuse of
-    ladder rows in `occupation_series`."""
-    return np.array([np.square(_pre_annihilated_norms(
-        exact_evolve(state, spec, t), bog)) for t in times])
+    """The oracle's <n_m(t)> with the ladder images rebuilt from scratch at
+    each sample of `exact_evolve`: a reference for the reuse of the images'
+    rows and places in `occupation_series`."""
+    coefficients = np.concatenate([bog.alpha.T, bog.beta.T])
+    out = []
+    for t in times:
+        moved = exact_evolve(state, spec, t)
+        images = _images(moved.occupations)(moved.amplitudes)
+        out.append(np.square(np.linalg.norm(images @ coefficients, axis=0)))
+    return np.array(out)
 
 
 def oracle_correlators_onehot(state):

@@ -4,7 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from quenchlab.bogoliubov import (BogoliubovMap, build_bogoliubov, f_matrix,
+from quenchlab.bogoliubov import (BogoliubovMap, ConsistencyError,
+                                  build_bogoliubov, f_matrix,
                                   initial_correlations)
 from quenchlab.dynamics import evolve_occupations
 from quenchlab.fock_oracle import (MAX_LEAKAGE, CutoffExceeded,
@@ -16,10 +17,12 @@ from quenchlab.fock_oracle import (MAX_LEAKAGE, CutoffExceeded,
                                    expand_initial_state,
                                    expand_squeezed_vacuum, occupation_series,
                                    oracle_correlators)
+from quenchlab.model import ConfigError, RunConfig
 
-from conftest import (exact_evolve, groups_bytes, ladder_rows_concatenate,
-                      make_spec, merge_concatenate,
-                      occupation_series_per_sample, oracle_correlators_onehot)
+from conftest import (exact_evolve, groups_bytes, ladder_norms,
+                      ladder_rows_concatenate, make_spec, merge_concatenate,
+                      occupation_series_per_sample, oracle_correlators_onehot,
+                      random_specs)
 
 # residuals of the truncated expansion certificates, frozen from first runs
 A_RESID_20_12 = 4.736245261861336e-07
@@ -32,6 +35,11 @@ FLOOR_8 = {(): 1.4410427455813224e-05,
 CERT_14_16 = {(): 5.637375843914327e-09, (1,): 3.249968768548328e-07,
               (2, 3): 7.319341283062997e-07}
 TABLE_COUNTS = {10: (695, 3180), 16: (1792, 10857), 20: (2950, 20800)}
+
+# rounding gaps between the image matrix and the per-mode ladders: n_m(t)
+# absolute (2.6e-14 measured, at n up to 3.2), residuals relative (4.4e-15)
+SERIES_ROUND = 5e-14
+RESIDUAL_ROUND = 1e-14
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +219,69 @@ def test_occupation_series_is_per_sample_definition(map22, modes, cutoff):
     assert series.shape == (len(times), 4)
     assert np.array_equal(series, occupation_series_per_sample(
         state, spec, bog, times))
+    assert np.max(np.abs(series - _per_mode_series(state, spec, bog, times))
+                  ) < SERIES_ROUND
+
+
+def _per_mode_series(state, spec, bog, times):
+    """||a_m psi(t)||^2 with every a_m applied and merged on its own."""
+    return np.array([np.square(ladder_norms(exact_evolve(state, spec, t),
+                                            bog.beta, bog.alpha))
+                     for t in times])
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan], [5.0, 1.0, 1.0],
+                                   [0.0, np.inf], [], [[0.0, 1.0]]], ids=str)
+def test_occupation_series_checks_times(spec22, map22, times):
+    bog, _ = map22
+    with pytest.raises(ConfigError, match="times"):
+        occupation_series(_basis_state(0, 1, 1, 0), spec22, bog, times)
+
+
+@pytest.mark.parametrize("size", [(1, 2), (3, 2)], ids=str)
+@pytest.mark.parametrize("reader", ["annihilation", "constraint",
+                                    "series map", "series spec"])
+def test_readouts_refuse_other_sizes(spec22, map22, reader, size):
+    state = _basis_state(0, 1, 1, 0)
+    other = make_spec(*size, t_max=1.0, t_steps=2)
+    bog = build_bogoliubov(other)
+    read = {"annihilation": lambda: annihilation_residual(state, bog),
+            "constraint": lambda: constraint_residual(state, f_matrix(bog)),
+            "series map": lambda: occupation_series(state, spec22, bog, [0.0]),
+            "series spec": lambda: occupation_series(state, other, map22[0],
+                                                     [0.0])}[reader]
+    K = sum(size)
+    with pytest.raises(ConsistencyError,
+                       match=rf"size {K}( x {K})? does not fit a state of 4 "):
+        read()
+
+
+def test_seeded_readouts_match_per_mode_references():
+    # small random quenches at the config's order and cutoff: residuals and
+    # series against every ladder merged on its own, correlators bit for bit
+    checked = 0
+    for spec in random_specs(20261020, 8, max_size=2):
+        bog = build_bogoliubov(spec)
+        f = f_matrix(bog)
+        try:
+            state = expand_initial_state(spec, bog, f, RunConfig.order,
+                                         RunConfig.cutoff)
+        except CutoffExceeded as err:
+            assert "discards" in str(err) or "GiB" in str(err)
+            continue
+        checked += 1
+        for got, norms in ((annihilation_residual(state, bog),
+                            ladder_norms(state, bog.beta, bog.alpha)),
+                           (constraint_residual(state, f),
+                            ladder_norms(state, f, np.eye(state.modes)))):
+            assert abs(got - max(norms)) <= RESIDUAL_ROUND * max(norms), spec
+        series = occupation_series(state, spec, bog, spec.time_grid)
+        ref = _per_mode_series(state, spec, bog, spec.time_grid)
+        assert np.max(np.abs(series - ref)) < SERIES_ROUND, spec
+        got, ref = oracle_correlators(state), oracle_correlators_onehot(state)
+        for name in ("cdag_c", "c_cdag", "c_c", "cdag_cdag"):
+            assert _bits(getattr(got, name)) == _bits(getattr(ref, name)), name
+    assert checked
 
 
 def test_cutoff_convergence_shift(map22):
