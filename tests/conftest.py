@@ -6,8 +6,8 @@ import pytest
 from quenchlab.covariance import (CovarianceMatrix, _from_moments,
                                   _half_phases, _moments, _occupations,
                                   _residual, _samples, _tile_means)
-from quenchlab.fock_oracle import (CorrelationSet, ExpandedState, _energies,
-                                   _evolved, _images, _ladder, _merge)
+from quenchlab.fock_oracle import (CorrelationSet, ExpandedState, _images,
+                                   _ladder, _merge)
 from quenchlab.model import (FockExcitation, QuenchSpec, RunConfig,
                              default_time_grid, disjoint_frequencies,
                              disjoint_transform, mode_frequencies,
@@ -254,9 +254,11 @@ def max_offdiagonal(cov):
 
 def exact_evolve(state, spec, t) -> ExpandedState:
     """Diagonal evolution of an oracle state: each amplitude picks up
-    e^{-i sum w'_k (n_k+1/2) t}."""
-    return replace(state, amplitudes=_evolved(state.amplitudes,
-                                              _energies(state, spec), t))
+    e^{-i E t}, E = sum_k w'_k (n_k + 1/2) of its occupation row."""
+    energies = (state.occupations + 0.5) @ mode_frequencies(spec.total_size,
+                                                            spec.omega0)
+    return replace(state, amplitudes=state.amplitudes
+                   * np.exp(-1j * energies * t))
 
 
 def ladder_norms(state, x, y):
@@ -269,14 +271,14 @@ def ladder_norms(state, x, y):
 
 
 def occupation_series_per_sample(state, spec, bog, times):
-    """The oracle's <n_m(t)> with the ladder images rebuilt from scratch at
-    each sample of `exact_evolve`: a reference for the reuse of the images'
-    rows and places in `occupation_series`."""
+    """The oracle's <n_m(t)> as the squared column norms of the ladder
+    images of `exact_evolve`'s state times [alpha^T; beta^T], rebuilt at
+    each sample: the Schroedinger-picture reference for the quadratic form
+    of `occupation_series`, which puts the phases on the image columns."""
     coefficients = np.concatenate([bog.alpha.T, bog.beta.T])
     out = []
     for t in times:
-        moved = exact_evolve(state, spec, t)
-        images = _images(moved.occupations)(moved.amplitudes)
+        images = _images(exact_evolve(state, spec, t))
         out.append(np.square(np.linalg.norm(images @ coefficients, axis=0)))
     return np.array(out)
 
