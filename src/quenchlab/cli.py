@@ -169,6 +169,7 @@ def _run_oracle(spec, bog, f, outdir, files, cutoff, order):
         "order": order,
         "support_size": state.support_size(),
         "leakage": state.leakage,
+        "dropped_occupation": state.dropped_occupation,
         "vacuum_annihilation_residual": a_resid,
         "vacuum_constraint_residual": f_resid,
         "correlator_gap_vs_quadratic": gap,

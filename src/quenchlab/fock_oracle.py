@@ -1,19 +1,25 @@
 """Truncated-Fock brute force for small joint chains.
 
 A state is an (S, K) int16 array of unique occupation rows, one column per
-joint mode, plus an (S,) amplitude vector. `_ladder` applies
-sum_k x_k c+_k + y_k c_k and returns the raw rows, and `_merge` sorts rows
-on packed integer keys, in the order of their bytes, and sums the
-amplitudes of equal rows; rows whose amplitudes cancel are kept, so a
-support counts every occupation an operator reached. The pre-quench
+joint mode, plus an (S,) amplitude vector. Operators act on packed integer
+keys, not on rows: `_pack` writes each row as digits in a radix above any
+entry the operator can reach, so raising mode k adds a fixed place value to
+a key and lowering subtracts it. `_ladder_keys` writes the unmerged keys of
+sum_k x_k c+_k + y_k c_k from the S packed rows, `_pair_keys` those of
+sum_lk X_lk c+_k c+_l, and `_merge` sorts them, sums the amplitudes of
+equal keys in the order they were written and rebuilds an int16 row only
+for each unique key, from the row it came from; rows whose amplitudes
+cancel are kept, so a support counts every occupation an operator reached.
+Key order is the rows' numeric lexicographic order. The pre-quench
 eigenstate is the squeezed-vacuum exponential, expanded as a power series,
 with the Bogoliubov-expanded creation operators stacked on top. Every
 read-out comes from one matrix of ladder images, [L R] with L_k = c_k psi
-and R_k = c+_k psi (`_images`): the residuals are column norms of its
-product with a coefficient matrix, the correlators its Gram matrix G, and,
-as evolution only puts a phase on each image column, the occupation series
-a quadratic form of G. This is the independent reference used to certify
-the quadratic (correlator) route; it is only viable for a handful of modes.
+and R_k = c+_k psi (`_images`, which needs the keys only): the residuals
+are column norms of its product with a coefficient matrix, the correlators
+its Gram matrix G, and, as evolution only puts a phase on each image
+column, the occupation series a quadratic form of G. This is the
+independent reference used to certify the quadratic (correlator) route; it
+is only viable for a handful of modes.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .bogoliubov import (BogoliubovMap, ConsistencyError, build_bogoliubov,
 MAX_LEAKAGE = 0.01
 
 # most bytes the work on one state may take, by _check_size's estimate:
-# 3+4 chains at order 12 come to 3.7 GiB (1.3 GB measured), 4+4 to 17.5 GiB
+# 3+4 chains at order 12 come to 3.7 GiB (0.7 GB measured), 4+4 to 17.5 GiB
 MAX_BYTES = 5 << 30
 
 
@@ -44,10 +50,11 @@ class CutoffExceeded(ValueError):
 def _check_size(occ, quanta=0):
     """Refuse, before allocating, work on the rows occ with `quanta` more
     stacked on. K modes holding up to q quanta make comb(q + K, K) rows; a
-    ladder on them writes 2K rows per row, of 2K bytes and some 64 more of
-    amplitudes, scales and sort keys, and the matrix of its images takes
-    2K complex columns on comb(q + 1 + K, K) rows, its product with a
-    coefficient matrix K more."""
+    ladder on them writes 2K packed keys per row, budgeted at 2K + 64 bytes
+    each, which covers the key words (8 bytes per 64-bit word at most), the
+    amplitude, the sort order and their sorted copies, and the matrix of its
+    images takes 2K complex columns on comb(q + 1 + K, K) rows, its product
+    with a coefficient matrix K more."""
     K = occ.shape[1]
     q = int(occ.sum(axis=1).max()) + quanta
     rows = math.comb(q + K, K)
@@ -61,11 +68,19 @@ def _check_size(occ, quanta=0):
 
 @dataclass(frozen=True)
 class ExpandedState:
-    """Normalized state: unique (S, K) occupation rows and (S,) amplitudes."""
+    """Normalized state: unique (S, K) occupation rows and (S,) amplitudes.
+
+    `leakage` is the squared-norm fraction the projection to the cutoff
+    discarded, and `dropped_occupation` the largest mean occupation of one
+    mode that the discarded rows carried, max_k sum_r w_r n_rk over them with
+    w the squared amplitudes over the whole norm: the scale of the
+    truncation's error in the read-outs, where the leakage understates it.
+    """
 
     occupations: np.ndarray
     amplitudes: np.ndarray
     leakage: float
+    dropped_occupation: float = 0.0
 
     @property
     def modes(self):
@@ -77,8 +92,10 @@ class ExpandedState:
 
 @dataclass(frozen=True)
 class CorrelationSet:
-    """The oracle's four correlators of the joint modes, each measured on
-    its own, so the commutator holds only as far as the truncation allows."""
+    """The oracle's four correlators of the joint modes, the blocks of one
+    Gram matrix. No ladder is capped, so for the stored vector the
+    commutator [c_l, c+_k] = delta_lk holds to rounding (`commutator_defect`
+    is 4.4e-15 at most on seeded 2+2 quenches at cutoff 8)."""
 
     cdag_c: np.ndarray
     c_cdag: np.ndarray
@@ -90,98 +107,157 @@ class CorrelationSet:
         return float(np.max(np.abs(self.c_cdag - self.cdag_c.T - eye)))
 
 
-def _merge(*parts):
-    """Stack (rows, amplitudes) parts; unique rows, sorted on their bytes,
-    with the summed amplitudes (which may carry a trailing axis)."""
-    occ, amp = (np.concatenate(x) if len(x) > 1 else x[0]
-                for x in zip(*parts))
-    occ = np.ascontiguousarray(occ)
-    order, first = _groups(occ)
-    return occ[order[first]], np.add.reduceat(amp[order], first, axis=0)
+def _pack(occ, quanta):
+    """Packed keys of the rows occ, one array per key word, most significant
+    first, and the place value of each column in each word, a (words, K)
+    array that is zero outside the column's word.
 
-
-def _groups(occ):
-    """Sort order of contiguous (S, K) int16 rows on their bytes, and where
-    each run of equal rows starts in that order.
-
-    The sort runs on packed unsigned keys. With every entry in [0, 256) the
-    digits are the entries, in radix max + 1; otherwise they are the rows'
-    bytes in memory order, in radix 256. Either way key order is byte order.
-    Digits fill as few uint64 words as fit, first column most significant;
-    a key that fits one word takes the narrowest unsigned type instead.
+    The digits are the entries in radix max + quanta + 1, so a key stays a
+    key when any entry gains up to `quanta`: raising mode k adds its place
+    value and lowering subtracts it. The first column is the most
+    significant, each uint64 word takes as many columns as it holds, and a
+    key of one word takes the narrowest unsigned type. Key order is the rows'
+    numeric lexicographic order.
     """
-    if not len(occ):
-        return np.zeros(0, np.intp), np.zeros(0, np.intp)
-    top = int(occ.max())
-    if occ.min() >= 0 and top < 256:
-        digits, radix = occ.view(np.uint16), top + 1
-    else:
-        digits, radix = occ.view(np.uint8), 256
-    word_type = np.min_scalar_type(min(radix ** digits.shape[1], 1 << 64) - 1)
-    words, span = [], 1
-    for j in range(digits.shape[1]):
-        if not words or span * radix > 1 << 64:
-            words.append(digits[:, j].astype(word_type))
-            span = radix
-        else:
-            span *= radix
-            words[-1] *= radix
-            words[-1] += digits[:, j]
+    S, K = occ.shape
+    radix = (int(occ.max()) if S else 0) + quanta + 1
+    width = 1
+    while width < K and radix ** (width + 1) <= 1 << 64:
+        width += 1
+    kind = (np.min_scalar_type(radix ** K - 1) if width == K
+            else np.dtype(np.uint64))
+    digits = np.ascontiguousarray(occ).view(np.uint16)
+    words, place = [], np.zeros((-(-K // width), K), kind)
+    for w, start in enumerate(range(0, K, width)):
+        stop = min(start + width, K)
+        key = digits[:, start].astype(kind)
+        for j in range(start + 1, stop):
+            key *= radix
+            key += digits[:, j]
+        words.append(key)
+        place[w, start:stop] = [radix ** (stop - 1 - j)
+                                for j in range(start, stop)]
+    return words, place
+
+
+def _groups(words):
+    """Stable sort order of packed keys (`_pack`'s words), and where each
+    run of equal keys starts in that order."""
     order = (np.lexsort(words[::-1]) if len(words) > 1
              else np.argsort(words[0], kind="stable"))
     first = np.zeros(len(order), dtype=bool)
-    first[0] = True
+    first[:1] = True
     for word in words:
         word = word[order]
         first[1:] |= word[1:] != word[:-1]
     return order, np.flatnonzero(first)
 
 
-def _ladder_rows(occ, x, y):
-    """Unmerged rows of (sum_k x_k c+_k + y_k c_k) applied to the rows occ,
-    and the map from their amplitudes to the new rows' amplitudes.
+def _merge(words, amps, rows):
+    """Unique rows of raw packed keys, in key order, with the amplitudes of
+    equal keys summed in the order they were written (which may carry a
+    trailing axis); `rows` maps the raw positions picked, one per key, to
+    their int16 rows."""
+    order, first = _groups(words)
+    amps = np.add.reduceat(amps[order], first, axis=0)
+    pick = order[first]
+    del order  # freed before the rows are rebuilt
+    return rows(pick), amps
 
-    Modes with a zero coefficient add no rows and lowering drops rows with
-    n_k = 0, so the result holds exactly the occupations the operator reaches.
-    The raised rows, then the lowered rows, are written mode by mode into
-    one array. The rows do not depend on the amplitudes, so one call serves
-    every amplitude vector on occ.
+
+def _union(*parts):
+    """Merge of (rows, amplitudes) parts, rows packed as they are."""
+    occ, amp = (np.concatenate(x) for x in zip(*parts))
+    return _merge(_pack(occ, 0)[0], amp, occ.__getitem__)
+
+
+def _ladder_keys(psi, x, y):
+    """Unmerged packed keys and amplitudes of (sum_k x_k c+_k + y_k c_k) psi,
+    for `_merge`.
+
+    Modes with a zero coefficient add no keys and lowering skips rows with
+    n_k = 0, so the keys are exactly the occupations the operator reaches.
+    Each key word is one array, written as the rows would be: every row
+    raised in each mode with x_k != 0 (one broadcast add of place values),
+    then, mode by mode, the rows with n_k > 0 lowered (a compress and a
+    subtraction). Only the rows `_merge` picks are rebuilt, each from the
+    source row it came from with one entry moved.
     """
+    occ, amp = psi
     S, K = occ.shape
     up, down = np.flatnonzero(x), np.flatnonzero(y)
     live = occ[:, down].T > 0
+    base, place = _pack(occ, 1)
     raised = len(up) * S
     size = raised + np.count_nonzero(live)
-    rows = np.empty((size, K), occ.dtype)
-    scale = np.empty(size, np.result_type(x, y, 1.0))
-    end = 0
-    for k in up:
-        at, end = end, end + S
-        rows[at:end] = occ
-        rows[at:end, k] += 1
-        scale[at:end] = x[k] * np.sqrt(occ[:, k] + 1.0)
+    words = [np.empty(size, place.dtype) for _ in base]
+    amps = np.empty(size, np.result_type(x, y, 1.0, amp))
+    for key, word, step in zip(words, base, place):
+        np.add(word, step[up, None], out=key[:raised].reshape(len(up), S))
+    np.multiply(x[up, None] * np.sqrt(occ[:, up].T + 1.0), amp,
+                out=amps[:raised].reshape(len(up), S))
+    end = raised
     for k, keep in zip(down, live):
         at, end = end, end + np.count_nonzero(keep)
-        np.compress(keep, occ, axis=0, out=rows[at:end])
-        rows[at:end, k] -= 1
-        np.compress(keep, y[k] * np.sqrt(occ[:, k].astype(float)),
-                    out=scale[at:end])
+        for key, word, step in zip(words, base, place):
+            np.compress(keep, word, out=key[at:end])
+            key[at:end] -= step[k]
+        scale = y[k] * np.sqrt(occ[:, k].astype(float))
+        np.multiply(np.compress(keep, scale), np.compress(keep, amp),
+                    out=amps[at:end])
 
-    def amplitudes(amp):
-        out = np.empty(size, np.result_type(scale, amp))
-        np.multiply(scale[:raised].reshape(len(up), S), amp,
-                    out=out[:raised].reshape(len(up), S))
-        np.multiply(scale[raised:], np.broadcast_to(amp, live.shape)[live],
-                    out=out[raised:])
+    modes = np.concatenate([up, down])
+
+    def rows(pick):
+        # a lowered key's place on the grid of (mode, source row) pairs
+        low = pick >= raised
+        pick[low] = raised + np.flatnonzero(live)[pick[low] - raised]
+        block, src = np.divmod(pick, S)
+        out = occ[src]
+        out[np.arange(len(pick)), modes[block]] += np.where(
+            low, np.int16(-1), np.int16(1))
         return out
 
-    return rows, amplitudes
+    return words, amps, rows
 
 
 def _ladder(psi, x, y):
-    """Unmerged rows and amplitudes of (sum_k x_k c+_k + y_k c_k) psi."""
-    rows, amplitudes = _ladder_rows(psi[0], x, y)
-    return rows, amplitudes(psi[1])
+    """Merged rows and amplitudes of (sum_k x_k c+_k + y_k c_k) psi."""
+    return _merge(*_ladder_keys(psi, x, y))
+
+
+def _pair_keys(psi, xs):
+    """Unmerged packed keys and amplitudes of sum_lk X_lk c+_k c+_l psi,
+    with X the rows xs, for `_merge`: c+_l, then the ladder with x = X_l,
+    written l, then k, then source row, each product in that order."""
+    occ, amp = psi
+    S, K = occ.shape
+    base, place = _pack(occ, 2)
+    ups = [np.flatnonzero(x) for x in xs]
+    size = S * sum(map(len, ups))
+    words = [np.empty(size, place.dtype) for _ in base]
+    amps = np.empty(size, np.result_type(xs, 1.0, amp))
+    end = 0
+    for l, up in enumerate(ups):
+        at, end = end, end + len(up) * S
+        for key, word, step in zip(words, base, place):
+            np.add(word, (step[l] + step[up])[:, None],
+                   out=key[at:end].reshape(len(up), S))
+        n = occ[:, up].T + (up == l)[:, None]   # n_k after c+_l
+        np.multiply(xs[l][up, None] * np.sqrt(n + 1.0),
+                    np.sqrt(occ[:, l] + 1.0) * amp,
+                    out=amps[at:end].reshape(len(up), S))
+    ls = np.repeat(np.arange(K), list(map(len, ups)))
+    ks = np.concatenate(ups)
+
+    def rows(pick):
+        pair, src = np.divmod(pick, S)
+        out, at = occ[src], np.arange(len(pick))
+        out[at, ls[pair]] += 1
+        out[at, ks[pair]] += 1
+        return out
+
+    return words, amps, rows
 
 
 def expand_squeezed_vacuum(f: np.ndarray, order: int):
@@ -192,17 +268,15 @@ def expand_squeezed_vacuum(f: np.ndarray, order: int):
     first and project once at the end.
     """
     K = f.shape[0]
-    unit, zero = np.eye(K), np.zeros(K)
     # int16 rows exhaust memory long before they wrap; uint8 would wrap at
     # occupation 256, which order 128 reaches on a 1+1 chain
     term = (np.zeros((1, K), dtype=np.int16), np.ones(1))
     _check_size(term[0], 2 * order)
     terms = [term]
     for p in range(1, order + 1):
-        term = _merge(*(_ladder(_ladder(term, unit[l], zero), -0.5 * f[l] / p,
-                                zero) for l in range(K)))
+        term = _merge(*_pair_keys(term, -0.5 * f / p))
         terms.append(term)
-    return _merge(*terms)
+    return _union(*terms)
 
 
 def expand_initial_state(spec: QuenchSpec, bog: BogoliubovMap, f: np.ndarray,
@@ -229,13 +303,14 @@ def _lift(psi, spec: QuenchSpec, bog: BogoliubovMap):
     _check_size(psi[0], spec.initial_state.total)
     for j, nj in enumerate(spec.initial_state.occupations):
         for _ in range(nj):
-            psi = _merge(_ladder(psi, bog.alpha[j], bog.beta[j]))
+            psi = _ladder(psi, bog.alpha[j], bog.beta[j])
     return psi
 
 
 def _project(psi, cutoff: int) -> ExpandedState:
     """Keep the rows with every occupation <= cutoff and renormalize;
-    refuse when the discarded squared-norm fraction exceeds MAX_LEAKAGE."""
+    refuse when the discarded squared-norm fraction exceeds MAX_LEAKAGE.
+    The occupation the discarded rows carry is stated, not checked."""
     occ, amp = psi
     kept = occ.max(axis=1) <= cutoff
     weight = np.abs(amp) ** 2
@@ -245,8 +320,9 @@ def _project(psi, cutoff: int) -> ExpandedState:
         raise CutoffExceeded(
             f"projection to cutoff {cutoff} discards {leakage:.3e} of the "
             f"squared norm (limit {MAX_LEAKAGE:.3e})")
+    dropped = weight[~kept] @ occ[~kept] / weight.sum()
     return ExpandedState(occ[kept], amp[kept] / np.sqrt(kept_weight),
-                         float(leakage))
+                         float(leakage), float(np.max(dropped)))
 
 
 def delocalization_count(state: ExpandedState, floor: float) -> int:
@@ -258,13 +334,15 @@ def delocalization_count(state: ExpandedState, floor: float) -> int:
 
 def _images(state: ExpandedState):
     """The (S', 2K) matrix [L R] of the state's ladder images. One ladder
-    and one sort find the merged rows; the rows of one image are unique, so
-    each amplitude goes straight to its place."""
+    and one sort of its packed keys place every amplitude, and no row is
+    rebuilt; the keys of one image are unique, so each amplitude goes
+    straight to its place."""
     occ = state.occupations
     _check_size(occ)
     S, K = occ.shape
-    rows, amplitudes = _ladder_rows(occ, np.ones(K), np.ones(K))
-    order, first = _groups(rows)
+    words, amps, _ = _ladder_keys((occ, state.amplitudes), np.ones(K),
+                                  np.ones(K))
+    order, first = _groups(words)
     place = np.empty_like(order)
     place[order] = np.repeat(np.arange(0, 2 * K * len(first), 2 * K),
                              np.diff(first, append=len(order)))
@@ -272,9 +350,9 @@ def _images(state: ExpandedState):
     place += np.concatenate([np.repeat(np.arange(K, 2 * K), S),
                              np.repeat(np.arange(K),
                                        np.count_nonzero(occ > 0, axis=0))])
-    del rows, order  # freed before the image matrix is allocated
-    out = np.zeros((len(first), 2 * K), np.result_type(1.0, state.amplitudes))
-    np.put(out, place, amplitudes(state.amplitudes))
+    del words, order  # freed before the image matrix is allocated
+    out = np.zeros((len(first), 2 * K), amps.dtype)
+    np.put(out, place, amps)
     return out
 
 
@@ -375,8 +453,8 @@ def delocalization_table():
         spec = QuenchSpec(5, m_right, FockExcitation.single(total, 3), grid)
         bog = build_bogoliubov(spec)
         single = expand_initial_state(spec, bog, f_matrix(bog), 1)
-        pair = _merge(_ladder((single.occupations, single.amplitudes),
-                              bog.alpha[3], bog.beta[3]))  # a+_4
+        pair = _ladder((single.occupations, single.amplitudes),
+                       bog.alpha[3], bog.beta[3])  # a+_4
         rows.append({
             "n_left": 5,
             "n_right": m_right,

@@ -6,8 +6,7 @@ import pytest
 from quenchlab.covariance import (CovarianceMatrix, _from_moments,
                                   _half_phases, _moments, _occupations,
                                   _residual, _samples, _tile_means)
-from quenchlab.fock_oracle import (CorrelationSet, ExpandedState, _images,
-                                   _ladder, _merge)
+from quenchlab.fock_oracle import CorrelationSet, ExpandedState, _images
 from quenchlab.model import (FockExcitation, QuenchSpec, RunConfig,
                              default_time_grid, disjoint_frequencies,
                              disjoint_transform, mode_frequencies,
@@ -266,8 +265,9 @@ def ladder_norms(state, x, y):
     ladder applied and merged on its own: the per-mode reference for the
     oracle's image matrix. (bog.beta, bog.alpha) gives the ||a_m psi||."""
     psi = state.occupations, state.amplitudes
-    return np.array([np.linalg.norm(_merge(_ladder(psi, xm, ym))[1])
-                     for xm, ym in zip(x, y)])
+    return np.array([np.linalg.norm(
+        merge_concatenate(ladder_concatenate(psi, xm, ym))[1])
+        for xm, ym in zip(x, y)])
 
 
 def occupation_series_per_sample(state, spec, bog, times):
@@ -290,10 +290,10 @@ def oracle_correlators_onehot(state):
     K = state.modes
     psi = state.occupations, state.amplitudes
     unit, zero, onehot = np.eye(K), np.zeros(K), np.eye(2 * K)
-    images = ([_ladder(psi, zero, unit[k]) for k in range(K)]
-              + [_ladder(psi, unit[k], zero) for k in range(K)])
-    _, vecs = _merge(*((o, a[:, None] * onehot[j])
-                       for j, (o, a) in enumerate(images)))
+    images = ([ladder_concatenate(psi, zero, unit[k]) for k in range(K)]
+              + [ladder_concatenate(psi, unit[k], zero) for k in range(K)])
+    _, vecs = merge_concatenate(*((o, a[:, None] * onehot[j])
+                                  for j, (o, a) in enumerate(images)))
     g = vecs.conj().T @ vecs
     if np.max(np.abs(g.imag)) < 1e-14:
         g = g.real
@@ -301,33 +301,32 @@ def oracle_correlators_onehot(state):
                           c_c=g[K:, :K].copy(), c_cdag=g[K:, K:].copy())
 
 
-def groups_bytes(occ):
-    """Stable sort order of contiguous (S, K) rows on a np.void view of
-    their bytes, and where each run of equal rows starts: a reference for
-    the packed integer keys of `fock_oracle._groups`."""
-    key = occ.view(np.dtype((np.void, occ.dtype.itemsize * occ.shape[1])))
-    key = key.ravel()
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
+def groups_numeric(occ):
+    """Stable sort order of (S, K) rows in numeric lexicographic order, first
+    column first (`np.lexsort`), and where each run of equal rows starts: a
+    reference for the packed keys of `fock_oracle._groups`."""
+    order = np.lexsort(occ.T[::-1])
+    occ = occ[order]
+    first = np.ones(len(occ), dtype=bool)
+    first[1:] = np.any(occ[1:] != occ[:-1], axis=1)
     return order, np.flatnonzero(first)
 
 
 def merge_concatenate(*parts):
-    """Stacked rows and amplitudes grouped by `groups_bytes`: a reference
-    for `fock_oracle._merge`, which places each part's amplitudes straight
-    into sorted order."""
+    """Stacked rows and amplitudes grouped by `groups_numeric`: a reference
+    for `fock_oracle._merge`, which sorts packed keys and rebuilds only the
+    unique rows."""
     occ = np.ascontiguousarray(np.concatenate([o for o, _ in parts]))
     amp = np.concatenate([a for _, a in parts])
-    order, first = groups_bytes(occ)
+    order, first = groups_numeric(occ)
     return occ[order[first]], np.add.reduceat(amp[order], first, axis=0)
 
 
 def ladder_rows_concatenate(occ, x, y):
     """Rows of (sum_k x_k c+_k + y_k c_k) on occ built as (modes, S, K)
-    blocks, masked and concatenated, and their amplitude map: a reference
-    for the rows `fock_oracle._ladder_rows` writes in place."""
+    blocks, masked and concatenated, and their amplitude map: the row
+    reference for the packed keys that `fock_oracle._ladder_keys` writes,
+    in the same order."""
     shift = np.eye(occ.shape[1], dtype=occ.dtype)
     up, down = np.flatnonzero(x), np.flatnonzero(y)
     n_up, n_down = occ[:, up].T + 1.0, occ[:, down].T.astype(float)
@@ -342,6 +341,53 @@ def ladder_rows_concatenate(occ, x, y):
                                (lower_by * amp)[live]])
 
     return rows, amplitudes
+
+
+def ladder_concatenate(psi, x, y):
+    """Unmerged rows and amplitudes of (sum_k x_k c+_k + y_k c_k) psi."""
+    rows, amplitudes = ladder_rows_concatenate(psi[0], x, y)
+    return rows, amplitudes(psi[1])
+
+
+def pairs_concatenate(psi, xs):
+    """Unmerged rows and amplitudes of sum_lk X_lk c+_k c+_l psi, with X the
+    rows xs: c+_l, then the ladder with x = X_l, stacked for every l; the row
+    reference for `fock_oracle._pair_keys`."""
+    K = psi[0].shape[1]
+    unit, zero = np.eye(K), np.zeros(K)
+    parts = [ladder_concatenate(ladder_concatenate(psi, unit[l], zero), x,
+                                zero) for l, x in enumerate(xs)]
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def squeezed_vacuum_rows(f, order):
+    """`fock_oracle.expand_squeezed_vacuum` on raw rows: each order is
+    `pairs_concatenate` with X = -F/2p, merged by `merge_concatenate`."""
+    term = (np.zeros((1, f.shape[0]), dtype=np.int16), np.ones(1))
+    terms = [term]
+    for p in range(1, order + 1):
+        term = merge_concatenate(pairs_concatenate(term, -0.5 * f / p))
+        terms.append(term)
+    return merge_concatenate(*terms)
+
+
+def images_rows(state):
+    """`fock_oracle._images` from raw rows: the rows of every ladder image
+    (`ladder_rows_concatenate`, raised then lowered), sorted by
+    `groups_numeric`, each amplitude put in its row and column."""
+    occ = state.occupations
+    S, K = occ.shape
+    rows, amplitudes = ladder_rows_concatenate(occ, np.ones(K), np.ones(K))
+    order, first = groups_numeric(rows)
+    row = np.empty_like(order)
+    row[order] = np.repeat(np.arange(len(first)),
+                           np.diff(first, append=len(order)))
+    col = np.concatenate([np.repeat(np.arange(K, 2 * K), S),
+                          np.repeat(np.arange(K),
+                                    np.count_nonzero(occ > 0, axis=0))])
+    out = np.zeros((len(first), 2 * K), np.result_type(1.0, state.amplitudes))
+    out[row, col] = amplitudes(state.amplitudes)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -320,7 +320,8 @@ def test_oracle_beyond_budget_exits_3_before_any_ladder(tmp_path, monkeypatch,
     def no_ladder(*args):
         raise AssertionError("a ladder ran past the budget")
 
-    monkeypatch.setattr(cli.fock_oracle, "_ladder_rows", no_ladder)
+    for name in ("_ladder_keys", "_pair_keys"):
+        monkeypatch.setattr(cli.fock_oracle, name, no_ladder)
     cfg = _write_config(tmp_path, text + "analyses = fock-oracle\n")
     out = tmp_path / "out"
     assert cli.main(["--config", cfg, "--out", str(out)]) == 3
@@ -349,6 +350,17 @@ def test_oracle_on_nine_modes_at_first_order_runs(tmp_path):
     assert cli.main(["--config", cfg, "--out", str(out)]) == 0
     with open(out / "oracle_N5_M4.json") as fh:
         assert json.load(fh)["support_size"] <= 55
+
+
+def test_oracle_json_states_dropped_occupation(tmp_path):
+    cfg = _write_config(tmp_path, "N = 2\nM = 2\noccupations = 0, 1, 1, 0\n"
+                        "analyses = fock-oracle\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+    with open(out / "oracle_N2_M2.json") as fh:
+        payload = json.load(fh)
+    # about ten times the leakage at cutoff 8
+    assert 0.0 < payload["leakage"] < payload["dropped_occupation"] < 1e-3
 
 
 def test_missing_config_file_exits_4(tmp_path):

@@ -10,8 +10,9 @@ from quenchlab.bogoliubov import (BogoliubovMap, ConsistencyError,
                                   initial_correlations)
 from quenchlab.dynamics import evolve_occupations
 from quenchlab.fock_oracle import (MAX_LEAKAGE, CutoffExceeded,
-                                   ExpandedState, _groups,
-                                   _ladder, _ladder_rows, _merge,
+                                   ExpandedState, _groups, _images,
+                                   _ladder, _ladder_keys, _merge, _pack,
+                                   _pair_keys, _union,
                                    annihilation_residual,
                                    constraint_residual, delocalization_count,
                                    delocalization_table,
@@ -20,10 +21,11 @@ from quenchlab.fock_oracle import (MAX_LEAKAGE, CutoffExceeded,
                                    oracle_correlators)
 from quenchlab.model import ConfigError, RunConfig, default_time_grid
 
-from conftest import (exact_evolve, groups_bytes, ladder_norms,
-                      ladder_rows_concatenate, make_spec, merge_concatenate,
-                      occupation_series_per_sample, oracle_correlators_onehot,
-                      random_specs)
+from conftest import (exact_evolve, groups_numeric, images_rows,
+                      ladder_concatenate, ladder_norms, make_spec,
+                      merge_concatenate, occupation_series_per_sample,
+                      oracle_correlators_onehot, pairs_concatenate,
+                      random_specs, squeezed_vacuum_rows)
 
 # residuals of the truncated expansion certificates, frozen from first runs
 A_RESID_20_12 = 4.736245261861336e-07
@@ -55,6 +57,18 @@ FORM_ROUND = 5e-14
 # 2+2 pairs), the occupation series on [0, 50] 9.8 to 17.3
 CORRELATOR_PER_LEAKAGE = 64.0
 SERIES_PER_LEAKAGE = 20.0
+
+# the same gaps per unit of the state's dropped_occupation d, on those 8
+# specs and the six excited 2+2 pairs: <c+c> 0.75 to 0.997, all four
+# correlators 2.3 to 5.81, the series on [0, 50] 1.03 to 1.89; each bound
+# is at least 1.1 times the largest ratio
+CDAG_C_PER_DROPPED = 1.1
+CORRELATOR_PER_DROPPED = 6.4
+SERIES_PER_DROPPED = 2.1
+
+# [c_l, c+_k] - delta_lk and the asymmetry of <c c> on those 8 specs:
+# 2.2e-16 to 4.4e-15 and 1.5e-16 at most
+COMMUTATOR_ROUND = 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -384,6 +398,58 @@ def test_seeded_oracle_within_truncation_bound():
                 <= SERIES_PER_LEAKAGE * state.leakage), spec
 
 
+def _seeded_and_pair_states():
+    """(spec, bog, state) of the 8 seeded quenches and the six excited 2+2
+    pairs, at RunConfig's order and cutoff."""
+    specs = random_specs(20261020, 8, max_size=2) + [
+        make_spec(2, 2, modes=m, t_max=1.0, t_steps=2)
+        for m in combinations(range(1, 5), 2)]
+    for spec in specs:
+        bog = build_bogoliubov(spec)
+        yield spec, bog, expand_initial_state(spec, bog, f_matrix(bog),
+                                              RunConfig.order,
+                                              RunConfig.cutoff)
+
+
+def test_dropped_occupation_bounds_the_truncation_gaps():
+    # the occupation the projection drops states the read-outs' accuracy,
+    # where the leakage understates it about tenfold
+    grid = default_time_grid(50.0, 26)
+    for spec, bog, state in _seeded_and_pair_states():
+        d = state.dropped_occupation
+        assert 0.0 < state.leakage < d, spec
+        corr = initial_correlations(bog, spec.initial_state)
+        oc = oracle_correlators(state)
+        assert (np.max(np.abs(oc.cdag_c - corr.cdag_c))
+                <= CDAG_C_PER_DROPPED * d), spec
+        gap = max(np.max(np.abs(getattr(oc, name) - getattr(corr, name)))
+                  for name in ("cdag_c", "c_cdag", "c_c", "cdag_cdag"))
+        assert gap <= CORRELATOR_PER_DROPPED * d, spec
+        exact = evolve_occupations(spec, bog, corr, times=grid).n_expect
+        series = occupation_series(state, spec, bog, grid)
+        assert np.max(np.abs(series - exact)) <= SERIES_PER_DROPPED * d, spec
+
+
+def test_seeded_commutator_holds_for_the_stored_vector():
+    # no ladder is capped, so the truncation does not break [c_l, c+_k]
+    for spec, _, state in _seeded_and_pair_states():
+        oc = oracle_correlators(state)
+        assert oc.commutator_defect() <= COMMUTATOR_ROUND, spec
+        assert np.max(np.abs(oc.c_c - oc.c_c.T)) <= COMMUTATOR_ROUND, spec
+
+
+def test_dropped_occupation_of_a_projection():
+    # cutoff 1 drops (0, 3) and (2, 0), each of weight 2/1000: they carry
+    # 4/1000 of mode 1's occupation and 6/1000 of mode 2's
+    occ = np.array([[0, 0], [1, 1], [0, 3], [2, 0]], dtype=np.int16)
+    state = fock_oracle._project((occ, np.sqrt([992.0, 4.0, 2.0, 2.0])), 1)
+    assert state.occupations.tolist() == [[0, 0], [1, 1]]
+    assert abs(state.leakage - 4e-3) < 1e-15
+    assert abs(state.dropped_occupation - 6e-3) < 1e-15
+    kept = fock_oracle._project((occ, np.ones(4)), 3)
+    assert kept.leakage == kept.dropped_occupation == 0.0
+
+
 def test_cutoff_convergence_shift(map22):
     # raising the per-mode cap 6 -> 8 moves the curves by < 5e-3
     bog, f = map22
@@ -440,20 +506,18 @@ def test_trivial_map_stays_on_vacuum(spec22):
 def test_annihilation_never_leaves_basis():
     unit, zero = np.eye(4), np.zeros(4)
     low = _basis_state(1, 0, 0, 0)
-    rows, amps = _merge(_ladder((low.occupations, low.amplitudes), zero,
-                                unit[0]))
+    rows, amps = _ladder((low.occupations, low.amplitudes), zero, unit[0])
     assert rows.tolist() == [[0, 0, 0, 0]] and amps.tolist() == [1.0]
     vac = _basis_state(0, 0, 0, 0)
-    rows, amps = _merge(_ladder((vac.occupations, vac.amplitudes), zero,
-                                unit[0]))
+    rows, amps = _ladder((vac.occupations, vac.amplitudes), zero, unit[0])
     assert rows.shape == (0, 4) and amps.shape == (0,)
 
 
-# entry ranges of the random rows: the vacuum only, small occupations,
-# occupations that need a second byte, small entries of either sign and the
-# whole int16 range
+# entry ranges of the random rows, never negative, as occupations are: the
+# vacuum only, small occupations, occupations past one byte and the whole
+# non-negative int16 range
 ROW_RANGES = {"zero": (0, 1), "small": (0, 5), "wide": (0, 300),
-              "signed": (-5, 5), "full": (-32768, 32768)}
+              "int16": (0, 32768)}
 
 
 def _random_rows(rng, S, K, kind, repeated):
@@ -461,7 +525,7 @@ def _random_rows(rng, S, K, kind, repeated):
     low, high = ROW_RANGES[kind]
     count = max(1, S // 4) if repeated else S
     pool = rng.integers(low, high, size=(count, K), dtype=np.int16)
-    if kind == "full" and count:
+    if kind == "int16" and count:
         pool[0, :] = low
         pool[-1, :] = high - 1
     return pool[rng.integers(0, count, size=S)] if repeated else pool
@@ -472,6 +536,13 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
+def _assert_same(got, ref, case):
+    """Merged (rows, amplitudes) equal to the bit, rows int16."""
+    assert got[0].dtype == np.int16, case
+    assert np.array_equal(got[0], ref[0]), case
+    assert _bits(got[1]) == _bits(ref[1]), case
+
+
 def _sizes(rng, count):
     """S = 0, S = 1, then random S <= 5000, each with a random K <= 30."""
     return [(0, 3), (1, 7)] + [
@@ -480,13 +551,16 @@ def _sizes(rng, count):
 
 
 def test_groups_match_byte_key_reference():
+    # packed keys sort rows in numeric lexicographic order, first column
+    # most significant; that is the rows' byte order only while every entry
+    # is below 256
     rng = np.random.default_rng(20261018)
     for kind in ROW_RANGES:
         for repeated in (False, True):
             for S, K in _sizes(rng, 6):
                 occ = _random_rows(rng, S, K, kind, repeated)
-                order, first = _groups(occ)
-                ref_order, ref_first = groups_bytes(occ)
+                order, first = _groups(_pack(occ, 0)[0])
+                ref_order, ref_first = groups_numeric(occ)
                 case = (kind, repeated, S, K)
                 assert np.array_equal(order, ref_order), case
                 assert np.array_equal(first, ref_first), case
@@ -500,33 +574,111 @@ def test_merge_matches_concatenate_reference():
             for S in rng.integers(0, 2001, size=n_parts).tolist():
                 amp = rng.normal(size=(S, 3)) + 1j * rng.normal(size=(S, 3))
                 parts.append((_random_rows(rng, S, K, kind, True), amp))
-            rows, amps = _merge(*parts)
-            ref_rows, ref_amps = merge_concatenate(*parts)
-            assert np.array_equal(rows, ref_rows), (kind, n_parts)
-            assert _bits(amps) == _bits(ref_amps), (kind, n_parts)
+            _assert_same(_union(*parts), merge_concatenate(*parts),
+                         (kind, n_parts))
+
+
+def _coefficients(rng, K):
+    """A random coefficient vector with about 30 % zeros."""
+    x = rng.normal(size=K)
+    x[rng.random(K) < 0.3] = 0.0
+    return x
 
 
 def test_ladder_rows_match_concatenate_reference():
+    # the key ladder and its merge against the rows written out and merged
     rng = np.random.default_rng(424242)
     for S, K in _sizes(rng, 10):
         occ = _random_rows(rng, S, K, "small", repeated=False)
-        x, y = rng.normal(size=K), rng.normal(size=K)
-        x[rng.random(K) < 0.3] = 0.0
-        y[rng.random(K) < 0.3] = 0.0
+        x, y = _coefficients(rng, K), _coefficients(rng, K)
         amp = rng.normal(size=S) * np.exp(1j * rng.uniform(0, 6.3, size=S))
         for cx, cy in ((x, y), (x, 0 * y), (0 * x, y), (0 * x, 0 * y)):
-            rows, amplitudes = _ladder_rows(occ, cx, cy)
-            ref_rows, ref_amplitudes = ladder_rows_concatenate(occ, cx, cy)
-            assert rows.dtype == np.int16 and np.array_equal(rows, ref_rows)
             for a in (amp.real, amp):
-                assert _bits(amplitudes(a)) == _bits(ref_amplitudes(a)), (S, K)
+                _assert_same(_ladder((occ, a), cx, cy),
+                             merge_concatenate(ladder_concatenate((occ, a),
+                                                                  cx, cy)),
+                             (S, K))
+
+
+# (K, radix, key words, key type): for each unsigned width the largest
+# radix whose K-digit keys fit it and the next one up, radix 2^15 (the
+# ladders reach the int16 top 32767) on either side of a second word, and
+# K = 120 in radix 4, four words
+KEY_LAYOUTS = [(2, 16, 1, np.uint8), (2, 17, 1, np.uint16),
+               (3, 40, 1, np.uint16), (3, 41, 1, np.uint32),
+               (5, 84, 1, np.uint32), (5, 85, 1, np.uint64),
+               (7, 565, 1, np.uint64), (7, 566, 2, np.uint64),
+               (1, 1 << 15, 1, np.uint16), (4, 1 << 15, 1, np.uint64),
+               (5, 1 << 15, 2, np.uint64), (120, 4, 4, np.uint64)]
+
+
+@pytest.mark.parametrize("quanta", [1, 2], ids=["ladder", "pairs"])
+@pytest.mark.parametrize("K, radix, words, kind", KEY_LAYOUTS,
+                         ids=lambda v: str(getattr(v, "__name__", v)))
+def test_key_ladders_match_row_references_at_layout_edges(K, radix, words,
+                                                          kind, quanta):
+    # the rows' largest entry is pinned so that the keys, in radix
+    # max + quanta + 1, take the given layout, and it sits in a raised
+    # column, so the ladders reach radix - 1; S = 0, S = 1 and zero
+    # coefficients included
+    rng = np.random.default_rng([K, radix, quanta])
+    top = radix - 1 - quanta
+    for S in (0, 1, 3 if K > 100 else 300):
+        occ = rng.integers(0, top + 1, size=(S, K), dtype=np.int16)
+        occ[:1, 0] = top
+        if S:
+            packed = _pack(occ, quanta)[0]
+            assert len(packed) == words and packed[0].dtype == kind
+        amp = rng.normal(size=S) + 1j * rng.normal(size=S)
+        if quanta == 1:
+            x, y = _coefficients(rng, K), _coefficients(rng, K)
+            x[0] = 1.0
+            cases = [(x, y), (x, 0 * y), (0 * x, y), (0 * x, 0 * y)]
+        else:
+            xs = rng.normal(size=(K, K)) * (rng.random((K, K)) > 0.3)
+            xs[0, 0], xs[-1] = 1.0, 0.0
+            cases = [(xs,), (0 * xs,)]
+        for coefficients in cases:
+            for psi in ((occ, amp.real), (occ, amp)):
+                if quanta == 1:
+                    got = _ladder(psi, *coefficients)
+                    ref = ladder_concatenate(psi, *coefficients)
+                else:
+                    got = _merge(*_pair_keys(psi, *coefficients))
+                    ref = pairs_concatenate(psi, *coefficients)
+                _assert_same(got, merge_concatenate(ref), (S, K, radix))
+
+
+@pytest.mark.parametrize("size, modes, order", [
+    ((2, 2), (2, 3), 12),   # oracle-2x2's depth, keys of one uint32 word
+    ((5, 10), (3, 4), 1),   # table1's width
+    ((20, 20), (3,), 1),    # the images' keys take two words
+    ((1, 1), (1,), 130),    # entries past 255
+], ids=str)
+def test_expansion_and_images_match_row_references(size, modes, order):
+    spec = make_spec(*size, modes=modes, t_max=1.0, t_steps=2)
+    bog = build_bogoliubov(spec)
+    f = f_matrix(bog)
+    psi, ref = expand_squeezed_vacuum(f, order), squeezed_vacuum_rows(f, order)
+    _assert_same(psi, ref, "series")
+    psi = fock_oracle._lift(psi, spec, bog)
+    for j, nj in enumerate(spec.initial_state.occupations):
+        for _ in range(nj):
+            ref = merge_concatenate(ladder_concatenate(ref, bog.alpha[j],
+                                                       bog.beta[j]))
+    _assert_same(psi, ref, "lift")
+    state = fock_oracle._project(psi, 2 * order + len(modes))
+    assert state.leakage == 0.0 and state.dropped_occupation == 0.0
+    assert _bits(_images(state)) == _bits(images_rows(state))
 
 
 def test_table1_pair_lift_memory_is_bounded():
-    """Allocation peaks of the ladder and the merge in table1's K = 25 pair
-    lift (N = 5, M = 20, modes 3 and 4, order 1), in units of the raw ladder
-    rows' bytes. Built from (modes, S, K) blocks and sorted on byte keys,
-    they were 2.31 and 1.22."""
+    """Allocation peaks of the key ladder and of its merge in table1's
+    K = 25 pair lift (N = 5, M = 20, modes 3 and 4, order 1), in units of
+    the bytes of the raw int16 rows a row ladder writes. Rows built from
+    (modes, S, K) blocks and sorted on byte keys took 2.31 and 1.22, rows
+    written in place under 1.8 and 1.0; the packed keys take 0.55 and
+    0.69."""
     spec = make_spec(5, 20, modes=(3, 4), t_max=1.0, t_steps=2)
     bog = build_bogoliubov(spec)
     psi = expand_squeezed_vacuum(f_matrix(bog), order=1)
@@ -535,14 +687,15 @@ def test_table1_pair_lift_memory_is_bounded():
         for j in (2, 3):
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            raw = _ladder(psi, bog.alpha[j], bog.beta[j])
+            raw = _ladder_keys(psi, bog.alpha[j], bog.beta[j])
             ladder_peak = tracemalloc.get_traced_memory()[1] - held
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            psi = _merge(raw)
+            psi = _merge(*raw)
             merge_peak = tracemalloc.get_traced_memory()[1] - held
-            assert ladder_peak <= 1.8 * raw[0].nbytes, j
-            assert merge_peak <= 1.0 * raw[0].nbytes, j
+            row_bytes = len(raw[1]) * spec.total_size * 2
+            assert ladder_peak <= 1.8 * row_bytes, j
+            assert merge_peak <= 1.0 * row_bytes, j
             del raw
     finally:
         tracemalloc.stop()
