@@ -18,5 +18,5 @@ from .bogoliubov import (BogoliubovMap, Moments, build_bogoliubov, f_matrix,
 from .dynamics import evolve_occupations, fluctuation_series, long_time_average
 from .gge import build_gge, deviation_delta_g, gge_expectations
 from .covariance import joint_covariance, thermal_form_check
-from .fock_oracle import (CorrelationSet, delocalization_count,
-                          expand_initial_state, oracle_correlators)
+from .fock_oracle import (delocalization_count, expand_initial_state,
+                          oracle_correlators)

@@ -152,16 +152,22 @@ def _run_covariance(spec, outdir, files):
 def _run_oracle(spec, bog, f, outdir, files, cutoff, order):
     series = fock_oracle.expand_squeezed_vacuum(f, order)
     # the annihilation identities certify the squeezed vacuum, not states
-    # with creation operators stacked on top, so measure them on the vacuum
-    vacuum = fock_oracle._project(series, cutoff)
-    a_resid = fock_oracle.annihilation_residual(vacuum, bog)
-    f_resid = fock_oracle.constraint_residual(vacuum, f)
-    state = (fock_oracle._project(fock_oracle._lift(series, spec, bog),
-                                  cutoff)
-             if spec.initial_state.total else vacuum)
-    del series, vacuum  # not held through the correlators' larger peak
+    # with creation operators stacked on top, so measure them on the
+    # vacuum; its ladder images serve both, one product at a time, and the
+    # moments of a vacuum run
+    state = fock_oracle._project(series, cutoff)
+    images = fock_oracle._images(state)
+    a_resid = fock_oracle._largest_norm(images, bog.alpha, bog.beta)
+    f_resid = fock_oracle._largest_norm(images, np.eye(spec.total_size), f)
+    if spec.initial_state.total:
+        del images, state  # freed before the excited state's images
+        state = fock_oracle._project(fock_oracle._lift(series, spec, bog),
+                                     cutoff)
+        del series
+        oracle = fock_oracle.oracle_correlators(state)
+    else:
+        oracle = fock_oracle._moments(images)
     exact = bogoliubov.initial_correlations(bog, spec.initial_state)
-    oracle = fock_oracle.oracle_correlators(state)
     gap = max(float(np.max(np.abs(getattr(oracle, k) - getattr(exact, k))))
               for k in ("cdag_c", "cdag_cdag", "c_c", "c_cdag"))
     payload = {

@@ -15,11 +15,12 @@ eigenstate is the squeezed-vacuum exponential, expanded as a power series,
 with the Bogoliubov-expanded creation operators stacked on top. Every
 read-out comes from one matrix of ladder images, [L R] with L_k = c_k psi
 and R_k = c+_k psi (`_images`, which needs the keys only): the residuals
-are column norms of its product with a coefficient matrix, the correlators
-its Gram matrix G, and, as evolution only puts a phase on each image
-column, the occupation series a quadratic form of G. This is the
-independent reference used to certify the quadratic (correlator) route; it
-is only viable for a handful of modes.
+are column norms of its product with a coefficient matrix, and the state's
+second moments, a `bogoliubov.Moments` record, two blocks of its Gram
+matrix G. Under the quadratic joint Hamiltonian those moments fix
+<n_m(t)>, so the occupation series is `dynamics.evolve_occupations` on
+them. This is the independent reference used to certify the quadratic
+(correlator) route; it is only viable for a handful of modes.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (QuenchSpec, FockExcitation, RunConfig, _number,
-                    _time_grid, mode_frequencies)
-from .bogoliubov import (BogoliubovMap, ConsistencyError, build_bogoliubov,
-                         f_matrix)
+from .model import QuenchSpec, FockExcitation, RunConfig, _number
+from .bogoliubov import (BogoliubovMap, ConsistencyError, Moments,
+                         build_bogoliubov, f_matrix)
+from .dynamics import evolve_occupations
 
 
 # largest squared-norm fraction a projection to the cutoff may discard
@@ -88,23 +89,6 @@ class ExpandedState:
 
     def support_size(self):
         return len(self.amplitudes)
-
-
-@dataclass(frozen=True)
-class CorrelationSet:
-    """The oracle's four correlators of the joint modes, the blocks of one
-    Gram matrix. No ladder is capped, so for the stored vector the
-    commutator [c_l, c+_k] = delta_lk holds to rounding (`commutator_defect`
-    is 4.4e-15 at most on seeded 2+2 quenches at cutoff 8)."""
-
-    cdag_c: np.ndarray
-    c_cdag: np.ndarray
-    c_c: np.ndarray
-    cdag_cdag: np.ndarray
-
-    def commutator_defect(self):
-        eye = np.eye(self.cdag_c.shape[0])
-        return float(np.max(np.abs(self.c_cdag - self.cdag_c.T - eye)))
 
 
 def _pack(occ, quanta):
@@ -356,10 +340,24 @@ def _images(state: ExpandedState):
     return out
 
 
-def _gram(state: ExpandedState):
-    """[L R]^H [L R], the Gram matrix of the state's ladder images."""
-    vecs = _images(state)
-    return vecs.conj().T @ vecs
+def _gram(images):
+    """[L R]^H [L R], the Gram matrix of the ladder images [L R]."""
+    return images.conj().T @ images
+
+
+def _moments(images) -> Moments:
+    """Second moments of the state with the ladder images [L R], from two
+    blocks of their Gram matrix G: <c+_l c_k> = (L_l, L_k) is G[:K, :K] and
+    <c_l c_k> = (R_l, L_k) is G[K:, :K], so xx = Re(<c+c> + <cc>) + 1/2,
+    pp = Re(<c+c> - <cc>) + 1/2 and px = Im<cc> - Im<c+c>, None for a real
+    G."""
+    K = images.shape[1] // 2
+    g = _gram(images)
+    cdag_c, c_c = g[:K, :K], g[K:, :K]
+    half = 0.5 * np.eye(K)
+    px = None if np.max(np.abs(g.imag)) < 1e-14 else c_c.imag - cdag_c.imag
+    return Moments(xx=(cdag_c + c_c).real + half,
+                   pp=(cdag_c - c_c).real + half, px=px)
 
 
 def _fits(state: ExpandedState, what, *sizes):
@@ -370,69 +368,50 @@ def _fits(state: ExpandedState, what, *sizes):
             f"state of {state.modes} joint modes")
 
 
-def _largest_norm(state: ExpandedState, y, x):
+def _largest_norm(images, y, x):
     """max_m ||(sum_k y_mk c_k + x_mk c+_k) psi||, the largest column norm
-    of [L R] [y^T; x^T], not read through `_gram`, where a norm near 1e-3
-    would lose about 5 digits."""
-    # no name holds the images, so they are freed before the norms' temporary
-    product = _images(state) @ np.concatenate([y.T, x.T])
-    return float(np.max(np.linalg.norm(product, axis=0)))
+    of [L R] [y^T; x^T] for the ladder images [L R], not read through
+    `_gram`, where a norm near 1e-3 would lose about 5 digits. The product
+    is the one temporary: its squares are summed column by column, a
+    complex entry as its real and imaginary parts."""
+    product = images @ np.concatenate([y.T, x.T])
+    parts = product.view(float)
+    squares = np.einsum("ij,ij->j", parts, parts)
+    return float(np.sqrt(np.max(squares.reshape(len(y), -1).sum(axis=1))))
 
 
 def annihilation_residual(state: ExpandedState, bog: BogoliubovMap) -> float:
     """max_m ||a_m psi|| for a_m = sum_k alpha_mk c_k + beta_mk c+_k: zero
     in exact arithmetic for the expanded vacuum."""
     _fits(state, "map", bog.total_size)
-    return _largest_norm(state, bog.alpha, bog.beta)
+    return _largest_norm(_images(state), bog.alpha, bog.beta)
 
 
 def constraint_residual(state: ExpandedState, f: np.ndarray) -> float:
     """max_k ||(c_k + sum_l F_kl c+_l) psi||, the defining property of the
     squeezed vacuum. Creation parts are evaluated uncapped."""
     _fits(state, "F", *np.shape(f))
-    return _largest_norm(state, np.eye(state.modes), f)
+    return _largest_norm(_images(state), np.eye(state.modes), f)
 
 
-def oracle_correlators(state: ExpandedState) -> CorrelationSet:
-    """All four quadratic correlators, the blocks of `_gram`.
-
-    <c+_l c_k> = (L_l, L_k), <c+_l c+_k> = (L_l, R_k), <c_l c_k> = (R_l, L_k)
-    and <c_l c+_k> = (R_l, R_k): the four blocks of [L R]^H [L R]. No
-    ladder is capped, so the result is exact for the stored vector.
-    """
-    K = state.modes
-    g = _gram(state)
-    if np.max(np.abs(g.imag)) < 1e-14:
-        g = g.real
-    return CorrelationSet(cdag_c=g[:K, :K].copy(), cdag_cdag=g[:K, K:].copy(),
-                          c_c=g[K:, :K].copy(), c_cdag=g[K:, K:].copy())
+def oracle_correlators(state: ExpandedState) -> Moments:
+    """The state's second moments from its ladder images (`_moments`). No
+    ladder is capped, so they are exact for the stored vector, and the
+    commutator [c_l, c+_k] = delta_lk that the record assumes holds for it
+    to rounding (4.4e-15 at most on seeded 2+2 quenches at cutoff 8)."""
+    return _moments(_images(state))
 
 
 def occupation_series(state: ExpandedState, spec: QuenchSpec,
                       bog: BogoliubovMap, times) -> np.ndarray:
-    """<n_m(t)> for every pre-quench mode m, via ||a_m psi(t)||^2.
-
-    Evolution only rephases the image columns: c_k psi(t) and c+_k psi(t)
-    are c_k psi e^{-i w'_k t} and c+_k psi e^{+i w'_k t}, each row times a
-    phase no norm sees. So n_m(t) = u^H G u with G from `_gram`, formed
-    once, and u = [e^{-i w' t} o alpha_m; e^{+i w' t} o beta_m]: O(K^3)
-    work and no array larger than G a sample. It is accurate in absolute
-    terms (about 1e-14), not relative to a small n_m: it sums entries of G
-    of order 1. `times` must be finite and strictly increasing (a
-    ConfigError otherwise).
-    """
+    """<n_m(t)> for every pre-quench mode m: the occupation kernel of
+    `dynamics.evolve_occupations` on the state's moments, which fix
+    <n_m(t)> under the quadratic joint Hamiltonian. `times` must be finite
+    and strictly increasing (a ConfigError otherwise)."""
     _fits(state, "spec", spec.total_size)
     _fits(state, "map", bog.total_size)
-    times = _time_grid(times, "times", from_zero=False)
-    g = _gram(state)
-    coefficients = np.concatenate([bog.alpha.T, bog.beta.T])
-    w = mode_frequencies(spec.total_size, spec.omega0)
-    w = np.concatenate([-w, w])[:, None]
-    out = np.empty((len(times), state.modes))
-    for i, t in enumerate(times):
-        u = np.exp(1j * w * t) * coefficients
-        out[i] = np.einsum("im,im->m", u.conj(), g @ u).real
-    return out
+    return evolve_occupations(spec, bog, oracle_correlators(state),
+                              times).n_expect
 
 
 def delocalization_table():

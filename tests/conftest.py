@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from quenchlab.covariance import (CovarianceMatrix, _from_moments,
                                   _half_phases, _moments, _occupations,
                                   _residual, _samples, _tile_means)
-from quenchlab.fock_oracle import CorrelationSet, ExpandedState, _images
+from quenchlab.fock_oracle import ExpandedState, _gram, _images
 from quenchlab.model import (FockExcitation, QuenchSpec, RunConfig,
                              default_time_grid, disjoint_frequencies,
                              disjoint_transform, mode_frequencies,
@@ -89,8 +90,8 @@ def initial_correlations_four(bog, state):
     cdag_c = b.T @ b1 + a.T @ an
     c_cdag = a.T @ a1 + b.T @ bn
     c_c = -(a.T @ b1 + b.T @ an)
-    return CorrelationSet(cdag_c=cdag_c, c_cdag=c_cdag, c_c=c_c,
-                          cdag_cdag=c_c.T.copy())
+    return SimpleNamespace(cdag_c=cdag_c, c_cdag=c_cdag, c_c=c_c,
+                           cdag_cdag=c_c.T.copy())
 
 
 def evolve_occupations_direct(bog, corr, times):
@@ -273,8 +274,8 @@ def ladder_norms(state, x, y):
 def occupation_series_per_sample(state, spec, bog, times):
     """The oracle's <n_m(t)> as the squared column norms of the ladder
     images of `exact_evolve`'s state times [alpha^T; beta^T], rebuilt at
-    each sample: the Schroedinger-picture reference for the quadratic form
-    of `occupation_series`, which puts the phases on the image columns."""
+    each sample: the Schroedinger-picture reference for `occupation_series`,
+    which runs the occupation kernel on the state's moments."""
     coefficients = np.concatenate([bog.alpha.T, bog.beta.T])
     out = []
     for t in times:
@@ -283,10 +284,30 @@ def occupation_series_per_sample(state, spec, bog, times):
     return np.array(out)
 
 
-def oracle_correlators_onehot(state):
-    """`fock_oracle.oracle_correlators` with every ladder image merged as a
+def occupation_series_gram(state, spec, bog, times):
+    """The oracle's <n_m(t)> as a quadratic form of the Gram matrix G of its
+    ladder images, formed once: evolution only rephases the image columns,
+    c_k psi(t) and c+_k psi(t) are c_k psi e^{-i w'_k t} and c+_k psi
+    e^{+i w'_k t}, each row times a phase no norm sees, so n_m(t) = u^H G u
+    with u = [e^{-i w' t} o alpha_m; e^{+i w' t} o beta_m]. A reference for
+    `occupation_series`, which runs the occupation kernel on the moments
+    that two blocks of G give."""
+    g = _gram(_images(state))
+    coefficients = np.concatenate([bog.alpha.T, bog.beta.T])
+    w = mode_frequencies(spec.total_size, spec.omega0)
+    w = np.concatenate([-w, w])[:, None]
+    out = np.empty((len(times), state.modes))
+    for i, t in enumerate(times):
+        u = np.exp(1j * w * t) * coefficients
+        out[i] = np.einsum("im,im->m", u.conj(), g @ u).real
+    return out
+
+
+def gram_onehot(state):
+    """The Gram matrix of the ladder images with every image merged as a
     (S_j, 2K) amplitude block that is zero outside column j: a reference
-    for the images written straight into their columns."""
+    for `fock_oracle._images`, which writes the images straight into their
+    columns."""
     K = state.modes
     psi = state.occupations, state.amplitudes
     unit, zero, onehot = np.eye(K), np.zeros(K), np.eye(2 * K)
@@ -294,11 +315,7 @@ def oracle_correlators_onehot(state):
               + [ladder_concatenate(psi, unit[k], zero) for k in range(K)])
     _, vecs = merge_concatenate(*((o, a[:, None] * onehot[j])
                                   for j, (o, a) in enumerate(images)))
-    g = vecs.conj().T @ vecs
-    if np.max(np.abs(g.imag)) < 1e-14:
-        g = g.real
-    return CorrelationSet(cdag_c=g[:K, :K].copy(), cdag_cdag=g[:K, K:].copy(),
-                          c_c=g[K:, :K].copy(), c_cdag=g[K:, K:].copy())
+    return vecs.conj().T @ vecs
 
 
 def groups_numeric(occ):

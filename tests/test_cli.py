@@ -436,8 +436,8 @@ PACKAGE_EXPORTS = {
                "long_time_average"),
     gge: ("build_gge", "gge_expectations", "deviation_delta_g"),
     covariance: ("joint_covariance", "thermal_form_check"),
-    fock_oracle: ("CorrelationSet", "expand_initial_state",
-                  "oracle_correlators", "delocalization_count"),
+    fock_oracle: ("expand_initial_state", "oracle_correlators",
+                  "delocalization_count"),
 }
 
 
