@@ -12,6 +12,7 @@ NUMEXPR_NUM_THREADS before the process starts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -62,20 +63,48 @@ def _tagged(name, spec, ext):
     return f"{name}_N{spec.n_left}_M{spec.n_right}.{ext}"
 
 
-def _dump_bogoliubov(spec, bog, f, outdir, files):
+class _Outputs:
+    """What a run writes into `outdir`: the file names in the order they
+    were written, how many values `_write_csv` handed to `%`, and the
+    perf_counter seconds of each stage, summed over a preset's configs."""
+
+    def __init__(self, outdir):
+        self.outdir = outdir
+        self.files = []
+        self.csv_fallbacks = 0
+        self.timings = {}
+
+    def csv(self, fname, header, table):
+        self.csv_fallbacks += _write_csv(os.path.join(self.outdir, fname),
+                                         header, table)
+        self.files.append(fname)
+
+    def json(self, fname, payload):
+        _write_json(os.path.join(self.outdir, fname), payload)
+        self.files.append(fname)
+
+    @contextlib.contextmanager
+    def stage(self, name):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = (self.timings.get(name, 0.0)
+                                  + time.perf_counter() - start)
+
+
+def _dump_bogoliubov(spec, bog, f, out):
     K = spec.total_size
     joint_cols = [f"joint_{k}" for k in range(1, K + 1)]
     modes = np.arange(1.0, K + 1)
     for name, first, mat in (("alpha", "pre_mode", bog.alpha),
                              ("beta", "pre_mode", bog.beta),
                              ("f_matrix", "joint_mode", f)):
-        fname = _tagged(name, spec, "csv")
-        _write_csv(os.path.join(outdir, fname), [first] + joint_cols,
-                   np.column_stack([modes, mat]))
-        files.append(fname)
+        out.csv(_tagged(name, spec, "csv"), [first] + joint_cols,
+                np.column_stack([modes, mat]))
 
 
-def _run_dynamics(spec, bog, outdir, files, threshold, skip):
+def _run_dynamics(spec, bog, out, threshold, skip):
     corr = bogoliubov.initial_correlations(bog, spec.initial_state)
     series = dynamics.evolve_occupations(spec, bog, corr)
 
@@ -86,23 +115,17 @@ def _run_dynamics(spec, bog, outdir, files, threshold, skip):
         series.times, series.n_expect, series.e_left, series.e_right,
         series.e_left + series.e_right,
         np.full(len(series.times), series.e_total_joint)])
-    fname = _tagged("dynamics", spec, "csv")
-    _write_csv(os.path.join(outdir, fname), header, table)
-    files.append(fname)
+    out.csv(_tagged("dynamics", spec, "csv"), header, table)
 
     fluct = dynamics.fluctuation_series(series, threshold=threshold,
                                         relaxation_skip=skip)
-    fname = _tagged("fluctuations", spec, "csv")
-    _write_csv(os.path.join(outdir, fname), ["t", "ratio"],
-               np.column_stack([fluct.times, fluct.ratio]))
-    files.append(fname)
+    out.csv(_tagged("fluctuations", spec, "csv"), ["t", "ratio"],
+            np.column_stack([fluct.times, fluct.ratio]))
 
-    fname = _tagged("permode", spec, "csv")
-    _write_csv(os.path.join(outdir, fname),
-               ["t", "e_left_per_site", "e_right_per_site"],
-               np.column_stack([series.times, series.e_left / spec.n_left,
-                                series.e_right / spec.n_right]))
-    files.append(fname)
+    out.csv(_tagged("permode", spec, "csv"),
+            ["t", "e_left_per_site", "e_right_per_site"],
+            np.column_stack([series.times, series.e_left / spec.n_left,
+                             series.e_right / spec.n_right]))
 
     ens = gge.build_gge(
         bogoliubov.emitted_occupations(bog, spec.initial_state))
@@ -119,21 +142,19 @@ def _run_dynamics(spec, bog, outdir, files, threshold, skip):
         "recurrence_threshold": fluct.recurrence_threshold,
         "relaxation_skip": fluct.relaxation_skip,
     }
-    fname = _tagged("dynamics_summary", spec, "json")
-    _write_json(os.path.join(outdir, fname), summary)
-    files.append(fname)
+    out.json(_tagged("dynamics_summary", spec, "json"), summary)
     return fluct.first_recurrence_time
 
 
-def _run_gge(spec, bog, outdir, files):
+def _run_gge(spec, bog, out):
     fname = _tagged("gge", spec, "json")
-    with open(os.path.join(outdir, fname), "w", newline="\n") as fh:
+    with open(os.path.join(out.outdir, fname), "w", newline="\n") as fh:
         fh.write(gge.gge_summary_json(bog, spec.initial_state))
         fh.write("\n")
-    files.append(fname)
+    out.files.append(fname)
 
 
-def _run_covariance(spec, outdir, files):
+def _run_covariance(spec, out):
     cov = covariance.joint_covariance(spec)
     rep = covariance.thermal_form_check(cov, spec)
     payload = {
@@ -144,12 +165,10 @@ def _run_covariance(spec, outdir, files):
         "decay_slope": rep.decay_slope,
         "gge_occupancies": rep.gge_occupancies.tolist(),
     }
-    fname = _tagged("covariance", spec, "json")
-    _write_json(os.path.join(outdir, fname), payload)
-    files.append(fname)
+    out.json(_tagged("covariance", spec, "json"), payload)
 
 
-def _run_oracle(spec, bog, f, outdir, files, cutoff, order):
+def _run_oracle(spec, bog, f, out, cutoff, order):
     series = fock_oracle.expand_squeezed_vacuum(f, order)
     # the annihilation identities certify the squeezed vacuum, not states
     # with creation operators stacked on top, so measure them on the
@@ -180,12 +199,10 @@ def _run_oracle(spec, bog, f, outdir, files, cutoff, order):
         "vacuum_constraint_residual": f_resid,
         "correlator_gap_vs_quadratic": gap,
     }
-    fname = _tagged("oracle", spec, "json")
-    _write_json(os.path.join(outdir, fname), payload)
-    files.append(fname)
+    out.json(_tagged("oracle", spec, "json"), payload)
 
 
-def _run_delocalization(spec, bog, f, outdir, files, floor):
+def _run_delocalization(spec, bog, f, out, floor):
     order = 1
     big = 4 * order + 2 * spec.initial_state.total + 2
     state = fock_oracle.expand_initial_state(spec, bog, f, order=order,
@@ -197,12 +214,10 @@ def _run_delocalization(spec, bog, f, outdir, files, floor):
         "support_size": state.support_size(),
         "occupations": list(spec.initial_state.occupations),
     }
-    fname = _tagged("delocalization", spec, "json")
-    _write_json(os.path.join(outdir, fname), payload)
-    files.append(fname)
+    out.json(_tagged("delocalization", spec, "json"), payload)
 
 
-def _run_sweep(outdir, files):
+def _run_sweep(out):
     res = gge.single_excitation_sweep()
     payload = {
         "total_sizes": list(res.sizes),
@@ -212,67 +227,72 @@ def _run_sweep(outdir, files):
         "density_rel_change_top_octave": res.density_rel_change,
         "per_mode_energy_gap": list(res.energy_gaps),
     }
-    _write_json(os.path.join(outdir, "sweep.json"), payload)
-    files.append("sweep.json")
+    out.json("sweep.json", payload)
 
 
-def _run_config(cfg, outdir, files, dump):
-    """Run cfg's analyses in order; return the first recurrence time that
-    the dynamics analysis found (None without it).
+def _run_config(cfg, out, dump):
+    """Run cfg's analyses in order, each a timed stage of `out` named after
+    it, after the stages "map" (the map, its check and F) and "dump"; return
+    the first recurrence time that the dynamics analysis found (None
+    without it).
 
     The map is built and checked once, and F once if anything reads it.
     """
     spec = bog = f = t_rec = None
     if set(cfg.analyses) - {"sweep"} or dump:
-        spec = model.quench_from_config(cfg)
-        bog = bogoliubov.build_bogoliubov(spec)
-        defect = bog.symplectic_defect()
-        if defect > bogoliubov.SYMPLECTIC_TOL:
-            raise bogoliubov.ConsistencyError(
-                f"symplectic defect {defect:.3e} > "
-                f"{bogoliubov.SYMPLECTIC_TOL:g}")
-        if dump or {"fock-oracle", "delocalization"} & set(cfg.analyses):
-            f = bogoliubov.f_matrix(bog)
+        with out.stage("map"):
+            spec = model.quench_from_config(cfg)
+            bog = bogoliubov.build_bogoliubov(spec)
+            defect = bog.symplectic_defect()
+            if defect > bogoliubov.SYMPLECTIC_TOL:
+                raise bogoliubov.ConsistencyError(
+                    f"symplectic defect {defect:.3e} > "
+                    f"{bogoliubov.SYMPLECTIC_TOL:g}")
+            if dump or {"fock-oracle", "delocalization"} & set(cfg.analyses):
+                f = bogoliubov.f_matrix(bog)
     if dump:
-        _dump_bogoliubov(spec, bog, f, outdir, files)
+        with out.stage("dump"):
+            _dump_bogoliubov(spec, bog, f, out)
     for name in cfg.analyses:
-        if name == "dynamics":
-            t_rec = _run_dynamics(spec, bog, outdir, files,
-                                  cfg.recurrence_threshold,
-                                  cfg.relaxation_skip)
-        elif name == "gge":
-            _run_gge(spec, bog, outdir, files)
-        elif name == "covariance":
-            _run_covariance(spec, outdir, files)
-        elif name == "fock-oracle":
-            _run_oracle(spec, bog, f, outdir, files, cfg.cutoff, cfg.order)
-        elif name == "delocalization":
-            _run_delocalization(spec, bog, f, outdir, files, cfg.floor)
-        elif name == "sweep":
-            _run_sweep(outdir, files)
+        with out.stage(name):
+            if name == "dynamics":
+                t_rec = _run_dynamics(spec, bog, out,
+                                      cfg.recurrence_threshold,
+                                      cfg.relaxation_skip)
+            elif name == "gge":
+                _run_gge(spec, bog, out)
+            elif name == "covariance":
+                _run_covariance(spec, out)
+            elif name == "fock-oracle":
+                _run_oracle(spec, bog, f, out, cfg.cutoff, cfg.order)
+            elif name == "delocalization":
+                _run_delocalization(spec, bog, f, out, cfg.floor)
+            elif name == "sweep":
+                _run_sweep(out)
     return t_rec
 
 
-def _run_preset(name, outdir, files, dump):
+def _run_preset(name, out, dump):
+    """Run a preset: fig1 as three configs, table1's delocalization table
+    as a "delocalization" stage, and sweep as a "sweep" stage."""
     if name == "fig1":
         recurrences = {}
         for M in (10, 16, 20):
             cfg = model.RunConfig(N=5, M=M,
                                   occupations=(0, 0, 1, 1, 0) + (0,) * M)
-            recurrences[f"M={M}"] = _run_config(cfg, outdir, files, dump)
-        _write_json(os.path.join(outdir, "recurrence_times.json"), recurrences)
-        files.append("recurrence_times.json")
+            recurrences[f"M={M}"] = _run_config(cfg, out, dump)
+        out.json("recurrence_times.json", recurrences)
     elif name == "table1":
-        rows = fock_oracle.delocalization_table()
-        _write_json(os.path.join(outdir, "delocalization_table.json"), rows)
-        files.append("delocalization_table.json")
-        _write_csv(os.path.join(outdir, "delocalization_table.csv"),
-                   ["n_left", "n_right", "single_count", "pair_count"],
-                   [[r["n_left"], r["n_right"], r["single_count"],
-                     r["pair_count"]] for r in rows])
-        files.append("delocalization_table.csv")
+        with out.stage("delocalization"):
+            rows = fock_oracle.delocalization_table()
+            out.json("delocalization_table.json", rows)
+            out.csv("delocalization_table.csv",
+                    ["n_left", "n_right", "single_count", "pair_count"],
+                    [[r["n_left"], r["n_right"], r["single_count"],
+                      r["pair_count"]] for r in rows])
     elif name == "sweep":
-        _run_sweep(outdir, files)
+        with out.stage("sweep"):
+            _run_sweep(out)
 
 
 def _versions():
@@ -296,13 +316,13 @@ def main(argv=None) -> int:
 
     outdir = args.out or os.environ.get("QUENCHLAB_OUT") or "."
     t0 = time.perf_counter()
-    files: list = []
+    out = _Outputs(outdir)
     manifest = {
         "argv": list(argv) if argv is not None else sys.argv[1:],
         "preset": args.preset,
         "config_path": args.config,
         "config": None,
-        "outputs": files,
+        "outputs": out.files,
         "versions": _versions(),
         "tolerances": {
             "floor": None,
@@ -314,6 +334,8 @@ def main(argv=None) -> int:
         },
         "status": "error",
         "error": None,
+        "timings": out.timings,
+        "csv_fallbacks": 0,
         "wall_time_s": None,
     }
 
@@ -327,15 +349,16 @@ def main(argv=None) -> int:
             manifest["config"] = asdict(cfg)
         manifest["tolerances"]["floor"] = cfg.floor
         if args.preset:
-            _run_preset(args.preset, outdir, files, args.dump_bogoliubov)
+            _run_preset(args.preset, out, args.dump_bogoliubov)
         else:
-            _run_config(cfg, outdir, files, args.dump_bogoliubov)
+            _run_config(cfg, out, args.dump_bogoliubov)
         manifest["status"] = "ok"
     except Exception as exc:
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = _exit_code_for(exc)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     finally:
+        manifest["csv_fallbacks"] = out.csv_fallbacks
         manifest["wall_time_s"] = time.perf_counter() - t0
         try:
             _write_json(os.path.join(outdir, "manifest.json"), manifest)

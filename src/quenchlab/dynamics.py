@@ -1,14 +1,16 @@
 """Time evolution of occupation numbers and subsystem energies.
 
 Occupations come from the joint-mode quadrature blocks of the initial
-moments (`bogoliubov.Moments`): free evolution is a real phase-space
-rotation by w't in each joint mode, so each block at time t is a sum of
-the t = 0 blocks times outer products of cos w't and sin w't, O(K^2) real
-work per time sample, and each pre-quench occupation is read back with one
-real O(K^3) product per quadrature block and sample, in chunks under a
-fixed byte budget, through one workspace reused by every chunk.  No
-complex K x K array is formed per sample.  Phases are e^{-i w' t};
-energies are hbar w'.
+moments (`bogoliubov.Moments`).  Free evolution splits them into two beats:
+the normal part hop = (xx + pp)/2 dephases at the differences w'_j - w'_k,
+the anomalous part pair = (xx - pp)/2 oscillates at the sums w'_j + w'_k,
+and only the diagonal of hop survives the time average.  Each beat matrix
+is one rank-2 product of c = cos w't and s = sin w't, so the blocks at time
+t cost O(K^2) real work per sample, and each pre-quench occupation is read
+back with one real O(K^3) product per quadrature block and sample, in
+chunks under a fixed byte budget, through one workspace reused by every
+chunk.  No complex K x K array is formed per sample.  Phases are
+e^{-i w' t}; energies are hbar w'.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from .bogoliubov import (IMAG_TOL, BogoliubovMap, ConsistencyError,
 
 
 # Working-set budget of one kernel chunk: the workspace of `_phase_kernel`
-# holds 4 K x K float64 arrays a sample (c c^T, s s^T, one quadrature block
-# and a scratch for the readout product), allocated once a call and reused
-# by every chunk.  Of budgets from 0.5 to 4 MiB, 1 MiB was the fastest at
-# the fig1 sizes (K = 15 to 25) and at K = 200 (BENCH_16.json); it is one
-# sample a chunk from K = 129 on.
+# holds 3 K x K float64 arrays a sample (the two beats, then the blocks at
+# time t and the readout product) and 6 length-K vectors (the time phases,
+# the rank-2 factors [c s] and [c s]^T and one readout row), allocated once
+# a call and reused by every chunk.  Of budgets from 0.5 to 4 MiB, 1 MiB was
+# the fastest at the fig1 sizes (K = 15 to 25) and at K = 200
+# (BENCH_28.json); it is one sample a chunk from K = 147 on.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -61,44 +64,72 @@ def _phase_kernel(bog, corr, times):
     """<n_m(t)> for all pre-quench modes m and times t.
 
     Free evolution rotates each joint-mode quadrature pair, x -> x c + p s
-    with c = cos w't and s = sin w't, so the blocks of the moments `corr`
-    at time t are s_xx = xx o (c c^T) + pp o (s s^T) + 2 px o (s c^T) and
-    s_pp = pp o (c c^T) + xx o (s s^T) - 2 px o (c s^T) (only their
-    symmetric parts enter below, and the px terms are skipped for real
-    moments).  The readout is n_m = ((A s_xx A^T + B s_pp B^T)_mm - 1)/2,
+    with c = cos w't and s = sin w't.  With hop = (xx + pp)/2 and
+    pair = (xx - pp)/2 from the moments `corr`, the blocks at time t are
+    xx(t) = U + V and pp(t) = U - V, where
+
+        U = hop o cos(D t) + px o sin(D t),  D_jk = w'_j - w'_k,
+        V = pair o cos(S t) + px o sin(S t),  S_jk = w'_j + w'_k
+
+    (only their symmetric parts enter below, and the px terms are skipped
+    for real moments).  Each beat matrix is one rank-2 product of the
+    per-mode phases, cos(D t) = [c s][c s]^T, cos(S t) = [c -s][c s]^T,
+    sin(D t) = [s -c][c s]^T and sin(S t) = [s c][c s]^T, and pair o cos(S t)
+    is formed as xx o cos(S t) - hop o cos(S t), so that no pair array is
+    held.  The readout is n_m = ((A xx(t) A^T + B pp(t) B^T)_mm - 1)/2,
     A = alpha + beta, B = alpha - beta: one real O(K^3) product per block
     and sample, and one fused product and row sum.
     """
     xx, pp, px = corr.xx, corr.pp, corr.px
     a, b = bog.alpha + bog.beta, bog.alpha - bog.beta
+    hop = np.add(xx, pp)
+    hop *= 0.5
     w, times = bog.omega_joint, np.asarray(times, dtype=float)
     K = w.size
     out = np.empty((times.size, K))
-    step = max(1, _CHUNK_BYTES // (4 * 8 * K ** 2))
-    shape = (min(step, times.size), K, K)
-    cc, ss, block, scratch = (np.empty(shape) for _ in range(4))
-
-    def readout(rows, first, second, u, v):
-        """diag(rows S rows^T) of S = first o cc + second o ss + px o u v^T
-        over the n samples of the chunk."""
-        x, y = block[:n], scratch[:n]
-        np.multiply(first, cc[:n], out=x)
-        x += np.multiply(second, ss[:n], out=y)
-        if px is not None:
-            np.multiply(u[:, :, None], v[:, None, :], out=y)
-            y *= px
-            x += y
-        np.matmul(rows, x, out=y)
-        return np.einsum("nmk,mk->nm", y, rows)
+    step = max(1, _CHUNK_BYTES // (8 * (3 * K * K + 6 * K)))
+    depth = min(step, times.size)
+    beat, other, block = (np.empty((depth, K, K)) for _ in range(3))
+    left, right = np.empty((depth, K, 2)), np.empty((depth, 2, K))
+    wt, row = np.empty((depth, K)), np.empty((depth, K))
 
     for start in range(0, times.size, step):
-        wt = np.multiply.outer(times[start:start + step], w)
-        c, s = np.cos(wt), np.sin(wt)
-        n = len(wt)
-        np.multiply(c[:, :, None], c[:, None, :], out=cc[:n])
-        np.multiply(s[:, :, None], s[:, None, :], out=ss[:n])
-        out[start:start + n] = 0.5 * (readout(a, xx, pp, 2.0 * s, c)
-                                      + readout(b, pp, xx, -2.0 * c, s)) - 0.5
+        n = min(step, times.size - start)
+        u, v, x = beat[:n], other[:n], block[:n]
+        lhs, rhs, phase = left[:n], right[:n], wt[:n]
+        c, s = rhs[:, 0], rhs[:, 1]
+        np.multiply.outer(times[start:start + n], w, out=phase)
+        np.cos(phase, out=c)
+        np.sin(phase, out=s)
+        lhs[:, :, 0] = c
+        np.negative(s, out=lhs[:, :, 1])
+        np.matmul(lhs, rhs, out=v)                  # cos(S t)
+        np.multiply(xx, v, out=x)
+        v *= hop
+        x -= v                                      # pair o cos(S t)
+        lhs[:, :, 1] = s
+        np.matmul(lhs, rhs, out=u)                  # cos(D t)
+        u *= hop
+        if px is not None:
+            lhs[:, :, 0] = s
+            np.negative(c, out=lhs[:, :, 1])
+            np.matmul(lhs, rhs, out=v)              # sin(D t)
+            v *= px
+            u += v
+            lhs[:, :, 1] = c
+            np.matmul(lhs, rhs, out=v)              # sin(S t)
+            v *= px
+            x += v
+        np.add(u, x, out=v)                         # xx(t) = U + V
+        u -= x                                      # pp(t) = U - V
+        np.matmul(a, v, out=x)
+        np.einsum("nmk,mk->nm", x, a, out=row[:n])
+        np.matmul(b, u, out=x)
+        chunk = out[start:start + n]
+        np.einsum("nmk,mk->nm", x, b, out=chunk)
+        chunk += row[:n]
+        chunk *= 0.5
+        chunk -= 0.5
     return out
 
 

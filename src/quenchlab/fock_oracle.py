@@ -43,6 +43,12 @@ MAX_LEAKAGE = 0.01
 # 3+4 chains at order 12 come to 3.7 GiB (0.7 GB measured), 4+4 to 17.5 GiB
 MAX_BYTES = 5 << 30
 
+# most bytes of one row block of a residual's product with the ladder
+# images: on 60+60 chains at order 1 blocks of 1 to 4 MiB keep the peak RSS
+# at 0.63 GB, the images' 567 MB and the interpreter (0.94 GB with the
+# whole product), 8 MiB reads 0.64 GB and 64 MiB 0.79 GB
+_BLOCK_BYTES = 1 << 22
+
 
 class CutoffExceeded(ValueError):
     """Requested operation needs occupations the truncated basis cannot hold."""
@@ -372,11 +378,16 @@ def _largest_norm(images, y, x):
     """max_m ||(sum_k y_mk c_k + x_mk c+_k) psi||, the largest column norm
     of [L R] [y^T; x^T] for the ladder images [L R], not read through
     `_gram`, where a norm near 1e-3 would lose about 5 digits. The product
-    is the one temporary: its squares are summed column by column, a
-    complex entry as its real and imaginary parts."""
-    product = images @ np.concatenate([y.T, x.T])
-    parts = product.view(float)
-    squares = np.einsum("ij,ij->j", parts, parts)
+    is formed in row blocks of at most `_BLOCK_BYTES`, its one temporary:
+    each block's squares are summed column by column, a complex entry as
+    its real and imaginary parts, and added to the running column sums."""
+    coeff = np.concatenate([y.T, x.T])
+    width = np.result_type(images, coeff).itemsize * coeff.shape[1]
+    rows = max(1, _BLOCK_BYTES // width)
+    squares = 0.0
+    for start in range(0, len(images), rows):
+        parts = (images[start:start + rows] @ coeff).view(float)
+        squares = squares + np.einsum("ij,ij->j", parts, parts)
     return float(np.sqrt(np.max(squares.reshape(len(y), -1).sum(axis=1))))
 
 

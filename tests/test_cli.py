@@ -370,6 +370,53 @@ def test_missing_config_file_exits_4(tmp_path):
     assert _manifest(out)["error"]["type"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("argv, stages", [
+    (["--config", None], {"map", "dynamics", "gge", "covariance",
+                          "fock-oracle", "delocalization"}),
+    (["--config", None, "--dump-bogoliubov"],
+     {"map", "dump", "dynamics", "gge", "covariance", "fock-oracle",
+      "delocalization"}),
+    (["--preset", "sweep"], {"sweep"}),
+    (["--preset", "table1"], {"delocalization"}),
+], ids=["config", "config-dump", "sweep", "table1"])
+def test_manifest_times_the_stages_that_ran(tmp_path, argv, stages):
+    argv = [a or _write_config(tmp_path, FULL_CONFIG) for a in argv]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    man = _manifest(out)
+    assert set(man["timings"]) == stages
+    assert all(t >= 0.0 for t in man["timings"].values()), man["timings"]
+    assert sum(man["timings"].values()) <= man["wall_time_s"]
+
+
+def test_manifest_timings_of_a_run_without_stages(tmp_path):
+    cfg = _write_config(tmp_path, "N = 2\nM = 2\nanalyses =\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+    man = _manifest(out)
+    assert man["timings"] == {} and man["csv_fallbacks"] == 0
+
+
+def test_manifest_counts_fig1_csv_fallbacks(tmp_path):
+    # the manifest's count is the sum of what _write_csv returned; writing
+    # each of fig1's CSVs again from its parsed values recounts it
+    out = tmp_path / "fig1"
+    assert cli.main(["--preset", "fig1", "--dump-bogoliubov",
+                     "--out", str(out)]) == 0
+    man = _manifest(out)
+    assert set(man["timings"]) == {"map", "dump", "dynamics"}
+    names = [n for n in man["outputs"] if n.endswith(".csv")]
+    assert len(names) == 18, names
+    recount = 0
+    for name in names:
+        path = out / name
+        header = path.read_text().split("\n", 1)[0].split(",")
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        recount += cli._write_csv(str(tmp_path / "again.csv"), header, table)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    assert man["csv_fallbacks"] == recount
+
+
 def test_empty_analyses_writes_manifest_only(tmp_path):
     cfg = _write_config(tmp_path, "N = 2\nM = 2\nanalyses =\n")
     out = tmp_path / "out"

@@ -124,6 +124,55 @@ def test_kernel_matches_closed_form_on_random_specs(spec):
     assert np.max(np.abs(later - whole)) <= 1e-12
 
 
+PX_SPECS = random_specs(20261028, 6) + random_specs(20261028, 6, max_size=3)
+
+
+@pytest.mark.parametrize("case", list(enumerate(PX_SPECS)),
+                         ids=lambda c: f"{c[1].n_left}+{c[1].n_right}")
+def test_sin_beats_on_evolved_moments_match_closed_form(case):
+    # the moments of the state evolved by a seeded t0 carry px, so the
+    # kernel runs its sin beats; on a seeded non-uniform grid it must give
+    # the closed form at t0 + ts, which shares no step with it, and on the
+    # smallest chains the direct K^3 sum of the four correlators too
+    index, spec = case
+    rng = np.random.default_rng([20261028, index])
+    bog = build_bogoliubov(spec)
+    corr = initial_correlations(bog, spec.initial_state)
+    t_max = spec.time_grid[-1]
+    t0 = float(rng.uniform(0.1, 1.0) * t_max)
+    moved = _evolved_correlators(bog, corr, t0)
+    assert moved.px is not None
+    ts = np.sort(rng.uniform(0.0, t_max, 9))
+    got = evolve_occupations(spec, bog, moved, times=ts).n_expect
+    ref = occupations_closed_form(bog, spec.initial_state.as_array(), t0 + ts)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+    if spec.total_size <= 6:
+        direct = evolve_occupations_direct(bog, moved, ts)
+        assert np.max(np.abs(got - direct)) <= 1e-12 * scale
+
+
+def test_sin_beats_alone_match_direct_sum():
+    # xx and pp diagonal, so hop and pair are zero off the diagonal and
+    # every off-diagonal entry of the blocks at time t comes from
+    # px o sin(D t) or px o sin(S t): a wrong sign on either sin beat
+    # cannot hide behind the cos terms
+    spec = make_spec(2, 3, modes=(1, 4), mass=1.3, hbar=0.7)
+    bog = build_bogoliubov(spec)
+    rng = np.random.default_rng(20261028)
+    K = spec.total_size
+    xx, pp = (np.diag(rng.uniform(1.5, 3.0, K)) for _ in range(2))
+    moments = Moments(xx=xx, pp=pp, px=0.2 * rng.standard_normal((K, K)))
+    ts = np.sort(rng.uniform(0.0, 30.0, 7))
+    got = _phase_kernel(bog, moments, ts)
+    ref = evolve_occupations_direct(bog, moments, ts)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+    # px moves n_m(t) by far more than the bound
+    assert np.max(np.abs(got - _phase_kernel(bog, Moments(xx=xx, pp=pp),
+                                             ts))) > 1e-3 * scale
+
+
 @pytest.mark.parametrize("spec", RANDOM_SPECS,
                          ids=lambda s: f"{s.n_left}+{s.n_right}")
 def test_invariants_on_random_specs(spec):
@@ -158,7 +207,8 @@ def test_kernel_output_does_not_depend_on_chunking(monkeypatch, t0):
     whole = _phase_kernel(bog, corr, ts)
     alone = np.concatenate([_phase_kernel(bog, corr, [t]) for t in ts])
     assert np.array_equal(whole, alone)
-    step_bytes = 4 * 8 * spec.total_size ** 2    # the budget of one sample
+    K = spec.total_size
+    step_bytes = 8 * (3 * K * K + 6 * K)    # the budget of one sample
     monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 3 * step_bytes)
     assert np.array_equal(_phase_kernel(bog, corr, ts), whole)
 
