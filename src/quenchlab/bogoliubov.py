@@ -14,7 +14,6 @@ against the truncated-Fock oracle, not by notation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -80,25 +79,27 @@ def _asymmetry(x):
 @dataclass(frozen=True)
 class Moments:
     """Joint-mode second moments as quadrature blocks, in <c> units:
-    (1/2)<{x_j, x_k}>, (1/2)<{p_j, p_k}> and (1/2)<{p_j, x_k}> (the xp
-    block's transpose; None for real moments, such as any Fock state's at
-    t = 0) of x = (c + c^dag)/sqrt2 and p = i(c^dag - c)/sqrt2.  Blocks that
-    are not square and of one shape or not finite, an xx or pp asymmetric
-    beyond IMAG_TOL (an imaginary part in <n_m(t)>) and diag(xx + pp) <
-    1 - 2e-8 (a negative occupancy) are refused.  The four correlators are
-    derived on demand."""
+    (1/2)<{x_j, x_k}> and (1/2)<{p_j, p_k}> of x = (c + c^dag)/sqrt2 and
+    p = i(c^dag - c)/sqrt2, for a state with real amplitudes in the joint
+    Fock basis (any Fock state's at t = 0, the oracle's expanded
+    eigenstate), whose (1/2)<{p_j, x_k}> block vanishes.  Blocks that are
+    not square and of one shape, not real or not finite, an xx or pp
+    asymmetric beyond IMAG_TOL (an imaginary part in <n_m(t)>) and
+    diag(xx + pp) < 1 - 2e-8 (a negative occupancy) are refused.  The four
+    correlators are derived on demand, all real."""
 
     xx: np.ndarray
     pp: np.ndarray
-    px: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        blocks = (self.xx, self.pp) + (() if self.px is None else (self.px,))
+        blocks = (self.xx, self.pp)
         K = np.shape(self.xx)[0] if np.ndim(self.xx) else 0
         shapes = [np.shape(b) for b in blocks]
         if any(shape != (K, K) for shape in shapes):
             raise ConsistencyError("moment blocks must be square and of one "
                                    f"shape, got {', '.join(map(str, shapes))}")
+        if any(np.iscomplexobj(b) for b in blocks):
+            raise NumericalError("moments must be real, got complex blocks")
         # NaN would also slip through the comparisons below
         if not all(np.isfinite(b).all() for b in blocks):
             raise NumericalError("moments must be finite")
@@ -116,9 +117,8 @@ class Moments:
 
     @property
     def cdag_c(self):
-        """<c_j^dag c_k> = (xx + pp - 1)/2 - i (px - px^T)/2."""
-        out = 0.5 * (self.xx + self.pp - np.eye(len(self.xx)))
-        return out if self.px is None else out - 0.5j * (self.px - self.px.T)
+        """<c_j^dag c_k> = (xx + pp - 1)/2."""
+        return 0.5 * (self.xx + self.pp - np.eye(len(self.xx)))
 
     @property
     def c_cdag(self):
@@ -127,14 +127,13 @@ class Moments:
 
     @property
     def c_c(self):
-        """<c_j c_k> = (xx - pp)/2 + i (px + px^T)/2."""
-        out = 0.5 * (self.xx - self.pp)
-        return out if self.px is None else out + 0.5j * (self.px + self.px.T)
+        """<c_j c_k> = (xx - pp)/2."""
+        return 0.5 * (self.xx - self.pp)
 
     @property
     def cdag_cdag(self):
-        """<c_j^dag c_k^dag>, the conjugate of the symmetric <c_j c_k>."""
-        return np.conj(self.c_c)
+        """<c_j^dag c_k^dag> = <c_j c_k>, which is real."""
+        return self.c_c
 
 
 def build_bogoliubov(spec: QuenchSpec) -> BogoliubovMap:

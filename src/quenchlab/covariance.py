@@ -13,9 +13,10 @@ times the grid mean of its phase.  The moment helpers work on any tile
 (rows x columns) of the joint-mode blocks; the verdict walks the
 covariance in square tiles of edge `_TILE`, so its working memory does
 not grow with K.  Its window means take sin and cos once per pair of
-tiles (a tile and its transpose share one set of Dirichlet factors), and
-a window of twice the previous window's samples takes none: its factors
-follow from the previous window's by double-angle products.
+tiles (a tile and its transpose share one set of Dirichlet factors) and
+the first window: each later window holds twice the previous window's
+samples, so its factors follow from the previous window's by double-angle
+products.
 Fock states are not Gaussian, but their second moments are still exact,
 which is all this module ever uses (higher moments are out of scope).
 """
@@ -141,43 +142,37 @@ def _half_phases(w, dt, rows=_ALL, cols=_ALL):
 
 
 def _dirichlet(r, samples):
-    """Mean of exp(2i j r) over j < S for each S in `samples`, one window
-    at a time (a generator; each window overwrites the previous one's
-    means, and `r` becomes |r|).
+    """Mean of exp(2i j r) over j < S for each S in `samples`, each S after
+    the first twice the one before, one window at a time (a generator; each
+    window overwrites the previous one's means, and `r` becomes |r|).
 
-    The closed form is exp(i (S-1) r) sin(S r) / (S sin r).  It has period
-    pi in r, so r comes reduced mod pi (`_half_phases`): at an aliased beat
-    (omega dt near a multiple of 2 pi) the unreduced ratio divides two
-    rounding errors.  r = 0 gives 1.  A window of twice the previous
-    window's samples follows from it by D_2S = D_S (1 + E_S) / 2 with
-    E_S = exp(2i S r), so a doubling window evaluates no sin or cos.
-    E_2S = E_S^2 is formed as E_S / conj(E_S), that is E_S^2 / |E_S|^2:
-    squaring alone would double the rounding drift of |E_S| from 1 at
-    every window, 4000 eps in D after 13 doublings.  The closed form is
-    taken at |r| and conjugated where r < 0, so D(-r) = conj D(r) does not
-    rest on sin being odd to the bit; the recurrence's products and
-    quotients keep it.
+    The first window takes the closed form exp(i (S-1) r) sin(S r) /
+    (S sin r).  It has period pi in r, so r comes reduced mod pi
+    (`_half_phases`): at an aliased beat (omega dt near a multiple of 2 pi)
+    the unreduced ratio divides two rounding errors.  r = 0 gives 1.  Each
+    later window follows from the one before by D_2S = D_S (1 + E_S) / 2
+    with E_S = exp(2i S r), and evaluates no sin or cos.  E_2S = E_S^2 is
+    formed as E_S / conj(E_S), that is E_S^2 / |E_S|^2: squaring alone
+    would double the rounding drift of |E_S| from 1 at every window,
+    4000 eps in D after 13 doublings.  The closed form is taken at |r| and
+    conjugated where r < 0, so D(-r) = conj D(r) does not rest on sin being
+    odd to the bit; the recurrence's products and quotients keep it.
     """
     flip = r < 0
     x = np.abs(r, out=r)
-    mean = np.empty(x.shape, complex)
-    phase = np.empty_like(mean)     # E_S of the last window
-    work = np.empty_like(mean)
-    for prev, s, nxt in zip([0, *samples], samples, [*samples[1:], 0]):
-        if s == 2 * prev:
-            np.multiply(phase, 0.5, out=work)
-            work += 0.5
-            mean *= work
-            if nxt == 2 * s:
-                np.conjugate(phase, out=work)
-                phase /= work
-        else:
-            _closed_form(x, s, mean, work)
-            if nxt == 2 * s:
-                np.multiply(work, work, out=phase)
-                np.conjugate(phase, out=phase, where=flip)
-            np.conjugate(mean, out=mean, where=flip)
+    mean, phase, work = (np.empty(x.shape, complex) for _ in range(3))
+    _closed_form(x, samples[0], mean, work)
+    np.conjugate(mean, out=mean, where=flip)
+    yield mean
+    np.multiply(work, work, out=phase)              # E_S of the first window
+    np.conjugate(phase, out=phase, where=flip)
+    for _ in samples[1:]:
+        np.multiply(phase, 0.5, out=work)
+        work += 0.5
+        mean *= work
         yield mean
+        np.conjugate(phase, out=work)
+        phase /= work
 
 
 def _closed_form(x, s, mean, work):
@@ -195,16 +190,6 @@ def _closed_form(x, s, mean, work):
     ratio[den == 0] = 1.0
     mean.real *= ratio
     mean.imag *= ratio
-
-
-def _samples(window, dt):
-    """Length of the grid t = j dt in [0, window), len(np.arange(0, window, dt))."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    if not (np.isfinite(window) and window > 0):
-        raise ValueError(f"window must be finite and > 0 so that the grid "
-                         f"holds a sample, got {window!r}")
-    return math.ceil(window / dt)
 
 
 def _tile_means(cov, a, w, dt, samples, rows=_ALL, cols=_ALL):
@@ -256,6 +241,10 @@ def _residual(blocks, diagonal=True):
 # factor by which a window's residual may exceed the first window's c/T.
 XP_TOL = 1e-10
 DECAY_MARGIN = 3.0
+# The check's window lengths and the step of their time grids t = j DT: each
+# window holds twice the previous window's samples, 250 to 8000.
+WINDOWS = (125, 250, 500, 1000, 2000, 4000)
+DT = 0.5
 # Edge of the square tiles in which thermal_form_check walks the blocks.  The
 # check then holds about 1.5 MB of tile arrays whatever K is; of the edges
 # 32, 64, 128 and 256, 64 was the fastest at K = 200 and within 10 % of the
@@ -273,40 +262,33 @@ class ThermalFormReport:
     gge_occupancies: np.ndarray
 
 
-def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
-                       windows=(125, 250, 500, 1000, 2000, 4000), dt=0.5
-                       ) -> ThermalFormReport:
+def thermal_form_check(cov: CovarianceMatrix,
+                       spec: QuenchSpec) -> ThermalFormReport:
     """Does the window-averaged covariance settle into diagonal (GGE) form?
 
     Two ingredients: the position-momentum block must vanish at t = 0
     (energy eigenstates guarantee this; an entry above `XP_TOL` is flagged
     since it breaks the purely oscillatory structure of the evolved
     off-diagonals), and the window-averaged off-diagonal residual must
-    fall like c/T, with c the first window's times `DECAY_MARGIN`.
-    `windows` are at least two finite, positive, strictly increasing
-    lengths.  The report carries each window's residual (the largest
-    |entry| off the diagonal of the window's mean covariance: off the
-    diagonal of xx or pp, or anywhere in xp), their log-log slope and the
-    occupancies of the largest window's average.
+    fall like c/T over the `WINDOWS` at step `DT`, with c the first
+    window's times `DECAY_MARGIN`.  The report carries each window's
+    residual (the largest |entry| off the diagonal of the window's mean
+    covariance: off the diagonal of xx or pp, or anywhere in xp), their
+    log-log slope and the occupancies of the largest window's average.
 
     The check walks the blocks in square tiles of edge `_TILE`, a tile and its
     transpose together: each pair forms one set of half phases and
     Dirichlet factors (the transposed tile takes them conjugated or
     transposed), each tile its own moments, then every window's
     Dirichlet-weighted means, which the 1e-10 symmetry guard compares
-    against each other.  A window of twice the previous window's samples
-    (the default windows at dt = 0.5 double five times) updates the
-    factors by double-angle products; any other takes the closed form.
-    Residuals, the flagged pairs and the diagonal of the last window are
-    folded in tile by tile, so the working memory is a few tiles whatever
-    K is.
+    against each other.  The first window takes the closed form; each
+    later one doubles the samples and updates the factors by double-angle
+    products.  Residuals, the flagged pairs and the diagonal of the last
+    window are folded in tile by tile, so the working memory is a few tiles
+    whatever K is.
     """
-    win = np.asarray(windows, dtype=float)
-    if not (win.ndim == 1 and win.size >= 2 and np.all(np.isfinite(win))
-            and win[0] > 0 and np.all(np.diff(win) > 0)):
-        raise ValueError("windows must be at least two finite, positive, "
-                         f"strictly increasing lengths, got {windows!r}")
-    samples = [_samples(window, dt) for window in win]
+    win = np.array(WINDOWS, dtype=float)
+    samples = [math.ceil(T / DT) for T in WINDOWS]     # t = j DT in [0, T)
     K = cov.n_modes
     w = mode_frequencies(K, spec.omega0)
     a = spec.mass * w
@@ -320,7 +302,7 @@ def thermal_form_check(cov: CovarianceMatrix, spec: QuenchSpec,
             for r, c in pair:
                 i, j = np.nonzero(np.abs(cov.xp[r, c]) > XP_TOL)
                 flagged.extend(zip(i + (r.start + 1), j + (c.start + 1)))
-            means = _tile_means(cov, a, w, dt, samples, rows, cols)
+            means = _tile_means(cov, a, w, DT, samples, rows, cols)
             for part, blocks in zip(parts, means):
                 tile, other = blocks[::2, 0], blocks[::2, -1]   # xx and pp
                 if diagonal:            # the last window's is the one kept

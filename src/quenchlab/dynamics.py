@@ -65,22 +65,20 @@ def _phase_kernel(bog, corr, times):
 
     Free evolution rotates each joint-mode quadrature pair, x -> x c + p s
     with c = cos w't and s = sin w't.  With hop = (xx + pp)/2 and
-    pair = (xx - pp)/2 from the moments `corr`, the blocks at time t are
-    xx(t) = U + V and pp(t) = U - V, where
+    pair = (xx - pp)/2 from the moments `corr`, whose px block vanishes,
+    the blocks at time t are xx(t) = U + V and pp(t) = U - V, where
 
-        U = hop o cos(D t) + px o sin(D t),  D_jk = w'_j - w'_k,
-        V = pair o cos(S t) + px o sin(S t),  S_jk = w'_j + w'_k
+        U = hop o cos(D t),  D_jk = w'_j - w'_k,
+        V = pair o cos(S t),  S_jk = w'_j + w'_k.
 
-    (only their symmetric parts enter below, and the px terms are skipped
-    for real moments).  Each beat matrix is one rank-2 product of the
-    per-mode phases, cos(D t) = [c s][c s]^T, cos(S t) = [c -s][c s]^T,
-    sin(D t) = [s -c][c s]^T and sin(S t) = [s c][c s]^T, and pair o cos(S t)
-    is formed as xx o cos(S t) - hop o cos(S t), so that no pair array is
-    held.  The readout is n_m = ((A xx(t) A^T + B pp(t) B^T)_mm - 1)/2,
-    A = alpha + beta, B = alpha - beta: one real O(K^3) product per block
-    and sample, and one fused product and row sum.
+    Each beat matrix is one rank-2 product of the per-mode phases,
+    cos(D t) = [c s][c s]^T and cos(S t) = [c -s][c s]^T, and
+    pair o cos(S t) is formed as xx o cos(S t) - hop o cos(S t), so that no
+    pair array is held.  The readout n_m = ((A xx(t) A^T + B pp(t) B^T)_mm
+    - 1)/2, A = alpha + beta, B = alpha - beta, is one real O(K^3) product
+    per block and sample, and one fused product and row sum.
     """
-    xx, pp, px = corr.xx, corr.pp, corr.px
+    xx, pp = corr.xx, corr.pp
     a, b = bog.alpha + bog.beta, bog.alpha - bog.beta
     hop = np.add(xx, pp)
     hop *= 0.5
@@ -110,16 +108,6 @@ def _phase_kernel(bog, corr, times):
         lhs[:, :, 1] = s
         np.matmul(lhs, rhs, out=u)                  # cos(D t)
         u *= hop
-        if px is not None:
-            lhs[:, :, 0] = s
-            np.negative(c, out=lhs[:, :, 1])
-            np.matmul(lhs, rhs, out=v)              # sin(D t)
-            v *= px
-            u += v
-            lhs[:, :, 1] = c
-            np.matmul(lhs, rhs, out=v)              # sin(S t)
-            v *= px
-            x += v
         np.add(u, x, out=v)                         # xx(t) = U + V
         u -= x                                      # pp(t) = U - V
         np.matmul(a, v, out=x)
@@ -136,7 +124,7 @@ def _phase_kernel(bog, corr, times):
 def long_time_average(bog: BogoliubovMap, corr: Moments) -> np.ndarray:
     """Infinite-time average of <n_m(t)>: only the stationary terms
     survive, the joint occupancies n' = diag(xx + pp)/2 - 1/2 of `corr`
-    (real or evolved) with sum_k alpha_mk^2 n'_k + beta_mk^2 (n'_k + 1)."""
+    with sum_k alpha_mk^2 n'_k + beta_mk^2 (n'_k + 1)."""
     n = corr.occupations
     return (bog.alpha ** 2) @ n + (bog.beta ** 2) @ (n + 1.0)
 

@@ -16,7 +16,7 @@ with the Bogoliubov-expanded creation operators stacked on top. Every
 read-out comes from one matrix of ladder images, [L R] with L_k = c_k psi
 and R_k = c+_k psi (`_images`, which needs the keys only): the residuals
 are column norms of its product with a coefficient matrix, and the state's
-second moments, a `bogoliubov.Moments` record, two blocks of its Gram
+second moments, a real `bogoliubov.Moments` record, two blocks of its Gram
 matrix G. Under the quadratic joint Hamiltonian those moments fix
 <n_m(t)>, so the occupation series is `dynamics.evolve_occupations` on
 them. This is the independent reference used to certify the quadratic
@@ -40,7 +40,7 @@ from .dynamics import evolve_occupations
 MAX_LEAKAGE = 0.01
 
 # most bytes the work on one state may take, by _check_size's estimate:
-# 3+4 chains at order 12 come to 3.7 GiB (0.7 GB measured), 4+4 to 17.5 GiB
+# 3+4 chains at order 12 come to 3.4 GiB (0.7 GB measured), 4+4 to 15.9 GiB
 MAX_BYTES = 5 << 30
 
 # most bytes of one row block of a residual's product with the ladder
@@ -61,11 +61,12 @@ def _check_size(occ, quanta=0):
     each, which covers the key words (8 bytes per 64-bit word at most), the
     amplitude, the sort order and their sorted copies, and the matrix of its
     images takes 2K complex columns on comb(q + 1 + K, K) rows, its product
-    with a coefficient matrix K more."""
+    with a coefficient matrix one row block of `_BLOCK_BYTES`."""
     K = occ.shape[1]
     q = int(occ.sum(axis=1).max()) + quanta
     rows = math.comb(q + K, K)
-    need = 2 * K * rows * (2 * K + 64) + 48 * K * math.comb(q + 1 + K, K)
+    need = (2 * K * rows * (2 * K + 64) + 32 * K * math.comb(q + 1 + K, K)
+            + _BLOCK_BYTES)
     if need > MAX_BYTES:
         raise CutoffExceeded(
             f"{K} joint modes with up to {q} quanta make {rows} occupation "
@@ -87,7 +88,7 @@ class ExpandedState:
     occupations: np.ndarray
     amplitudes: np.ndarray
     leakage: float
-    dropped_occupation: float = 0.0
+    dropped_occupation: float
 
     @property
     def modes(self):
@@ -352,18 +353,15 @@ def _gram(images):
 
 
 def _moments(images) -> Moments:
-    """Second moments of the state with the ladder images [L R], from two
-    blocks of their Gram matrix G: <c+_l c_k> = (L_l, L_k) is G[:K, :K] and
-    <c_l c_k> = (R_l, L_k) is G[K:, :K], so xx = Re(<c+c> + <cc>) + 1/2,
-    pp = Re(<c+c> - <cc>) + 1/2 and px = Im<cc> - Im<c+c>, None for a real
-    G."""
+    """Second moments of the state with the real ladder images [L R], from
+    two blocks of their Gram matrix G: <c+_l c_k> = (L_l, L_k) is G[:K, :K]
+    and <c_l c_k> = (R_l, L_k) is G[K:, :K], so xx = <c+c> + <cc> + 1/2 and
+    pp = <c+c> - <cc> + 1/2."""
     K = images.shape[1] // 2
     g = _gram(images)
     cdag_c, c_c = g[:K, :K], g[K:, :K]
     half = 0.5 * np.eye(K)
-    px = None if np.max(np.abs(g.imag)) < 1e-14 else c_c.imag - cdag_c.imag
-    return Moments(xx=(cdag_c + c_c).real + half,
-                   pp=(cdag_c - c_c).real + half, px=px)
+    return Moments(xx=cdag_c + c_c + half, pp=cdag_c - c_c + half)
 
 
 def _fits(state: ExpandedState, what, *sizes):
@@ -409,7 +407,12 @@ def oracle_correlators(state: ExpandedState) -> Moments:
     """The state's second moments from its ladder images (`_moments`). No
     ladder is capped, so they are exact for the stored vector, and the
     commutator [c_l, c+_k] = delta_lk that the record assumes holds for it
-    to rounding (4.4e-15 at most on seeded 2+2 quenches at cutoff 8)."""
+    to rounding (4.4e-15 at most on seeded 2+2 quenches at cutoff 8). The
+    record is real, so a state with complex amplitudes, such as an evolved
+    one, is refused."""
+    if np.iscomplexobj(state.amplitudes):
+        raise ConsistencyError("the moments record is real; a state with "
+                               "complex amplitudes has none")
     return _moments(_images(state))
 
 
@@ -418,7 +421,8 @@ def occupation_series(state: ExpandedState, spec: QuenchSpec,
     """<n_m(t)> for every pre-quench mode m: the occupation kernel of
     `dynamics.evolve_occupations` on the state's moments, which fix
     <n_m(t)> under the quadratic joint Hamiltonian. `times` must be finite
-    and strictly increasing (a ConfigError otherwise)."""
+    and strictly increasing (a ConfigError otherwise), and the amplitudes
+    real (`oracle_correlators`)."""
     _fits(state, "spec", spec.total_size)
     _fits(state, "map", bog.total_size)
     return evolve_occupations(spec, bog, oracle_correlators(state),

@@ -135,23 +135,23 @@ class SweepResult:
     energy_gaps: list           # |E_N/N - E_M/M| long-time averages
 
 
-def single_excitation_sweep(total_sizes=(10, 20, 40, 80)) -> SweepResult:
+# Total lattice sizes N + M of single_excitation_sweep, doubling from 10.
+SWEEP_SIZES = (10, 20, 40, 80)
+
+
+def single_excitation_sweep() -> SweepResult:
     """Scaling of the deviation ratio with lattice size.
 
-    Geometry: N = M = size/2 with one quantum in left-chain mode
-    ceil(N/2).  Pinning the excitation to a band fraction (instead of a
-    fixed mode index) keeps its resonance at a fixed fraction of the joint
-    band, which is the regime where the 1/N_tot suppression actually holds;
-    for size 10 this is mode 3 of the five-site chain.
+    Geometry: N = M = size/2 for each size in `SWEEP_SIZES`, with one
+    quantum in left-chain mode ceil(N/2).  Pinning the excitation to a band
+    fraction (instead of a fixed mode index) keeps its resonance at a fixed
+    fraction of the joint band, which is the regime where the 1/N_tot
+    suppression actually holds; for size 10 this is mode 3 of the
+    five-site chain.
     """
-    sizes = sorted(int(s) for s in total_sizes)
-    if len(sizes) < 2 or len(set(sizes)) < len(sizes):
-        raise ValueError("sweep sizes must be at least two distinct sizes, "
-                         f"got {list(total_sizes)}")
+    sizes = list(SWEEP_SIZES)
     deltas, densities, gaps = [], [], []
     for size in sizes:
-        if size % 2 or size < 4:
-            raise ValueError("sweep sizes must be even and at least 4")
         N = size // 2
         j0 = -(-N // 2)     # ceil(N/2), the mid-band left-chain mode
         state = FockExcitation.single(size, j0)

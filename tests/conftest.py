@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import pytest
 
 from quenchlab.covariance import (CovarianceMatrix, _from_moments,
                                   _half_phases, _moments, _occupations,
-                                  _residual, _samples, _tile_means)
+                                  _residual, _tile_means)
 from quenchlab.fock_oracle import ExpandedState, _gram, _images
 from quenchlab.model import (FockExcitation, QuenchSpec, RunConfig,
                              default_time_grid, disjoint_frequencies,
@@ -232,14 +233,26 @@ def conjugate_dense(sigma, mat):
     return full @ sigma @ full.T
 
 
+def _samples(window, dt):
+    """Length of the grid t = j dt in [0, window), len(np.arange(0, window, dt))."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    if not (np.isfinite(window) and window > 0):
+        raise ValueError(f"window must be finite and > 0 so that the grid "
+                         f"holds a sample, got {window!r}")
+    return math.ceil(window / dt)
+
+
 def mean_evolved_covariance(cov, spec, window, dt=0.5):
     """Mean of sigma(t) over the grid t = j dt in [0, window), in closed
     form, as one untiled K x K record: a reference for the tiles that
-    `thermal_form_check` folds.  A sequence of windows gives one record
-    per window from one pass, as the check forms them (a window of twice
-    the previous window's samples follows from it)."""
+    `thermal_form_check` folds.  A sequence of windows, each of twice the
+    previous window's samples, gives one record per window from one pass,
+    as the check forms them."""
     windows = np.atleast_1d(window)
     samples = [_samples(T, dt) for T in windows]
+    if any(b != 2 * a for a, b in zip(samples, samples[1:])):
+        raise ValueError(f"windows of {samples} samples do not double")
     w = mode_frequencies(spec.total_size, spec.omega0)
     means = [CovarianceMatrix(*blocks[:, 0].copy())
              for blocks in _tile_means(cov, spec.mass * w, w, dt, samples)]

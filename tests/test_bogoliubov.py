@@ -105,7 +105,6 @@ def test_vacuum_correlations_are_vacuum_polarization(spec22):
     np.testing.assert_allclose(np.diagonal(corr.cdag_c),
                                (bog.beta ** 2).sum(axis=0),
                                rtol=0, atol=1e-12)
-    assert corr.px is None
 
 
 def test_correlations_beta_zero_identity_case(spec22):
@@ -199,13 +198,18 @@ def test_moments_refuse_blocks_of_two_shapes():
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("block", ["xx", "pp", "px"])
+@pytest.mark.parametrize("block", ["xx", "pp"])
 def test_moments_refuse_non_finite_blocks(spec22, block, value):
     # one bad entry off the diagonal: every later check compares, and a
     # comparison with NaN is False
     corr = initial_correlations(build_bogoliubov(spec22), spec22.initial_state)
-    blocks = {"xx": corr.xx.copy(), "pp": corr.pp.copy(),
-              "px": np.zeros_like(corr.xx)}
+    blocks = {"xx": corr.xx.copy(), "pp": corr.pp.copy()}
     blocks[block][0, 1] = value
     with pytest.raises(NumericalError):
         Moments(**blocks)
+
+
+def test_moments_refuse_complex_blocks():
+    # a complex block would report complex occupations, 0.5+0.15j here
+    with pytest.raises(NumericalError, match="real"):
+        Moments(xx=(1 + 0.3j) * np.eye(2), pp=np.eye(2))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from quenchlab.bogoliubov import build_bogoliubov, initial_correlations
-from quenchlab.covariance import (_TILE, CovarianceMatrix, _dirichlet,
-                                  _samples, joint_covariance,
+from quenchlab.covariance import (_TILE, DT, WINDOWS, CovarianceMatrix,
+                                  _dirichlet, joint_covariance,
                                   thermal_form_check)
 from quenchlab.dynamics import _phase_kernel
 from quenchlab.model import disjoint_transform, mode_frequencies, sine_transform
@@ -230,21 +230,20 @@ def _with_cross_term(spec):
 
 
 def test_thermal_form_check_flags_injected_cross_term(spec22):
-    rep = thermal_form_check(_with_cross_term(spec22), spec22,
-                             windows=(10, 20, 40), dt=0.5)
+    rep = thermal_form_check(_with_cross_term(spec22), spec22)
     assert not rep.passed
     assert (1, 2) in rep.flagged_pairs
 
 
-@pytest.mark.parametrize("spec, cross_term, windows", [
-    (make_spec(5, 10, modes=(3, 4)), False, (125, 250, 500, 1000, 2000, 4000)),
-    (make_spec(2, 2, t_max=50.0, t_steps=51), True, (10, 20, 40)),
+@pytest.mark.parametrize("spec, cross_term", [
+    (make_spec(5, 10, modes=(3, 4)), False),
+    (make_spec(2, 2, t_max=50.0, t_steps=51), True),
 ], ids=["5-10", "2-2-cross-term"])
-def test_thermal_form_check_reads_window_means(spec, cross_term, windows):
+def test_thermal_form_check_reads_window_means(spec, cross_term):
     # the check's tile residuals are max_offdiagonal of the whole means
     cov = _with_cross_term(spec) if cross_term else joint_covariance(spec)
-    rep = thermal_form_check(cov, spec, windows=windows, dt=0.5)
-    means = mean_evolved_covariance(cov, spec, windows, 0.5)
+    rep = thermal_form_check(cov, spec)
+    means = mean_evolved_covariance(cov, spec, WINDOWS, DT)
     assert rep.max_offdiag_avg.tolist() == [max_offdiagonal(m) for m in means]
     assert np.array_equal(rep.gge_occupancies,
                           occupations_from_covariance(means[-1], spec))
@@ -260,37 +259,15 @@ def _sweep_spec(rng, N, M):
 
 def _sweep_cases(seed=12):
     """Random sizes N, M <= 40, then K = N + M on both sides of the check's
-    tile edge, each with random quanta, chain constants, dt and windows.
-    At the tile-edge sizes, windows of T, 2T, 4T samples (the doubling
-    recurrence) and T, 2T, 3T, 6T (closed form and recurrence in turn)
-    follow, from a generator of their own."""
+    tile edge, each with random quanta and chain constants."""
     rng = np.random.default_rng(seed)
     sizes = [tuple(int(x) for x in rng.integers(1, 41, size=2))
              for _ in range(4)]
-    edges = (_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1)
-    for K in edges:
+    for K in (_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1):
         n = int(rng.integers(1, K))
         sizes.append((n, K - n))
-    cases = []
-    for N, M in sizes:
-        spec = _sweep_spec(rng, N, M)
-        dt = float(rng.uniform(0.2, 1.0))
-        windows = tuple(float(T) for T in np.cumsum(rng.uniform(5, 200, 3)))
-        cases.append(pytest.param(spec, dt, windows, id=f"{N}-{M}"))
-    rng = np.random.default_rng(seed + 1)
-    for K in edges:
-        for name, multiples in (("doubling", (1, 2, 4)),
-                                ("mixed", (1, 2, 3, 6))):
-            n = int(rng.integers(1, K))
-            spec = _sweep_spec(rng, n, K - n)
-            # dt a multiple of 1/64, so each window is an exact multiple
-            dt = int(rng.integers(13, 65)) / 64
-            S = int(rng.integers(10, 300))
-            windows = tuple(m * S * dt for m in multiples)
-            assert [_samples(T, dt) for T in windows] == [m * S for m in multiples]
-            cases.append(pytest.param(spec, dt, windows,
-                                      id=f"{n}-{K - n}-{name}"))
-    return cases
+    return [pytest.param(_sweep_spec(rng, N, M), id=f"{N}-{M}")
+            for N, M in sizes]
 
 
 def _with_tile_offset_terms(spec):
@@ -306,26 +283,19 @@ def _with_tile_offset_terms(spec):
 @pytest.mark.parametrize("modify", [None, _with_cross_term, _with_xp_block,
                                     _with_tile_offset_terms],
                          ids=["no-xp", "cross-term", "xp-block", "tile-offset"])
-@pytest.mark.parametrize("spec, dt, windows", _sweep_cases())
-def test_tiled_check_equals_full_window_means(spec, dt, windows, modify):
+@pytest.mark.parametrize("spec", _sweep_cases())
+def test_tiled_check_equals_full_window_means(spec, modify):
     # the tiled walk reads every window's residual, the last window's
     # occupancies and the flagged pairs exactly as the whole-matrix means do
     cov = joint_covariance(spec) if modify is None else modify(spec)
-    rep = thermal_form_check(cov, spec, windows=windows, dt=dt)
-    means = mean_evolved_covariance(cov, spec, windows, dt)
+    rep = thermal_form_check(cov, spec)
+    means = mean_evolved_covariance(cov, spec, WINDOWS, DT)
     assert np.array_equal(rep.max_offdiag_avg,
                           [max_offdiagonal(m) for m in means])
     assert np.array_equal(rep.gge_occupancies,
                           occupations_from_covariance(means[-1], spec))
     rows, cols = np.nonzero(np.abs(cov.xp) > 1e-10)
     assert rep.flagged_pairs == list(zip(rows + 1, cols + 1))
-
-
-@pytest.mark.parametrize("windows", [(), (125,), (125, 125), (500, 250, 125)],
-                         ids=["empty", "one", "repeated", "decreasing"])
-def test_thermal_form_check_refuses_bad_windows(spec22, windows):
-    with pytest.raises(ValueError, match="windows"):
-        thermal_form_check(joint_covariance(spec22), spec22, windows=windows)
 
 
 @pytest.mark.parametrize("spec", [

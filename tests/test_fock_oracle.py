@@ -47,10 +47,9 @@ RESIDUAL_ROUND = 1e-14
 # rounding gaps of the series, the occupation kernel on the oracle's
 # moments, absolute: against the column norms of the evolved images rebuilt
 # at each sample (1.5e-14 measured here, 1.9e-14 on the six excited 2+2
-# pairs over [0, 50]), against a state evolved first (4.0e-15), at t = 0
-# against the form built from the four correlator blocks (1.1e-15) and
-# against the quadratic form of the Gram matrix (1.8e-15 on the seeded
-# specs and the six pairs, as expanded and evolved)
+# pairs over [0, 50]), at t = 0 against the form built from the four
+# correlator blocks (1.1e-15) and against the quadratic form of the Gram
+# matrix (1.8e-15 on the seeded specs and the six pairs)
 FORM_ROUND = 5e-14
 
 # truncation bounds of the oracle against the quadratic route, per unit of
@@ -73,8 +72,8 @@ SERIES_PER_DROPPED = 2.1
 COMMUTATOR_ROUND = 1e-13
 
 # the four correlators that the oracle's `Moments` record derives against
-# the Gram blocks, on those 8 specs and the six excited 2+2 pairs, real and
-# evolved (4.4e-15 measured, the commutator defect, as <cc+> is derived)
+# the Gram blocks, on those 8 specs and the six excited 2+2 pairs (4.4e-15
+# measured, the commutator defect, as <cc+> is derived)
 MOMENTS_ROUND = 1e-13
 
 
@@ -87,7 +86,8 @@ def map22(spec22):
 def _basis_state(*occ):
     """One Fock row in the oracle's array layout."""
     return ExpandedState(occupations=np.array([occ], dtype=np.int16),
-                         amplitudes=np.ones(1), leakage=0.0)
+                         amplitudes=np.ones(1), leakage=0.0,
+                         dropped_occupation=0.0)
 
 
 def _gram_blocks(state):
@@ -132,11 +132,28 @@ def test_ladders_refuse_rows_past_the_budget():
     # two quanta on 200 modes has ladder images on comb(203, 3) rows
     occ = np.zeros((1, 200), np.int16)
     occ[0, 0] = 2
-    state = ExpandedState(occ, np.ones(1), 0.0)
+    state = ExpandedState(occ, np.ones(1), 0.0, 0.0)
     with pytest.raises(CutoffExceeded, match="200 joint modes with up to 2"):
         oracle_correlators(state)
     with pytest.raises(CutoffExceeded, match="200 joint modes with up to 2"):
         annihilation_residual(state, build_bogoliubov(make_spec(100, 100)))
+
+
+@pytest.mark.parametrize("K, refused", [(150, False), (161, False),
+                                        (162, True), (170, True)])
+def test_budget_takes_one_block_of_the_residual_product(K, refused):
+    # two quanta on K modes, as the first-order vacuum of K/2 + K/2 chains
+    # reaches: the estimate holds the images and one `_BLOCK_BYTES` row
+    # block of their product, so 75+75 chains fit (3.8 GiB) and the limit
+    # lies between 161 and 162 modes (between 149 and 150 when the whole
+    # product was budgeted); one row is checked, and nothing is allocated
+    occ = np.zeros((1, K), np.int16)
+    if refused:
+        with pytest.raises(CutoffExceeded, match=f"{K} joint modes with up "
+                                                 "to 2 quanta"):
+            fock_oracle._check_size(occ, 2)
+    else:
+        fock_oracle._check_size(occ, 2)
 
 
 def test_leakage_accounting_and_refusal(map22):
@@ -231,22 +248,41 @@ def test_exact_evolution_is_diagonal_and_unitary(spec22, map22):
 
 def test_evolved_correlators_pick_up_mode_phases(map22):
     # exact for the stored vector at any cutoff: each ladder image of
-    # psi(t) is the t = 0 image times one phase per mode
+    # psi(t) is the t = 0 image times one phase per mode, so each block of
+    # the evolved state's Gram matrix is the t = 0 correlator rephased
     bog, f = map22
     spec = make_spec(2, 2, modes=(2, 3), t_max=1.0, t_steps=2)
     state = expand_initial_state(spec, bog, f, order=12, cutoff=8)
     t = 17.3
-    w = bog.omega_joint
+    w, K = bog.omega_joint, state.modes
     c0 = oracle_correlators(state)
-    ct = oracle_correlators(exact_evolve(state, spec, t))
-    assert np.iscomplexobj(ct.cdag_c) and np.iscomplexobj(ct.c_c)
+    g = _gram(_images(exact_evolve(state, spec, t)))
+    assert np.iscomplexobj(g)
     hop = np.exp(1j * (w[:, None] - w[None, :]) * t)
     pair = np.exp(-1j * (w[:, None] + w[None, :]) * t)
-    for got, want in ((ct.cdag_c, c0.cdag_c * hop),
-                      (ct.c_cdag, c0.c_cdag * np.conj(hop)),
-                      (ct.c_c, c0.c_c * pair),
-                      (ct.cdag_cdag, c0.cdag_cdag * np.conj(pair))):
+    for got, want in ((g[:K, :K], c0.cdag_c * hop),
+                      (g[K:, K:], c0.c_cdag * np.conj(hop)),
+                      (g[K:, :K], c0.c_c * pair),
+                      (g[:K, K:], c0.cdag_cdag * np.conj(pair))):
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("read", ["correlators", "series"])
+def test_complex_amplitudes_refused_before_images(spec22, map22, monkeypatch,
+                                                  read):
+    # the moments record is real: an evolved state has none, and is
+    # refused before its ladder images are built
+    bog, _ = map22
+    moved = exact_evolve(_basis_state(0, 1, 1, 0), spec22, 2.9)
+
+    def unreachable(state):
+        raise AssertionError("ladder images built")
+
+    monkeypatch.setattr(fock_oracle, "_images", unreachable)
+    run = {"correlators": lambda: oracle_correlators(moved),
+           "series": lambda: occupation_series(moved, spec22, bog, [0.0])}
+    with pytest.raises(ConsistencyError, match="complex amplitudes"):
+        run[read]()
 
 
 def test_occupations_match_quadratic_dynamics_at_cutoff8(map22):
@@ -316,20 +352,6 @@ def test_occupation_series_memory_does_not_grow_with_samples(spec22, map22):
     finally:
         tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 2000 * 4 * 8 + (64 << 10), peaks
-
-
-@pytest.mark.parametrize("t0", [2.9, 17.3])
-def test_series_of_evolved_state_is_shifted_series(map22, t0):
-    # complex amplitudes, so the Gram matrix is complex Hermitian
-    bog, f = map22
-    spec = make_spec(2, 2, modes=(2, 3), t_max=1.0, t_steps=2)
-    state = expand_initial_state(spec, bog, f, order=12, cutoff=8)
-    times = np.array([0.0, 0.6, 17.3, 50.0])
-    moved = exact_evolve(state, spec, t0)
-    assert np.iscomplexobj(moved.amplitudes)
-    gap = np.abs(occupation_series(moved, spec, bog, times)
-                 - occupation_series(state, spec, bog, times + t0))
-    assert np.max(gap) < FORM_ROUND
 
 
 @pytest.mark.parametrize("modes", [(), (1,), (2, 3)])
@@ -462,21 +484,19 @@ def test_seeded_commutator_holds_for_the_stored_vector():
 
 def test_oracle_moments_and_series_match_the_gram_matrix():
     # the record keeps <c+c> and <cc> and derives the other two: all four
-    # within rounding of the Gram blocks, for the states as expanded (real)
-    # and evolved (complex, so px is kept), and the kernel on the record
-    # against the Gram matrix's quadratic form over [0, 50]
+    # within rounding of the Gram blocks of the states as expanded, and the
+    # kernel on the record against the Gram matrix's quadratic form over
+    # [0, 50]
     grid = default_time_grid(50.0, 26)
     for spec, bog, state in _seeded_and_pair_states():
-        for psi in (state, exact_evolve(state, spec, 2.9)):
-            K = psi.modes
-            g, oc = _gram(_images(psi)), oracle_correlators(psi)
-            assert (oc.px is None) != np.iscomplexobj(psi.amplitudes), spec
-            for got, block in ((oc.cdag_c, g[:K, :K]), (oc.cdag_cdag, g[:K, K:]),
-                               (oc.c_c, g[K:, :K]), (oc.c_cdag, g[K:, K:])):
-                assert np.max(np.abs(got - block)) <= MOMENTS_ROUND, spec
-            series = occupation_series(psi, spec, bog, grid)
-            ref = occupation_series_gram(psi, spec, bog, grid)
-            assert np.max(np.abs(series - ref)) < FORM_ROUND, spec
+        K = state.modes
+        g, oc = _gram(_images(state)), oracle_correlators(state)
+        for got, block in ((oc.cdag_c, g[:K, :K]), (oc.cdag_cdag, g[:K, K:]),
+                           (oc.c_c, g[K:, :K]), (oc.c_cdag, g[K:, K:])):
+            assert np.max(np.abs(got - block)) <= MOMENTS_ROUND, spec
+        series = occupation_series(state, spec, bog, grid)
+        ref = occupation_series_gram(state, spec, bog, grid)
+        assert np.max(np.abs(series - ref)) < FORM_ROUND, spec
 
 
 def test_dropped_occupation_of_a_projection():

@@ -120,19 +120,6 @@ def test_sweep_frozen_values():
         assert gap < 1e-12
 
 
-def test_sweep_rejects_odd_sizes():
-    with pytest.raises(ValueError):
-        single_excitation_sweep(total_sizes=(10, 15))
-
-
-@pytest.mark.parametrize("sizes", [(40,), (10, 10)], ids=["one", "repeated"])
-def test_sweep_needs_two_distinct_sizes(sizes):
-    # a slope and a top-octave change need two different sizes
-    with pytest.raises(ValueError, match=r"two distinct sizes.*\[" +
-                       ", ".join(map(str, sizes))):
-        single_excitation_sweep(total_sizes=sizes)
-
-
 def test_summary_json_contents(spec_5_10):
     bog = build_bogoliubov(spec_5_10)
     state = spec_5_10.initial_state
