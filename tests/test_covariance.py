@@ -259,15 +259,23 @@ def _sweep_spec(rng, N, M):
 
 def _sweep_cases(seed=12):
     """Random sizes N, M <= 40, then K = N + M on both sides of the check's
-    tile edge, each with random quanta and chain constants."""
+    tile edge, each with random quanta and chain constants.  Four more
+    splits of the tile-edge sizes follow from a generator of their own,
+    named for the doubling windows on which `_dirichlet` runs its
+    recurrence."""
     rng = np.random.default_rng(seed)
     sizes = [tuple(int(x) for x in rng.integers(1, 41, size=2))
              for _ in range(4)]
     for K in (_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1):
         n = int(rng.integers(1, K))
         sizes.append((n, K - n))
-    return [pytest.param(_sweep_spec(rng, N, M), id=f"{N}-{M}")
-            for N, M in sizes]
+    cases = [pytest.param(_sweep_spec(rng, N, M), id=f"{N}-{M}")
+             for N, M in sizes]
+    rng = np.random.default_rng(seed + 1)
+    for N, M in ((56, 7), (42, 22), (42, 23), (17, 112)):    # K = 63 ... 129
+        cases.append(pytest.param(_sweep_spec(rng, N, M),
+                                  id=f"{N}-{M}-doubling"))
+    return cases
 
 
 def _with_tile_offset_terms(spec):
