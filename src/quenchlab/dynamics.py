@@ -4,13 +4,22 @@ Occupations come from the joint-mode quadrature blocks of the initial
 moments (`bogoliubov.Moments`).  Free evolution splits them into two beats:
 the normal part hop = (xx + pp)/2 dephases at the differences w'_j - w'_k,
 the anomalous part pair = (xx - pp)/2 oscillates at the sums w'_j + w'_k,
-and only the diagonal of hop survives the time average.  Each beat matrix
-is one rank-2 product of c = cos w't and s = sin w't, so the blocks at time
-t cost O(K^2) real work per sample, and each pre-quench occupation is read
-back with one real O(K^3) product per quadrature block and sample, in
-chunks under a fixed byte budget, through one workspace reused by every
-chunk.  No complex K x K array is formed per sample.  Phases are
-e^{-i w' t}; energies are hbar w'.
+and only the diagonal of hop survives the time average.  Each pre-quench
+occupation is read back by one of two contractions, picked by the rank r
+of the record's departure from the joint vacuum, the eigenpairs of
+sym(xx) - I/2 and sym(pp) - I/2 above K eps times the largest:
+
+- r < K, the factored kernel: each eigenpair rotates into a pair of
+  rank-1 terms, so a sample costs one real (r x K) @ (K x K) product per
+  quadrature block, O(K^2 r).  A joined bond squeezes the joint vacuum
+  into a few dozen such pairs, and each quantum adds at most two.
+- r >= K, the beat kernel: each beat matrix is one rank-2 product of
+  c = cos w't and s = sin w't, so the blocks at time t cost O(K^2) real
+  work per sample, and the readout one real O(K^3) product per block.
+
+Either runs in chunks under a fixed byte budget, through one workspace
+reused by every chunk.  No complex K x K array is formed per sample.
+Phases are e^{-i w' t}; energies are hbar w'.
 """
 
 from __future__ import annotations
@@ -25,13 +34,17 @@ from .bogoliubov import (IMAG_TOL, BogoliubovMap, ConsistencyError,
                          Moments, NumericalError, joint_energy)
 
 
-# Working-set budget of one kernel chunk: the workspace of `_phase_kernel`
-# holds 3 K x K float64 arrays a sample (the two beats, then the blocks at
-# time t and the readout product) and 6 length-K vectors (the time phases,
-# the rank-2 factors [c s] and [c s]^T and one readout row), allocated once
-# a call and reused by every chunk.  Of budgets from 0.5 to 4 MiB, 1 MiB was
-# the fastest at the fig1 sizes (K = 15 to 25) and at K = 200
-# (BENCH_28.json); it is one sample a chunk from K = 147 on.
+# Working-set budget of one kernel chunk.  The beat kernel's workspace holds
+# 3 K x K float64 arrays a sample (the two beats, then the blocks at time t
+# and the readout product) and 6 length-K vectors (the time phases, the
+# rank-2 factors [c s] and [c s]^T and one readout row); the factored
+# kernel's holds 2 r x K arrays a sample (the phased eigenvector rows and
+# one W/Y product that both blocks share) and 4 length-K vectors (the
+# phases, c, s and one readout row).  Either is allocated once a call and
+# reused by every chunk.  Of budgets from 0.5 to 4 MiB, 1 MiB was the
+# fastest for the beat kernel at the fig1 sizes (K = 15 to 25) and at
+# K = 200 (BENCH_28.json); it is one beat sample a chunk from K = 147 on,
+# and five factored samples a chunk at K = 200, r = 62.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -64,9 +77,97 @@ def _phase_kernel(bog, corr, times):
     """<n_m(t)> for all pre-quench modes m and times t.
 
     Free evolution rotates each joint-mode quadrature pair, x -> x c + p s
-    with c = cos w't and s = sin w't.  With hop = (xx + pp)/2 and
-    pair = (xx - pp)/2 from the moments `corr`, whose px block vanishes,
-    the blocks at time t are xx(t) = U + V and pp(t) = U - V, where
+    with c = cos w't and s = sin w't, and the readout is
+    n_m = ((A xx(t) A^T + B pp(t) B^T)_mm - 1)/2 with A = alpha + beta and
+    B = alpha - beta.  The eigenpairs of X = sym(xx) - I/2 and
+    P = sym(pp) - I/2 that `_factors` keeps, r = rx + rp of the 2K, pick
+    the contraction: the factored kernel, O(K^2 r) a sample, when r < K,
+    and otherwise the beat kernel, O(K^3) a sample on the record as it
+    is.  The two cost about the same near r = K (measured at K = 40 to
+    140).
+    """
+    times = np.asarray(times, dtype=float)
+    factors = _factors(corr)
+    if factors[0].size < bog.omega_joint.size:
+        return _factored_kernel(bog, factors, times)
+    return _beat_kernel(bog, corr, times)
+
+
+def _factors(corr):
+    """(lam, rows, rx): the eigenvalues of X = sym(xx) - I/2, then those of
+    P = sym(pp) - I/2, each with |lam| > K eps max|lam| over both blocks,
+    and their eigenvectors as the rows of `rows`, the first rx of X."""
+    K = len(corr.xx)
+    pairs = []
+    for block in (corr.xx, corr.pp):
+        x = np.add(block, block.T)
+        x *= 0.5
+        x.flat[::K + 1] -= 0.5
+        pairs.append(np.linalg.eigh(x))
+        del x
+    top = max(float(np.max(np.abs(lam), initial=0.0)) for lam, _ in pairs)
+    cut = K * np.finfo(float).eps * top
+    keep = [np.abs(lam) > cut for lam, _ in pairs]
+    lam = np.concatenate([lam[k] for (lam, _), k in zip(pairs, keep)])
+    rows = np.concatenate([vec[:, k].T for (_, vec), k in zip(pairs, keep)])
+    return lam, rows, int(np.count_nonzero(keep[0]))
+
+
+def _factored_kernel(bog, factors, times):
+    """The readout on the eigenpairs (lam_r, q_r) of X and P (`_factors`).
+
+    The identity part of xx(t) and pp(t) is I/2 at every t, and each
+    eigenpair of X or P rotates into a pair of rank-1 terms, so
+
+        n_m(t) = (1/4) sum_k (A_mk^2 + B_mk^2) - 1/2
+                 + (1/2) sum_r lam_r [(A (u o q_r))_m^2 + (B (v o q_r))_m^2]
+
+    with (u, v) = (c, s) for the X eigenvectors and (s, c) for the P ones.
+    That is one (r x K) @ (K x K) product per block and sample, run as a
+    matmul over a leading sample axis, so that no product mixes samples
+    and the bits do not depend on the chunking; W = [u o q_r] A^T and then
+    Y = [v o q_r] B^T share one workspace.
+    """
+    lam, rows, rx = factors
+    at, bt = (bog.alpha + bog.beta).T, (bog.alpha - bog.beta).T
+    base = np.einsum("km,km->m", at, at)
+    base += np.einsum("km,km->m", bt, bt)
+    base *= 0.25
+    base -= 0.5
+    w = bog.omega_joint
+    K, r = w.size, lam.size
+    out = np.empty((times.size, K))
+    step = max(1, _CHUNK_BYTES // (8 * (2 * r * K + 4 * K)))
+    depth = min(step, times.size)
+    phased, product = np.empty((depth, r, K)), np.empty((depth, r, K))
+    wt, cos, sin, row = (np.empty((depth, K)) for _ in range(4))
+
+    for start in range(0, times.size, step):
+        n = min(step, times.size - start)
+        lhs, prod, phase = phased[:n], product[:n], wt[:n]
+        c, s = cos[:n, None], sin[:n, None]
+        np.multiply.outer(times[start:start + n], w, out=phase)
+        np.cos(phase, out=c[:, 0])
+        np.sin(phase, out=s[:, 0])
+        chunk = out[start:start + n]
+        for u, v, mat, acc in ((c, s, at, chunk), (s, c, bt, row[:n])):
+            np.multiply(rows[:rx], u, out=lhs[:, :rx])
+            np.multiply(rows[rx:], v, out=lhs[:, rx:])
+            np.matmul(lhs, mat, out=prod)            # W, then Y
+            np.square(prod, out=prod)
+            np.matmul(lam, prod, out=acc)
+        chunk += row[:n]
+        chunk *= 0.5
+        chunk += base
+    return out
+
+
+def _beat_kernel(bog, corr, times):
+    """The readout on the two beats of the record as it is.
+
+    With hop = (xx + pp)/2 and pair = (xx - pp)/2 from the moments `corr`,
+    whose px block vanishes, the blocks at time t are xx(t) = U + V and
+    pp(t) = U - V, where
 
         U = hop o cos(D t),  D_jk = w'_j - w'_k,
         V = pair o cos(S t),  S_jk = w'_j + w'_k.
@@ -74,15 +175,14 @@ def _phase_kernel(bog, corr, times):
     Each beat matrix is one rank-2 product of the per-mode phases,
     cos(D t) = [c s][c s]^T and cos(S t) = [c -s][c s]^T, and
     pair o cos(S t) is formed as xx o cos(S t) - hop o cos(S t), so that no
-    pair array is held.  The readout n_m = ((A xx(t) A^T + B pp(t) B^T)_mm
-    - 1)/2, A = alpha + beta, B = alpha - beta, is one real O(K^3) product
-    per block and sample, and one fused product and row sum.
+    pair array is held.  The readout is one real O(K^3) product per block
+    and sample, and one fused product and row sum.
     """
     xx, pp = corr.xx, corr.pp
     a, b = bog.alpha + bog.beta, bog.alpha - bog.beta
     hop = np.add(xx, pp)
     hop *= 0.5
-    w, times = bog.omega_joint, np.asarray(times, dtype=float)
+    w = bog.omega_joint
     K = w.size
     out = np.empty((times.size, K))
     step = max(1, _CHUNK_BYTES // (8 * (3 * K * K + 6 * K)))

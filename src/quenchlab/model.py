@@ -83,9 +83,13 @@ def _key(default, kind, low=None, strict=False):
 
 def _number(key, value, kind, low, strict):
     """value as a finite `kind`, >= low (> low when strict, unbounded when
-    low is None); a ConfigError naming `key` otherwise."""
+    low is None); a ConfigError naming `key` otherwise.  An int key takes
+    what `_occupation` takes: an integral float or a string of digits,
+    not 5.9 or "100.7"."""
     try:
         val = kind(value)
+        if kind is int and val != float(value):
+            val = None
     except (TypeError, ValueError, OverflowError):
         val = None
     # nan fails every comparison; inf is named

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from quenchlab.bogoliubov import (SYMPLECTIC_TOL, ConsistencyError, Moments,
-                                  build_bogoliubov, emitted_occupations,
-                                  f_matrix, initial_correlations,
-                                  pre_quench_energy)
+from quenchlab.bogoliubov import (IMAG_TOL, SYMPLECTIC_TOL, ConsistencyError,
+                                  Moments, build_bogoliubov,
+                                  emitted_occupations, f_matrix,
+                                  initial_correlations, pre_quench_energy)
 from quenchlab.covariance import joint_covariance
 from quenchlab import dynamics
 from quenchlab.dynamics import (DegenerateInitial, NumericalError,
@@ -110,18 +110,106 @@ def test_invariants_on_random_specs(spec):
 
 def test_kernel_output_does_not_depend_on_chunking(monkeypatch):
     # one chunk, one sample at a time, and chunks of three with a short
-    # last one give the same bits
-    spec = make_spec(3, 5, modes=(2, 6), mass=1.3, omega0=0.8, hbar=0.7)
+    # last one give the same bits, on the beat path (3+5, r >= K) and on
+    # the factored one (24+36, r < K), each with its own one-sample budget
+    ts = np.linspace(0.0, 40.0, 11)
+    for spec, factored in (
+            (make_spec(3, 5, modes=(2, 6), mass=1.3, omega0=0.8, hbar=0.7),
+             False),
+            (make_spec(24, 36, modes=(5, 40), mass=1.3, omega0=0.8,
+                       hbar=0.7), True)):
+        bog = build_bogoliubov(spec)
+        corr = initial_correlations(bog, spec.initial_state)
+        K = spec.total_size
+        r = dynamics._factors(corr)[0].size
+        assert (r < K) == factored, r
+        whole = _phase_kernel(bog, corr, ts)
+        alone = np.concatenate([_phase_kernel(bog, corr, [t]) for t in ts])
+        assert np.array_equal(whole, alone)
+        step_bytes = (8 * (2 * r * K + 4 * K) if factored
+                      else 8 * (3 * K * K + 6 * K))
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_CHUNK_BYTES", 3 * step_bytes)
+            assert np.array_equal(_phase_kernel(bog, corr, ts), whole)
+
+
+def few_quanta_specs(seed, count):
+    """Seeded QuenchSpecs of 60 to 200 modes with one or two quanta, the
+    first one the vacuum, mass, omega0 and hbar drawn from [0.5, 2] and 9
+    samples over [0, t_max]: records whose departure from the joint vacuum
+    has rank r < K."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for i in range(count):
+        K = int(rng.integers(60, 201))
+        N = int(rng.integers(K // 4, 3 * K // 4 + 1))
+        modes = rng.choice(K, int(rng.integers(1, 3)) if i else 0,
+                           replace=False)
+        mass, omega0, hbar = rng.uniform(0.5, 2.0, size=3)
+        specs.append(make_spec(N, K - N, modes=tuple(int(m) + 1 for m in modes),
+                               t_max=float(rng.uniform(50.0, 2000.0)),
+                               t_steps=9, mass=float(mass),
+                               omega0=float(omega0), hbar=float(hbar)))
+    return specs
+
+
+FEW_QUANTA_SPECS = few_quanta_specs(20261020, 6)
+
+
+@pytest.mark.parametrize("spec", FEW_QUANTA_SPECS,
+                         ids=lambda s: f"{s.n_left}+{s.n_right}")
+def test_factored_kernel_matches_beat_kernel_and_closed_form(spec):
+    # both paths on one record: they differ by at most 1.8e-14 * scale on
+    # these specs (the vacuum, 124+56), and each is within 3.6e-14 * scale
+    # of the U/V closed form
     bog = build_bogoliubov(spec)
     corr = initial_correlations(bog, spec.initial_state)
-    ts = np.linspace(0.0, 40.0, 11)
-    whole = _phase_kernel(bog, corr, ts)
-    alone = np.concatenate([_phase_kernel(bog, corr, [t]) for t in ts])
-    assert np.array_equal(whole, alone)
+    factors = dynamics._factors(corr)
+    assert factors[0].size < spec.total_size
+    ts = spec.time_grid
+    got = _phase_kernel(bog, corr, ts)
+    assert np.array_equal(got, dynamics._factored_kernel(bog, factors, ts))
+    beat = dynamics._beat_kernel(bog, corr, ts)
+    ref = occupations_closed_form(bog, spec.initial_state.as_array(), ts)
+    scale = np.max(ref)
+    assert np.max(np.abs(got - beat)) <= 1e-13 * scale
+    for n_t in (got, beat):
+        assert np.max(np.abs(n_t - ref)) <= 1e-12 * scale
+
+
+def test_joint_vacuum_is_stationary():
+    # xx = pp = I/2 leaves no eigenpair (r = 0): every sample reads the
+    # constant sum_k (A_mk^2 + B_mk^2)/4 - 1/2, the long-time average
+    # sum_k beta_mk^2.  Taking 1/2 from sums of order 1 leaves an absolute
+    # gap, 5.9e-15 at most here
+    spec = FEW_QUANTA_SPECS[1]
+    bog = build_bogoliubov(spec)
     K = spec.total_size
-    step_bytes = 8 * (3 * K * K + 6 * K)    # the budget of one sample
-    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 3 * step_bytes)
-    assert np.array_equal(_phase_kernel(bog, corr, ts), whole)
+    corr = Moments(xx=0.5 * np.eye(K), pp=0.5 * np.eye(K))
+    assert dynamics._factors(corr)[0].size == 0
+    n_t = _phase_kernel(bog, corr, spec.time_grid)
+    assert np.all(n_t == n_t[0])
+    avg = long_time_average(bog, corr)
+    assert np.max(np.abs(n_t[0] - avg)) <= 1e-13
+
+
+def test_asymmetric_record_reads_as_its_symmetric_part():
+    # Moments accepts an asymmetry up to IMAG_TOL; the factored path reads
+    # sym(xx) and sym(pp), never one triangle of the blocks
+    spec = FEW_QUANTA_SPECS[2]
+    bog = build_bogoliubov(spec)
+    corr = initial_correlations(bog, spec.initial_state)
+    K = spec.total_size
+    skew = np.random.default_rng(7).standard_normal((K, K))
+    skew -= skew.T
+    skew *= 0.4 * IMAG_TOL / np.max(np.abs(skew))
+    tilted = Moments(xx=corr.xx + skew, pp=corr.pp - skew)
+    sym = Moments(xx=0.5 * (tilted.xx + tilted.xx.T),
+                  pp=0.5 * (tilted.pp + tilted.pp.T))
+    assert dynamics._factors(tilted)[0].size < K
+    ts = spec.time_grid
+    assert np.array_equal(_phase_kernel(bog, tilted, ts),
+                          _phase_kernel(bog, sym, ts))
 
 
 def test_initial_occupations_match_state(bundle_5_10):

@@ -102,6 +102,23 @@ def test_fock_excitation_refuses_non_integers(value):
         RunConfig(occupations=(value, 0))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("N", 5.9), ("t_steps", 100.7), ("cutoff", 8.5), ("order", "12.5")])
+def test_int_keys_refuse_fractions(key, value):
+    # named in the error, not truncated (N = 5.9 used to become 5), as the
+    # occupations are
+    with pytest.raises(ConfigError, match=rf"^{key} must be"):
+        RunConfig(**{key: value})
+
+
+def test_int_keys_take_integral_values():
+    cfg = RunConfig(N=5.0, M="10", t_steps=np.float64(11.0),
+                    cutoff=np.int64(8))
+    values = (cfg.N, cfg.M, cfg.t_steps, cfg.cutoff)
+    assert values == (5, 10, 11, 8)
+    assert all(type(v) is int for v in values)
+
+
 def test_quench_spec_validation():
     state = FockExcitation.vacuum(4)
     with pytest.raises(ConfigError):
