@@ -27,10 +27,15 @@ from . import (__version__, bogoliubov, covariance, dynamics, fock_oracle, gge,
 PRESETS = ("fig1", "table1", "sweep")
 
 
-# Values per block of _write_csv.  The formatter's work arrays peak at about
-# 95 bytes per value (tracemalloc), so a block holds about 240 KB: no more
-# than one `%` call over 4096 values holds in its floats and string.
-_CSV_BLOCK = 2560
+# Values per block of _write_csv.  The formatter makes about 140 numpy calls
+# a block whatever its size, and its work arrays peak at about 95 bytes a
+# value (tracemalloc).  Writing fig1's dynamics, fluctuations and permode
+# tables and wide-chain's six CSVs (best of 31 in process, medians
+# in parentheses) took 34.3 (43.9) and 27.5 (33.9) ms at 2560 values a
+# block, 28.8 (38.4) and 24.1 (32.8) at 4096, 30.0 (37.1) and 23.3 (30.3)
+# at 8192 and 34.3 (42.3) and 27.7 (34.4) at 16384, with peaks of 253, 400,
+# 793 and 1580 KB; 8192 had the lowest medians on both.
+_CSV_BLOCK = 8192
 
 
 def _write_csv(path, header, table):

@@ -1,10 +1,10 @@
 """Time evolution of occupation numbers and subsystem energies.
 
 Occupations come from the joint-mode quadrature blocks of the initial
-moments (`bogoliubov.Moments`).  Free evolution splits them into two beats:
-the normal part hop = (xx + pp)/2 dephases at the differences w'_j - w'_k,
-the anomalous part pair = (xx - pp)/2 oscillates at the sums w'_j + w'_k,
-and only the diagonal of hop survives the time average.  Each pre-quench
+moments (`bogoliubov.Moments`).  Free evolution rotates each quadrature
+pair, x -> x c + p s with c = cos w't and s = sin w't, so the blocks at
+time t mix xx and pp through the products c_j c_k and s_j s_k, and only
+the diagonal of (xx + pp)/2 survives the time average.  Each pre-quench
 occupation is read back by one of two contractions, picked by the rank r
 of the record's departure from the joint vacuum, the eigenpairs of
 sym(xx) - I/2 and sym(pp) - I/2 above K eps times the largest:
@@ -13,11 +13,13 @@ sym(xx) - I/2 and sym(pp) - I/2 above K eps times the largest:
   rank-1 terms, so a sample costs one real (r x K) @ (K x K) product per
   quadrature block, O(K^2 r).  A joined bond squeezes the joint vacuum
   into a few dozen such pairs, and each quantum adds at most two.
-- r >= K, the beat kernel: each beat matrix is one rank-2 product of
-  c = cos w't and s = sin w't, so the blocks at time t cost O(K^2) real
-  work per sample, and the readout one real O(K^3) product per block.
+- r >= K, the pair kernel: n_m(t) is linear in the K(K+1) pair phases
+  c_j c_k and s_j s_k (j <= k), so a chunk of samples is one real
+  (K x K(K+1)) @ (K(K+1) x n) product, K^3 multiply-adds a sample, run in
+  a fixed shape whose bits depend neither on the chunking nor on the BLAS
+  thread count.
 
-Either runs in chunks under a fixed byte budget, through one workspace
+Either runs in chunks through one workspace allocated once a call and
 reused by every chunk.  No complex K x K array is formed per sample.
 Phases are e^{-i w' t}; energies are hbar w'.
 """
@@ -34,18 +36,29 @@ from .bogoliubov import (IMAG_TOL, BogoliubovMap, ConsistencyError,
                          Moments, NumericalError, joint_energy)
 
 
-# Working-set budget of one kernel chunk.  The beat kernel's workspace holds
-# 3 K x K float64 arrays a sample (the two beats, then the blocks at time t
-# and the readout product) and 6 length-K vectors (the time phases, the
-# rank-2 factors [c s] and [c s]^T and one readout row); the factored
-# kernel's holds 2 r x K arrays a sample (the phased eigenvector rows and
-# one W/Y product that both blocks share) and 4 length-K vectors (the
-# phases, c, s and one readout row).  Either is allocated once a call and
-# reused by every chunk.  Of budgets from 0.5 to 4 MiB, 1 MiB was the
-# fastest for the beat kernel at the fig1 sizes (K = 15 to 25) and at
-# K = 200 (BENCH_28.json); it is one beat sample a chunk from K = 147 on,
-# and five factored samples a chunk at K = 200, r = 62.
+# Working-set budget of one factored-kernel chunk: 2 r x K float64 arrays a
+# sample (the phased eigenvector rows and one W/Y product that both blocks
+# share) and 4 length-K vectors (the phases, c, s and one readout row),
+# allocated once a call and reused by every chunk; five samples a chunk at
+# K = 200, r = 62, which read the same at 512 KiB (BENCH_32.json).
 _CHUNK_BYTES = 1 << 20
+
+# The pair kernel's product shape, fixed so that its bits depend neither on
+# the chunking nor on the BLAS thread count: a coefficient slice holds the
+# c_j c_k and s_j s_k rows of _PAIRS pairs, so one matmul sums at most 128
+# terms, and a chunk holds _SAMPLES samples (the last one padded to a
+# multiple of 8), written samples-fastest so that they are the product's
+# row dimension.  Forming a slice costs about as much as 100 samples'
+# products with it, so the chunk is a sample count, not a byte budget: at
+# 512 KiB a budget would hold fewer than 256 samples from K = 27 on, and
+# full-rank records at K = 200, T = 2001 took 1.33-1.48 s with 128 samples
+# a chunk against 1.00-1.15 s with 256 (K = 480, T = 401: 3.6-3.8 against
+# 3.0-3.4 s).  The workspace is 8 (4K + 128) bytes a sample beside one
+# 3 x _PAIRS x K slice, 0.5 MB at fig1's K = 25; over fig1's three
+# configs, budgets of 512 KiB and 1 MiB read 13.9-14.4 and 14.2-14.3 ms in
+# process, 256 KiB 20 ms.
+_PAIRS = 64
+_SAMPLES = 256
 
 
 class DegenerateInitial(ValueError):
@@ -82,15 +95,18 @@ def _phase_kernel(bog, corr, times):
     B = alpha - beta.  The eigenpairs of X = sym(xx) - I/2 and
     P = sym(pp) - I/2 that `_factors` keeps, r = rx + rp of the 2K, pick
     the contraction: the factored kernel, O(K^2 r) a sample, when r < K,
-    and otherwise the beat kernel, O(K^3) a sample on the record as it
-    is.  The two cost about the same near r = K (measured at K = 40 to
-    140).
+    and otherwise the pair kernel, K^3 multiply-adds a sample on the
+    record as it is.  With one quantum at N:M = 1:2 and T = 2001 the pair
+    kernel was the faster up to K = 100 (r = 54) and the factored one from
+    K = 140 (r = 56); at T = 101 the factored one was the faster from
+    K = 100 (BENCH_32.json).
     """
     times = np.asarray(times, dtype=float)
     factors = _factors(corr)
     if factors[0].size < bog.omega_joint.size:
         return _factored_kernel(bog, factors, times)
-    return _beat_kernel(bog, corr, times)
+    del factors                      # 2K eigenvector rows the pairs never read
+    return _pair_kernel(bog, corr, times)
 
 
 def _factors(corr):
@@ -162,62 +178,102 @@ def _factored_kernel(bog, factors, times):
     return out
 
 
-def _beat_kernel(bog, corr, times):
-    """The readout on the two beats of the record as it is.
+def _pair_slices(K):
+    """The pairs j <= k of K modes, row by row, cut into slices of `_PAIRS`
+    (the last one shorter): each slice is a list of runs (r0, r1, j, k0),
+    rows r0:r1 of the slice holding the pairs (j, k0), (j, k0 + 1), ..."""
+    slices, runs, size = [], [], 0
+    for j in range(K):
+        k = j
+        while k < K:
+            take = min(K - k, _PAIRS - size)
+            runs.append((size, size + take, j, k))
+            size += take
+            k += take
+            if size == _PAIRS:
+                slices.append(runs)
+                runs, size = [], 0
+    if runs:
+        slices.append(runs)
+    return slices
 
-    With hop = (xx + pp)/2 and pair = (xx - pp)/2 from the moments `corr`,
-    whose px block vanishes, the blocks at time t are xx(t) = U + V and
-    pp(t) = U - V, where
 
-        U = hop o cos(D t),  D_jk = w'_j - w'_k,
-        V = pair o cos(S t),  S_jk = w'_j + w'_k.
+def _pair_kernel(bog, corr, times):
+    """The readout on the pair phases of the record as it is.
 
-    Each beat matrix is one rank-2 product of the per-mode phases,
-    cos(D t) = [c s][c s]^T and cos(S t) = [c -s][c s]^T, and
-    pair o cos(S t) is formed as xx o cos(S t) - hop o cos(S t), so that no
-    pair array is held.  The readout is one real O(K^3) product per block
-    and sample, and one fused product and row sum.
+    With xx and pp symmetrized, the blocks at time t are
+    xx(t)_jk = xx_jk c_j c_k + pp_jk s_j s_k and
+    pp(t)_jk = pp_jk c_j c_k + xx_jk s_j s_k, so each pair j <= k enters
+    n_m(t) only through c_j c_k and s_j s_k:
+
+        n_m(t) = sum_{j<=k} (H_jk S_mjk + Q_jk D_mjk) c_j c_k
+                            + (H_jk S_mjk - Q_jk D_mjk) s_j s_k  -  1/2
+
+    with H = e (xx + pp)/2 and Q = e (xx - pp)/2, e = 1/2 on the diagonal
+    and 1 above it, and S, D = A_mj A_mk +- B_mj B_mk.  A chunk of n
+    samples is one real (K x K(K+1)) @ (K(K+1) x n) product, K^3
+    multiply-adds a sample, in the fixed shape of `_PAIRS` and `_SAMPLES`:
+    slices of at most 128 terms, one matmul each into a (K x n) sum, added
+    in slice order, and n a multiple of 8.  A slice's coefficient rows are
+    formed again for every chunk, so that no O(K^3) array is held; its
+    phase rows c_j c_k and s_j s_k are products of one row of c or s with
+    a run of rows.
     """
-    xx, pp = corr.xx, corr.pp
-    a, b = bog.alpha + bog.beta, bog.alpha - bog.beta
-    hop = np.add(xx, pp)
-    hop *= 0.5
+    at = np.add(bog.alpha.T, bog.beta.T, order="C")       # row j: A[:, j]
+    bt = np.subtract(bog.alpha.T, bog.beta.T, order="C")
     w = bog.omega_joint
-    K = w.size
-    out = np.empty((times.size, K))
-    step = max(1, _CHUNK_BYTES // (8 * (3 * K * K + 6 * K)))
-    depth = min(step, times.size)
-    beat, other, block = (np.empty((depth, K, K)) for _ in range(3))
-    left, right = np.empty((depth, K, 2)), np.empty((depth, 2, K))
-    wt, row = np.empty((depth, K)), np.empty((depth, K))
+    K, T = w.size, times.size
+    upper = ~np.tri(K, k=-1, dtype=bool)                 # the pairs j <= k
+    hop = np.add(corr.xx, corr.xx.T)[upper]
+    pair = hop.copy()
+    sym = np.add(corr.pp, corr.pp.T)[upper]
+    hop += sym                                           # 4 H and 4 Q
+    pair -= sym
+    del sym, upper
+    diagonal = np.cumsum(np.arange(K + 1, 1, -1)) - K - 1
+    for weights in (hop, pair):
+        weights[diagonal] *= 0.5
+        weights *= 0.25
+    slices = _pair_slices(K)
+    depth = min(_SAMPLES, -(-T // 8) * 8)
+    coefs, spare = np.empty(2 * _PAIRS * K), np.empty(_PAIRS * K)
+    cosines, sines, products, sums = (np.empty(K * depth) for _ in range(4))
+    phases, grid = np.empty(2 * _PAIRS * depth), np.zeros(depth)
+    out = np.empty((T, K))
 
-    for start in range(0, times.size, step):
-        n = min(step, times.size - start)
-        u, v, x = beat[:n], other[:n], block[:n]
-        lhs, rhs, phase = left[:n], right[:n], wt[:n]
-        c, s = rhs[:, 0], rhs[:, 1]
-        np.multiply.outer(times[start:start + n], w, out=phase)
-        np.cos(phase, out=c)
-        np.sin(phase, out=s)
-        lhs[:, :, 0] = c
-        np.negative(s, out=lhs[:, :, 1])
-        np.matmul(lhs, rhs, out=v)                  # cos(S t)
-        np.multiply(xx, v, out=x)
-        v *= hop
-        x -= v                                      # pair o cos(S t)
-        lhs[:, :, 1] = s
-        np.matmul(lhs, rhs, out=u)                  # cos(D t)
-        u *= hop
-        np.add(u, x, out=v)                         # xx(t) = U + V
-        u -= x                                      # pp(t) = U - V
-        np.matmul(a, v, out=x)
-        np.einsum("nmk,mk->nm", x, a, out=row[:n])
-        np.matmul(b, u, out=x)
-        chunk = out[start:start + n]
-        np.einsum("nmk,mk->nm", x, b, out=chunk)
-        chunk += row[:n]
-        chunk *= 0.5
-        chunk -= 0.5
+    for start in range(0, T, _SAMPLES):
+        n = min(_SAMPLES, T - start)
+        size = -(-n // 8) * 8
+        grid[:n] = times[start:start + n]
+        grid[n:size] = 0.0                     # padding, dropped below
+        c, s, prod, acc = (buf[:K * size].reshape(K, size)
+                           for buf in (cosines, sines, products, sums))
+        np.multiply.outer(w, grid[:size], out=prod)
+        np.cos(prod, out=c)
+        np.sin(prod, out=s)
+        for i, runs in enumerate(slices):
+            q, lo = runs[-1][1], i * _PAIRS
+            coef = coefs[:2 * q * K].reshape(2 * q, K)
+            phase = phases[:2 * q * size].reshape(2 * q, size)
+            total, diff = coef[:q], spare[:q * K].reshape(q, K)
+            for r0, r1, j, k in runs:
+                k1 = k + r1 - r0
+                np.multiply(at[k:k1], at[j], out=total[r0:r1])
+                np.multiply(bt[k:k1], bt[j], out=coef[q + r0:q + r1])
+                np.multiply(c[k:k1], c[j], out=phase[r0:r1])
+                np.multiply(s[k:k1], s[j], out=phase[q + r0:q + r1])
+            np.subtract(total, coef[q:], out=diff)             # D
+            total += coef[q:]                                  # S
+            total *= hop[lo:lo + q, None]
+            diff *= pair[lo:lo + q, None]
+            np.subtract(total, diff, out=coef[q:])             # s_j s_k rows
+            total += diff                                      # c_j c_k rows
+            if i == 0:
+                np.matmul(coef.T, phase, out=acc)
+            else:
+                np.matmul(coef.T, phase, out=prod)
+                acc += prod
+        np.subtract(acc[:, :n].T, 0.5, out=out[start:start + n])
     return out
 
 

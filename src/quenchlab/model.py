@@ -225,10 +225,13 @@ class QuenchSpec:
 def sine_transform(K):
     """The K x K sine matrix S_K with entries sqrt(2/(K+1)) sin(pi k l/(K+1)).
 
-    S_K is symmetric and orthogonal, hence its own inverse.
+    S_K is symmetric and orthogonal, hence its own inverse.  k l is reduced
+    mod 2(K+1), the sine's period, in integers before it is scaled by pi,
+    so that no argument carries the K eps rounding of pi k l/(K+1).
     """
     k = np.arange(1, K + 1)
-    return np.sqrt(2.0 / (K + 1)) * np.sin(np.pi * np.outer(k, k) / (K + 1))
+    kl = np.outer(k, k) % (2 * (K + 1))
+    return np.sqrt(2.0 / (K + 1)) * np.sin(np.pi * kl / (K + 1))
 
 
 def mode_frequencies(K, omega0=RunConfig.omega0):

@@ -48,6 +48,13 @@ def test_symplectic_identities(N, M):
     assert bog.symplectic_defect() < 1e-10
 
 
+def test_symplectic_defect_at_1920_modes():
+    # the map of 640+1280 chains on the exact sine matrices: 3.6e-15, where
+    # the sine arguments taken as is gave 8.4e-13 (the defect grew like K^2)
+    bog = build_bogoliubov(make_spec(640, 1280, t_steps=2))
+    assert bog.symplectic_defect() < 1e-14
+
+
 def test_cosh_sinh_structure():
     # alpha^2 - beta^2 = overlap^2 entrywise, since cosh^2 - sinh^2 = 1
     spec = make_spec(4, 9, t_max=1.0, t_steps=2)

@@ -385,10 +385,8 @@ def test_window_check_and_kernel_work_in_fixed_memory():
     # K = 480: the check holds a few tiles.  One quantum leaves r = 68 < K
     # eigenpairs, so the kernel takes the factored path, whose peak, 3.01,
     # is while it factors the blocks: one sym(xx) - I/2 or sym(pp) - I/2
-    # and two eigenvector matrices.  The beat path holds A, B,
-    # hop = (xx + pp)/2 and a one-sample workspace of three arrays, 6.02 in
-    # all (6.09 with the four-array workspace it had before the beats, 7.03
-    # when it also held pair)
+    # and two eigenvector matrices.  A full-rank record would take the pair
+    # kernel, whose peak `test_pair_kernel_works_in_fixed_memory` bounds
     K = 480
     spec = make_spec(160, 320, modes=(80,), t_max=1.0, t_steps=2)
     cov = joint_covariance(spec)

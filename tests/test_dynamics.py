@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,27 +111,30 @@ def test_invariants_on_random_specs(spec):
 
 
 def test_kernel_output_does_not_depend_on_chunking(monkeypatch):
-    # one chunk, one sample at a time, and chunks of three with a short
-    # last one give the same bits, on the beat path (3+5, r >= K) and on
-    # the factored one (24+36, r < K), each with its own one-sample budget
-    ts = np.linspace(0.0, 40.0, 11)
+    # one chunk, one sample at a time, and chunks of a set size with a
+    # short last one give the same bits, on the pair path (3+5, r >= K:
+    # chunks of 16 samples, three and a last one of 5, padded to 8) and on
+    # the factored one (24+36, r < K: chunks of three, from its byte budget)
     for spec, factored in (
-            (make_spec(3, 5, modes=(2, 6), mass=1.3, omega0=0.8, hbar=0.7),
-             False),
+            (make_spec(3, 5, modes=(2, 6), mass=1.3, omega0=0.8, hbar=0.7,
+                       t_max=40.0, t_steps=3 * 16 + 5), False),
             (make_spec(24, 36, modes=(5, 40), mass=1.3, omega0=0.8,
-                       hbar=0.7), True)):
+                       hbar=0.7, t_max=40.0, t_steps=11), True)):
         bog = build_bogoliubov(spec)
         corr = initial_correlations(bog, spec.initial_state)
-        K = spec.total_size
+        K, ts = spec.total_size, spec.time_grid
         r = dynamics._factors(corr)[0].size
         assert (r < K) == factored, r
         whole = _phase_kernel(bog, corr, ts)
         alone = np.concatenate([_phase_kernel(bog, corr, [t]) for t in ts])
         assert np.array_equal(whole, alone)
-        step_bytes = (8 * (2 * r * K + 4 * K) if factored
-                      else 8 * (3 * K * K + 6 * K))
         with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "_CHUNK_BYTES", 3 * step_bytes)
+            if factored:
+                patch.setattr(dynamics, "_CHUNK_BYTES",
+                              3 * 8 * (2 * r * K + 4 * K))
+            else:
+                assert ts.size < dynamics._SAMPLES
+                patch.setattr(dynamics, "_SAMPLES", 16)
             assert np.array_equal(_phase_kernel(bog, corr, ts), whole)
 
 
@@ -158,10 +163,10 @@ FEW_QUANTA_SPECS = few_quanta_specs(20261020, 6)
 
 @pytest.mark.parametrize("spec", FEW_QUANTA_SPECS,
                          ids=lambda s: f"{s.n_left}+{s.n_right}")
-def test_factored_kernel_matches_beat_kernel_and_closed_form(spec):
-    # both paths on one record: they differ by at most 1.8e-14 * scale on
-    # these specs (the vacuum, 124+56), and each is within 3.6e-14 * scale
-    # of the U/V closed form
+def test_factored_kernel_matches_pair_kernel_and_closed_form(spec):
+    # both paths on one record, the pair kernel being valid at any rank:
+    # they differ by at most 3.0e-15 * scale on these specs, and each is
+    # within 3.2e-15 * scale of the U/V closed form
     bog = build_bogoliubov(spec)
     corr = initial_correlations(bog, spec.initial_state)
     factors = dynamics._factors(corr)
@@ -169,12 +174,71 @@ def test_factored_kernel_matches_beat_kernel_and_closed_form(spec):
     ts = spec.time_grid
     got = _phase_kernel(bog, corr, ts)
     assert np.array_equal(got, dynamics._factored_kernel(bog, factors, ts))
-    beat = dynamics._beat_kernel(bog, corr, ts)
+    pair = dynamics._pair_kernel(bog, corr, ts)
     ref = occupations_closed_form(bog, spec.initial_state.as_array(), ts)
     scale = np.max(ref)
-    assert np.max(np.abs(got - beat)) <= 1e-13 * scale
-    for n_t in (got, beat):
+    assert np.max(np.abs(got - pair)) <= 1e-13 * scale
+    for n_t in (got, pair):
         assert np.max(np.abs(n_t - ref)) <= 1e-12 * scale
+
+
+FULL_RANK_SPECS = (
+    [make_spec(5, M, modes=(3, 4)) for M in (10, 16, 20)]      # fig1
+    + [make_spec(2, 2, modes=(2, 3), t_max=50.0, t_steps=26),  # the oracle's
+       make_spec(3, 3, modes=(2, 3))]
+    + random_specs(20261032, 8))
+
+
+@pytest.mark.parametrize("spec", FULL_RANK_SPECS,
+                         ids=lambda s: f"{s.n_left}+{s.n_right}")
+def test_pair_kernel_matches_closed_form(spec):
+    # records whose departure from the joint vacuum has full rank r >= K
+    # take the pair kernel: fig1's three configs, the oracle's 2+2 and 3+3
+    # sizes and seeded specs up to K = 77 with mass, omega0 and hbar in
+    # [0.5, 2]; the gap to the U/V closed form is at most 1.2e-15 * scale
+    # on fig1 and 2.1e-15 * scale in all
+    bog = build_bogoliubov(spec)
+    corr = initial_correlations(bog, spec.initial_state)
+    assert dynamics._factors(corr)[0].size >= spec.total_size
+    ts = spec.time_grid
+    n_t = _phase_kernel(bog, corr, ts)
+    assert n_t.shape == (ts.size, spec.total_size)
+    rows = np.unique(np.linspace(0, ts.size - 1, 9).astype(int))
+    ref = occupations_closed_form(bog, spec.initial_state.as_array(), ts[rows])
+    scale = np.max(ref)
+    assert np.max(np.abs(n_t[rows] - ref)) <= 1e-12 * scale
+
+
+def test_pair_kernel_works_in_fixed_memory():
+    # tracemalloc peak above the held inputs, less the (T, K) output, in
+    # K x K float64 arrays, on 40+80 chains with every mode occupied
+    # (r = 2K): 16.7 at both grid lengths.  The rank test's eigenvectors
+    # are dropped before the pair kernel runs, which holds A^T and B^T (2),
+    # the pair weights (1), one 3 x 64 x K coefficient slice (1.6), a chunk
+    # of 256 samples at 8 (4K + 128) bytes each (10.8) and numpy's iterator
+    # buffers for its broadcast products (at most 8192 values each)
+    N, M = 40, 80
+    K = N + M
+    unit = 8 * K * K
+    specs = [make_spec(N, M, modes=tuple(range(1, K + 1)), t_steps=samples)
+             for samples in (9, 301, 601)]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for spec in specs:
+            bog = build_bogoliubov(spec)
+            corr = initial_correlations(bog, spec.initial_state)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            n_t = _phase_kernel(bog, corr, spec.time_grid)
+            peak = tracemalloc.get_traced_memory()[1] - held
+            peaks.append((peak - n_t.nbytes) / unit)
+            del n_t
+    finally:
+        tracemalloc.stop()
+    _, short, long = peaks       # the first call warms numpy's caches
+    assert abs(long - short) <= 0.01, peaks
+    assert max(short, long) <= 17.5, peaks
 
 
 def test_joint_vacuum_is_stationary():

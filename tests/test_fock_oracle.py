@@ -334,10 +334,10 @@ def test_occupation_series_builds_images_once(spec22, map22, monkeypatch,
 
 def test_occupation_series_memory_does_not_grow_with_samples(spec22, map22):
     # a small state, so the samples' work, not the images, sets the peak:
-    # the kernel's workspace is fixed (`dynamics._CHUNK_BYTES`, full from
-    # 1820 samples on 4 modes), and 2000 more samples add the (T, K) output,
-    # the energies and the checked time grid (64 KiB covers them); one
-    # (T, 2K, K) complex array at T = 2000 would be 1 MB
+    # the kernel's workspace is fixed (a chunk of `dynamics._SAMPLES` = 256
+    # samples, full from 249 samples on), and 2000 more samples add the
+    # (T, K) output, the energies and the checked time grid (64 KiB covers
+    # them); one (T, 2K, K) complex array at T = 2000 would be 1 MB
     state = _basis_state(0, 1, 1, 0)
     peaks = []
     tracemalloc.start()

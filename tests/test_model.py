@@ -18,6 +18,27 @@ def test_sine_transform_orthogonal_involution(K):
     assert np.max(np.abs(s - s.T)) < 1e-14
 
 
+@pytest.mark.parametrize("K", [25, 200, 960, 1920])
+def test_sine_transform_entries_match_40_digits(K):
+    # k l reduced mod 2(K+1) before the scaling by pi: every entry within a
+    # few eps of sqrt(2/(K+1)), its scale (3.8 eps at most here, on the
+    # corner entries with the largest k l and 60 seeded ones); the product
+    # pi k l/(K+1) taken as is missed by up to 1.5e-14 at K = 960
+    import mpmath
+    mpmath.mp.dps = 40
+    s = sine_transform(K)
+    rng = np.random.default_rng(K)
+    picks = [(K, K), (K, K - 1), (K - 1, K - 1), (K // 2 + 1, K)]
+    picks += [tuple(int(x) for x in rng.integers(1, K + 1, 2))
+              for _ in range(60)]
+    scale = np.sqrt(2.0 / (K + 1))
+    for k, l in picks:
+        ref = (mpmath.sqrt(mpmath.mpf(2) / (K + 1))
+               * mpmath.sin(mpmath.pi * k * l / (K + 1)))
+        err = abs(float(mpmath.mpf(s[k - 1, l - 1]) - ref))
+        assert err <= 8 * np.finfo(float).eps * scale, (k, l, err)
+
+
 def test_mode_frequencies_closed_form():
     w = mode_frequencies(5, omega0=1.0)
     # lowest mode of a five-site chain: 2 sin(pi/12) = (sqrt6 - sqrt2)/2
