@@ -164,7 +164,6 @@ def _run_covariance(spec, out):
     rep = covariance.thermal_form_check(cov, spec)
     payload = {
         "passed": rep.passed,
-        "flagged_pairs": [list(p) for p in rep.flagged_pairs],
         "windows": rep.windows.tolist(),
         "max_offdiag_avg": rep.max_offdiag_avg.tolist(),
         "decay_slope": rep.decay_slope,
@@ -334,7 +333,6 @@ def main(argv=None) -> int:
             "imag_tol": bogoliubov.IMAG_TOL,
             "symplectic_tol": bogoliubov.SYMPLECTIC_TOL,
             "alpha_condition_limit": bogoliubov.COND_LIMIT,
-            "xp_tol": covariance.XP_TOL,
             "decay_margin": covariance.DECAY_MARGIN,
         },
         "status": "error",

@@ -6,12 +6,13 @@ route: build second moments in the disjoint normal-mode basis and rotate
 them to configuration space and on to the joint normal modes (one
 function, `joint_covariance`, the only producer of a record), then ask
 whether their window means settle into diagonal (GGE) form
-(`thermal_form_check`).  A covariance is stored as its three K x K blocks
-xx, xp and pp; px is xp^T by construction.  Each moment of z = m w x + i p
-picks up a phase under free evolution, so a window mean is each moment
-times the grid mean of its phase.  The moment helpers work on any tile
-(rows x columns) of the joint-mode blocks; the verdict walks the
-covariance in square tiles of edge `_TILE`, so its working memory does
+(`thermal_form_check`).  A record holds the t = 0 covariance as its two
+K x K blocks xx and pp: energy eigenstates have no position-momentum block,
+so every moment of z = m w x + i p is real there.  Each moment picks up a
+phase under free evolution, so a window mean is each moment times the grid
+mean of its phase, and its xp block is nonzero.  The moment helpers work
+on any tile (rows x columns) of the joint-mode blocks; the verdict walks
+the covariance in square tiles of edge `_TILE`, so its working memory does
 not grow with K.  Its window means take sin and cos once per pair of
 tiles (a tile and its transpose share one set of Dirichlet factors) and
 the first window: each later window holds twice the previous window's
@@ -34,24 +35,23 @@ from .model import (QuenchSpec, disjoint_frequencies, disjoint_transform,
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Second moments as the K x K blocks of the 2K x 2K matrix
-    sigma = [[xx, xp], [xp^T, pp]] (positions, then momenta).  The px
-    block is xp^T by construction, so it is never stored."""
+    """Second moments at t = 0 as the K x K blocks of the 2K x 2K matrix
+    sigma = [[xx, 0], [0, pp]] (positions, then momenta): a Fock state has
+    no position-momentum block."""
     xx: np.ndarray
-    xp: np.ndarray
     pp: np.ndarray
 
     def __post_init__(self):
-        for name in ("xx", "xp", "pp"):
-            # a contiguous block of its own: a strided view, such as the
-            # real part of a complex moment, keeps its whole base alive
+        for name in ("xx", "pp"):
+            # a contiguous block of its own: a strided view keeps its
+            # whole base alive
             block = np.ascontiguousarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(block)):
                 # NaN would also slip through the symmetry guard's comparison
                 raise ValueError("covariance matrix must be finite")
             object.__setattr__(self, name, block)
         K = self.xx.shape[0] if self.xx.ndim else 0
-        if any(b.shape != (K, K) for b in (self.xx, self.xp, self.pp)):
+        if any(b.shape != (K, K) for b in (self.xx, self.pp)):
             raise ValueError("covariance blocks must be square and of one shape")
         _check_symmetric((self.xx, self.xx), (self.pp, self.pp))
 
@@ -75,7 +75,7 @@ def joint_covariance(spec: QuenchSpec) -> CovarianceMatrix:
     In the disjoint normal modes sigma_xx = (n + 1/2) hbar / (m w) and
     sigma_pp = (n + 1/2) hbar m w, and all cross correlations vanish for
     energy eigenstates.  Each block B is rotated to lattice sites and then
-    to the joint modes, B -> T B T^T; xp stays zero.
+    to the joint modes, B -> T B T^T.
     """
     n = spec.initial_state.as_array()
     w = disjoint_frequencies(spec)
@@ -84,7 +84,7 @@ def joint_covariance(spec: QuenchSpec) -> CovarianceMatrix:
     pp = np.diag((n + 0.5) * hbar * m * w)
     for mat in (disjoint_transform(spec), sine_transform(spec.total_size)):
         xx, pp = mat @ xx @ mat.T, mat @ pp @ mat.T
-    return CovarianceMatrix(xx, np.zeros_like(xx), pp)
+    return CovarianceMatrix(xx, pp)
 
 
 _ALL = slice(None)
@@ -93,27 +93,24 @@ _ALL = slice(None)
 def _moments(cov, a, rows=_ALL, cols=_ALL):
     """Normal and anomalous moments (1/2)<z_j* z_k>, (1/2)<z_j z_k> of the
     amplitudes z = a x + i p, symmetrized, stacked, from the blocks of a
-    covariance, for j in `rows` and k in `cols` (the px entries come from
-    xp on the transposed tile)."""
-    xx, xp, pp = cov.xx, cov.xp, cov.pp
-    ar, ac = a[rows], a[cols]
-    aax = np.outer(ar, ac)
-    aax *= xx[rows, cols]
-    axp, apx = ar[:, None] * xp[rows, cols], (ac[:, None] * xp[cols, rows]).T
-    moments = np.empty((2,) + aax.shape, complex)
-    np.add(aax, pp[rows, cols], out=moments.real[0])
-    np.subtract(aax, pp[rows, cols], out=moments.real[1])
-    np.subtract(axp, apx, out=moments.imag[0])
-    np.add(axp, apx, out=moments.imag[1])
+    covariance, for j in `rows` and k in `cols`: (a_j a_k xx -+ pp) / 2,
+    real, since a record has no xp block."""
+    aax = np.outer(a[rows], a[cols])
+    aax *= cov.xx[rows, cols]
+    pp = cov.pp[rows, cols]
+    moments = np.empty((2,) + aax.shape)
+    np.add(aax, pp, out=moments[0])
+    np.subtract(aax, pp, out=moments[1])
     moments *= 0.5
     return moments
 
 
 def _from_moments(normal, anomalous, aa, a_rows, out):
-    """The xx, xp and pp blocks whose moments `_moments` returns, written
-    into `out`, stacked on its first axis (each of the shape of `normal`,
-    a tile or a stack of tiles); `aa` is outer(a_j, a_k) on the tile and
-    `a_rows` broadcasts a_j, the row's a."""
+    """The xx, xp and pp blocks of the complex (rephased) normal and
+    anomalous moments of `_moments`, written into `out`, stacked on its
+    first axis (each of the shape of `normal`, a tile or a stack of tiles);
+    `aa` is outer(a_j, a_k) on the tile and `a_rows` broadcasts a_j, the
+    row's a."""
     xx, xp, pp = out
     np.add(normal.real, anomalous.real, out=xx)
     xx /= aa
@@ -202,26 +199,25 @@ def _tile_means(cov, a, w, dt, samples, rows=_ALL, cols=_ALL):
 
     The pair forms its half phases and Dirichlet factors once; the
     transposed tile takes the normal factor conjugated and the anomalous
-    one as it is.  Each tile forms its own moments from its own block
-    entries, so the two tiles' means are built independently.
+    one as it is.  Each tile forms its own real moments from its own block
+    entries, so the two tiles' means are built independently, each a
+    complex factor times a real moment.
     """
     ar, ac = a[rows], a[cols]
     aa = np.outer(ar, ac)
     pair = cols is not rows
-    moments = np.empty((1 + pair, 2) + aa.shape, complex)
+    moments = np.empty((1 + pair, 2) + aa.shape)
     a_rows = np.empty((1 + pair,) + aa.shape)   # a_j of each tile's rows
     moments[0], a_rows[0] = _moments(cov, a, rows, cols), ar[:, None]
     if pair:
         moments[1] = _moments(cov, a, cols, rows).transpose(0, 2, 1)
         a_rows[1] = ac
-    product = np.empty_like(moments)
+    product = np.empty(moments.shape, complex)
     blocks = np.empty((3,) + a_rows.shape)
     for factor in _dirichlet(_half_phases(w, dt, rows, cols), samples):
-        np.multiply(factor, moments[0], out=product[0])
-        if pair:
-            np.conjugate(factor[0], out=product[1, 0])
-            product[1, 0] *= moments[1, 0]
-            np.multiply(factor[1], moments[1, 1], out=product[1, 1])
+        np.multiply(factor, moments, out=product)
+        if pair:                        # conj of the normal factor
+            np.conjugate(product[1, 0], out=product[1, 0])
         yield _from_moments(product[:, 0], product[:, 1], aa, a_rows, blocks)
 
 
@@ -237,9 +233,7 @@ def _residual(blocks, diagonal=True):
     return float(blocks.max())
 
 
-# Largest |xp| entry at t = 0 that thermal_form_check does not flag, and the
-# factor by which a window's residual may exceed the first window's c/T.
-XP_TOL = 1e-10
+# The factor by which a window's residual may exceed the first window's c/T.
 DECAY_MARGIN = 3.0
 # The check's window lengths and the step of their time grids t = j DT: each
 # window holds twice the previous window's samples, 250 to 8000.
@@ -255,7 +249,6 @@ _TILE = 64
 @dataclass(frozen=True)
 class ThermalFormReport:
     passed: bool
-    flagged_pairs: list         # 1-based (i, j) with nonzero xp structure at t=0
     windows: np.ndarray
     max_offdiag_avg: np.ndarray
     decay_slope: float
@@ -266,26 +259,22 @@ def thermal_form_check(cov: CovarianceMatrix,
                        spec: QuenchSpec) -> ThermalFormReport:
     """Does the window-averaged covariance settle into diagonal (GGE) form?
 
-    Two ingredients: the position-momentum block must vanish at t = 0
-    (energy eigenstates guarantee this; an entry above `XP_TOL` is flagged
-    since it breaks the purely oscillatory structure of the evolved
-    off-diagonals), and the window-averaged off-diagonal residual must
-    fall like c/T over the `WINDOWS` at step `DT`, with c the first
-    window's times `DECAY_MARGIN`.  The report carries each window's
-    residual (the largest |entry| off the diagonal of the window's mean
-    covariance: off the diagonal of xx or pp, or anywhere in xp), their
-    log-log slope and the occupancies of the largest window's average.
+    The window-averaged off-diagonal residual must fall like c/T over the
+    `WINDOWS` at step `DT`, with c the first window's times `DECAY_MARGIN`.
+    The report carries each window's residual (the largest |entry| off the
+    diagonal of the window's mean covariance: off the diagonal of xx or pp,
+    or anywhere in xp), their log-log slope and the occupancies of the
+    largest window's average.
 
     The check walks the blocks in square tiles of edge `_TILE`, a tile and its
     transpose together: each pair forms one set of half phases and
     Dirichlet factors (the transposed tile takes them conjugated or
-    transposed), each tile its own moments, then every window's
+    transposed), each tile its own real moments, then every window's
     Dirichlet-weighted means, which the 1e-10 symmetry guard compares
     against each other.  The first window takes the closed form; each
     later one doubles the samples and updates the factors by double-angle
-    products.  Residuals, the flagged pairs and the diagonal of the last
-    window are folded in tile by tile, so the working memory is a few tiles
-    whatever K is.
+    products.  Residuals and the diagonal of the last window are folded in
+    tile by tile, so the working memory is a few tiles whatever K is.
     """
     win = np.array(WINDOWS, dtype=float)
     samples = [math.ceil(T / DT) for T in WINDOWS]     # t = j DT in [0, T)
@@ -293,15 +282,11 @@ def thermal_form_check(cov: CovarianceMatrix,
     w = mode_frequencies(K, spec.omega0)
     a = spec.mass * w
     tiles = [slice(k, k + _TILE) for k in range(0, K, _TILE)]
-    flagged, parts = [], [[] for _ in samples]
+    parts = [[] for _ in samples]
     xx_diag, pp_diag = np.empty(K), np.empty(K)
     for n, rows in enumerate(tiles):
         for cols in tiles[n:]:
             diagonal = cols is rows
-            pair = [(rows, cols)] if diagonal else [(rows, cols), (cols, rows)]
-            for r, c in pair:
-                i, j = np.nonzero(np.abs(cov.xp[r, c]) > XP_TOL)
-                flagged.extend(zip(i + (r.start + 1), j + (c.start + 1)))
             means = _tile_means(cov, a, w, DT, samples, rows, cols)
             for part, blocks in zip(parts, means):
                 tile, other = blocks[::2, 0], blocks[::2, -1]   # xx and pp
@@ -313,14 +298,11 @@ def thermal_form_check(cov: CovarianceMatrix,
                 _check_symmetric((tile, other))
                 part.append(_residual(blocks, diagonal))
             del blocks, tile, other     # free this pair's tiles before the next
-    flagged.sort()
     resid = np.array([np.max(part) for part in parts])
     slope = float(np.polyfit(np.log(win), np.log(resid), 1)[0])
     c_cal = resid[0] * win[0] * DECAY_MARGIN
-    scaling_ok = bool(np.all(resid[1:] <= c_cal / win[1:]))
     return ThermalFormReport(
-        passed=(not flagged) and scaling_ok,
-        flagged_pairs=flagged,
+        passed=bool(np.all(resid[1:] <= c_cal / win[1:])),
         windows=win,
         max_offdiag_avg=resid,
         decay_slope=slope,

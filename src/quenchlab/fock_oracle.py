@@ -15,12 +15,13 @@ eigenstate is the squeezed-vacuum exponential, expanded as a power series,
 with the Bogoliubov-expanded creation operators stacked on top. Every
 read-out comes from one matrix of ladder images, [L R] with L_k = c_k psi
 and R_k = c+_k psi (`_images`, which needs the keys only): the residuals
-are column norms of its product with a coefficient matrix, and the state's
-second moments, a real `bogoliubov.Moments` record, two blocks of its Gram
-matrix G. Under the quadratic joint Hamiltonian those moments fix
-<n_m(t)>, so the occupation series is `dynamics.evolve_occupations` on
-them. This is the independent reference used to certify the quadratic
-(correlator) route; it is only viable for a handful of modes.
+are column norms of its product with a coefficient matrix
+(`_largest_norm`), and the state's second moments, a real
+`bogoliubov.Moments` record, two blocks of its Gram matrix G. Under the
+quadratic joint Hamiltonian those moments fix <n_m(t)>, so the occupation
+series is `dynamics.evolve_occupations` on them. This is the independent
+reference used to certify the quadratic (correlator) route; it is only
+viable for a handful of modes.
 """
 
 from __future__ import annotations
@@ -387,20 +388,6 @@ def _largest_norm(images, y, x):
         parts = (images[start:start + rows] @ coeff).view(float)
         squares = squares + np.einsum("ij,ij->j", parts, parts)
     return float(np.sqrt(np.max(squares.reshape(len(y), -1).sum(axis=1))))
-
-
-def annihilation_residual(state: ExpandedState, bog: BogoliubovMap) -> float:
-    """max_m ||a_m psi|| for a_m = sum_k alpha_mk c_k + beta_mk c+_k: zero
-    in exact arithmetic for the expanded vacuum."""
-    _fits(state, "map", bog.total_size)
-    return _largest_norm(_images(state), bog.alpha, bog.beta)
-
-
-def constraint_residual(state: ExpandedState, f: np.ndarray) -> float:
-    """max_k ||(c_k + sum_l F_kl c+_l) psi||, the defining property of the
-    squeezed vacuum. Creation parts are evaluated uncapped."""
-    _fits(state, "F", *np.shape(f))
-    return _largest_norm(_images(state), np.eye(state.modes), f)
 
 
 def oracle_correlators(state: ExpandedState) -> Moments:

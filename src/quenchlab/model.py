@@ -227,11 +227,14 @@ def sine_transform(K):
 
     S_K is symmetric and orthogonal, hence its own inverse.  k l is reduced
     mod 2(K+1), the sine's period, in integers before it is scaled by pi,
-    so that no argument carries the K eps rounding of pi k l/(K+1).
+    so that no argument carries the K eps rounding of pi k l/(K+1).  sin is
+    taken once on each of the 2(K+1) reduced arguments pi m/(K+1), and the
+    entries gather those values by k l.
     """
     k = np.arange(1, K + 1)
     kl = np.outer(k, k) % (2 * (K + 1))
-    return np.sqrt(2.0 / (K + 1)) * np.sin(np.pi * kl / (K + 1))
+    period = np.sin(np.pi * np.arange(2 * (K + 1)) / (K + 1))
+    return np.sqrt(2.0 / (K + 1)) * period[kl]
 
 
 def mode_frequencies(K, omega0=RunConfig.omega0):

@@ -1,13 +1,13 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from quenchlab.covariance import (CovarianceMatrix, _from_moments,
-                                  _half_phases, _moments, _occupations,
-                                  _residual, _tile_means)
+from quenchlab.covariance import (CovarianceMatrix, _check_symmetric,
+                                  _from_moments, _half_phases, _moments,
+                                  _occupations, _residual, _tile_means)
 from quenchlab.fock_oracle import ExpandedState, _gram, _images
 from quenchlab.model import (FockExcitation, QuenchSpec, RunConfig,
                              default_time_grid, disjoint_frequencies,
@@ -150,9 +150,29 @@ def random_specs(seed, count, max_size=40):
     return specs
 
 
+@dataclass(frozen=True)
+class Sigma:
+    """The three K x K blocks xx, xp and pp of an evolved or window-mean
+    covariance, whose xp block is nonzero for t > 0 (px is xp^T): the record
+    of the references below.  A `CovarianceMatrix` holds only the t = 0
+    blocks xx and pp.  xx and pp pass the package's 1e-10 symmetry guard."""
+    xx: np.ndarray
+    xp: np.ndarray
+    pp: np.ndarray
+
+    def __post_init__(self):
+        _check_symmetric((self.xx, self.xx), (self.pp, self.pp))
+
+    @property
+    def n_modes(self):
+        return self.xx.shape[0]
+
+
 def sigma_matrix(cov):
-    """The 2K x 2K matrix [[xx, xp], [xp^T, pp]] of a covariance record."""
-    return np.block([[cov.xx, cov.xp], [cov.xp.T, cov.pp]])
+    """The 2K x 2K matrix [[xx, xp], [xp^T, pp]] of a `Sigma`, or of a
+    `CovarianceMatrix` with xp = 0."""
+    xp = getattr(cov, "xp", np.zeros_like(cov.xx))
+    return np.block([[cov.xx, xp], [xp.T, cov.pp]])
 
 
 def evolve_covariance(cov, spec, t):
@@ -166,11 +186,9 @@ def evolve_covariance(cov, spec, t):
     """
     w = mode_frequencies(spec.total_size, spec.omega0)
     a = spec.mass * w
-    moments = _moments(cov, a)
-    moments *= np.exp(2j * _half_phases(w, t))
+    moments = _moments(cov, a) * np.exp(2j * _half_phases(w, t))
     out = np.empty((3,) + moments.shape[1:])
-    return CovarianceMatrix(*_from_moments(*moments, np.outer(a, a),
-                                           a[:, None], out))
+    return Sigma(*_from_moments(*moments, np.outer(a, a), a[:, None], out))
 
 
 def occupations_from_covariance(cov, spec):
@@ -219,7 +237,6 @@ def disjoint_covariance(spec):
                         mode_frequencies(spec.n_right, spec.omega0)])
     m, hbar = spec.mass, spec.hbar
     return CovarianceMatrix(np.diag((n + 0.5) * hbar / (m * w)),
-                            np.zeros((n.size, n.size)),
                             np.diag((n + 0.5) * hbar * m * w))
 
 
@@ -245,7 +262,7 @@ def _samples(window, dt):
 
 def mean_evolved_covariance(cov, spec, window, dt=0.5):
     """Mean of sigma(t) over the grid t = j dt in [0, window), in closed
-    form, as one untiled K x K record: a reference for the tiles that
+    form, as one untiled `Sigma`: a reference for the tiles that
     `thermal_form_check` folds.  A sequence of windows, each of twice the
     previous window's samples, gives one record per window from one pass,
     as the check forms them."""
@@ -254,14 +271,14 @@ def mean_evolved_covariance(cov, spec, window, dt=0.5):
     if any(b != 2 * a for a, b in zip(samples, samples[1:])):
         raise ValueError(f"windows of {samples} samples do not double")
     w = mode_frequencies(spec.total_size, spec.omega0)
-    means = [CovarianceMatrix(*blocks[:, 0].copy())
+    means = [Sigma(*blocks[:, 0].copy())
              for blocks in _tile_means(cov, spec.mass * w, w, dt, samples)]
     return means if np.ndim(window) else means[0]
 
 
 def max_offdiagonal(cov):
-    """Largest |entry| of a symmetric sigma outside its diagonal: off the
-    diagonal of xx or pp, or anywhere in xp."""
+    """Largest |entry| of a `Sigma` outside its diagonal: off the diagonal
+    of xx or pp, or anywhere in xp."""
     return _residual(np.array([cov.xx, cov.xp, cov.pp]))
 
 

@@ -57,7 +57,9 @@ def test_full_config_run(tmp_path):
                                rtol=0, atol=1e-12)
     with open(out / "covariance_N2_M2.json") as fh:
         report = json.load(fh)
-    assert report["passed"] is True and "b_tol" not in report
+    assert report["passed"] is True
+    assert set(report) == {"passed", "windows", "max_offdiag_avg",
+                           "decay_slope", "gge_occupancies"}
 
 
 def test_full_config_at_non_default_constants(tmp_path):
@@ -241,8 +243,9 @@ def test_manifest_tolerances_are_the_checked_bounds(tmp_path):
     assert tol["imag_tol"] == dynamics.IMAG_TOL
     assert tol["symplectic_tol"] == bogoliubov.SYMPLECTIC_TOL
     assert tol["alpha_condition_limit"] == bogoliubov.COND_LIMIT
-    assert tol["xp_tol"] == covariance.XP_TOL
     assert tol["decay_margin"] == covariance.DECAY_MARGIN
+    assert set(tol) == {"floor", "imag_tol", "symplectic_tol",
+                        "alpha_condition_limit", "decay_margin"}
 
 
 def test_f_matrix_built_once_per_spec(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from quenchlab.covariance import (_TILE, DT, WINDOWS, CovarianceMatrix,
 from quenchlab.dynamics import _phase_kernel
 from quenchlab.model import disjoint_transform, mode_frequencies, sine_transform
 
-from conftest import (conjugate_dense, disjoint_covariance,
+from conftest import (Sigma, conjugate_dense, disjoint_covariance,
                       evolve_covariance, make_spec, max_offdiagonal,
                       mean_evolved_covariance, occupations_from_covariance,
                       rotate_covariance_dense, sigma_matrix,
@@ -27,23 +27,21 @@ _ASYMMETRIC = np.array([[1.0, 1e-3], [0.0, 1.0]])
 
 
 def test_matrix_validation():
-    zero = np.zeros((2, 2))
-    for xx, xp, pp, message in [
-        (np.eye(2), zero, np.eye(3), "square"),         # mismatched shapes
-        (np.eye(2), np.zeros((2, 3)), np.eye(2), "square"),  # non-square xp
-        (np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)), "square"),
-        (np.ones(2), np.ones(2), np.ones(2), "square"),
-        (_ASYMMETRIC, zero, np.eye(2), "symmetric"),
-        (np.eye(2), zero, _ASYMMETRIC, "symmetric"),
+    for xx, pp, message in [
+        (np.eye(2), np.eye(3), "square"),               # mismatched shapes
+        (np.ones((2, 3)), np.ones((2, 3)), "square"),
+        (np.ones(2), np.ones(2), "square"),
+        (_ASYMMETRIC, np.eye(2), "symmetric"),
+        (np.eye(2), _ASYMMETRIC, "symmetric"),
     ]:
         with pytest.raises(ValueError, match=message):
-            CovarianceMatrix(xx, xp, pp)
+            CovarianceMatrix(xx, pp)
 
 
 def test_matrix_sigma_takes_px_from_xp():
     # xp need not be symmetric: px = xp^T makes the assembled sigma so
     xp = np.array([[0.1, 0.2], [-0.3, 0.4]])
-    cov = CovarianceMatrix(2 * np.eye(2), xp, 3 * np.eye(2))
+    cov = Sigma(2 * np.eye(2), xp, 3 * np.eye(2))
     sig = sigma_matrix(cov)
     assert sig.shape == (4, 4) and np.array_equal(sig, sig.T)
     assert np.array_equal(sig[:2, 2:], xp) and np.array_equal(sig[2:, :2], xp.T)
@@ -51,11 +49,11 @@ def test_matrix_sigma_takes_px_from_xp():
 
 @pytest.mark.parametrize("entry, block, where", [
     (np.nan, None, "all"), (np.nan, "xx", (1, 1)), (np.inf, "xx", (0, 0)),
-    (np.inf, "xp", (0, 1)), (-np.inf, "pp", (1, 1)),
+    (-np.inf, "pp", (1, 1)),
 ], ids=["nan-everywhere", "nan-xx-diagonal", "inf-xx-diagonal",
-        "inf-xp-pair", "minus-inf-pp-diagonal"])
+        "minus-inf-pp-diagonal"])
 def test_matrix_refuses_non_finite_entries(entry, block, where):
-    blocks = {"xx": np.eye(2), "xp": np.zeros((2, 2)), "pp": np.eye(2)}
+    blocks = {"xx": np.eye(2), "pp": np.eye(2)}
     for name, b in blocks.items():
         if where == "all":
             b[:] = entry
@@ -92,7 +90,7 @@ def test_uncertainty_defect_nonpositive(spec_5_10):
 
 
 def test_nonpositive_matrix_rejected():
-    bad = CovarianceMatrix(-np.eye(2), np.zeros((2, 2)), -np.eye(2))
+    bad = CovarianceMatrix(-np.eye(2), -np.eye(2))
     with pytest.raises(ValueError):
         symplectic_eigenvalues(bad)
 
@@ -116,14 +114,6 @@ _W5 = mode_frequencies(5, 1.0)
 _ALIAS_DT = 2 * np.pi / (_W5[0] + _W5[1])
 
 
-def _with_xp_block(spec):
-    # Fock states have no xp block; add one so the cross terms are checked too
-    joint = joint_covariance(spec)
-    K = joint.n_modes
-    xp = 0.1 * np.random.default_rng(0).standard_normal((K, K))
-    return replace(joint, xp=joint.xp + xp)
-
-
 @pytest.mark.parametrize("spec, window, dt", [
     (make_spec(2, 2, t_max=50.0, t_steps=51), 20.0, 0.5),
     (make_spec(2, 3, modes=(2, 4), mass=1.3, omega0=1.1, hbar=0.7), 20.3, 0.3),
@@ -131,7 +121,7 @@ def _with_xp_block(spec):
     (make_spec(5, 10, modes=(3, 4), omega0=7.0), 200.0, 0.5),
 ], ids=["2-2", "window-not-multiple-of-dt", "aliased-beat", "below-nyquist"])
 def test_mean_matches_brute_force_average(spec, window, dt):
-    cov = _with_xp_block(spec)
+    cov = joint_covariance(spec)
     mean = mean_evolved_covariance(cov, spec, window, dt)
     w = mode_frequencies(spec.total_size, spec.omega0)
     ts = np.arange(0.0, window, dt)
@@ -181,7 +171,7 @@ def test_doubling_chain_matches_closed_form(samples):
                          ids=["0.7", "13", "211.5", "aliased-beat"])
 def test_evolve_matches_dense_rotation(t):
     spec = make_spec(2, 3, modes=(2, 4), mass=1.3, hbar=0.7)
-    cov = _with_xp_block(spec)
+    cov = joint_covariance(spec)
     w = mode_frequencies(spec.total_size, spec.omega0)
     np.testing.assert_allclose(sigma_matrix(evolve_covariance(cov, spec, t)),
                                rotate_covariance_dense(sigma_matrix(cov), w,
@@ -215,33 +205,17 @@ def test_thermal_form_check_passes(spec_5_10):
     corr = initial_correlations(bog, spec_5_10.initial_state)
     rep = thermal_form_check(joint_covariance(spec_5_10), spec_5_10)
     assert rep.passed
-    assert rep.flagged_pairs == []
     assert -1.2 < rep.decay_slope < -0.8
     np.testing.assert_allclose(rep.gge_occupancies, np.diagonal(corr.cdag_c),
                                rtol=0, atol=1e-10)
 
 
-def _with_cross_term(spec):
-    # one xp entry, (1, 2), of a size that thermal_form_check flags
-    cov = joint_covariance(spec)
-    xp = cov.xp.copy()
-    xp[0, 1] += 1e-6
-    return replace(cov, xp=xp)
-
-
-def test_thermal_form_check_flags_injected_cross_term(spec22):
-    rep = thermal_form_check(_with_cross_term(spec22), spec22)
-    assert not rep.passed
-    assert (1, 2) in rep.flagged_pairs
-
-
-@pytest.mark.parametrize("spec, cross_term", [
-    (make_spec(5, 10, modes=(3, 4)), False),
-    (make_spec(2, 2, t_max=50.0, t_steps=51), True),
-], ids=["5-10", "2-2-cross-term"])
-def test_thermal_form_check_reads_window_means(spec, cross_term):
+@pytest.mark.parametrize("spec", [
+    make_spec(5, 10, modes=(3, 4)), make_spec(2, 2, t_max=50.0, t_steps=51),
+], ids=["5-10", "2-2"])
+def test_thermal_form_check_reads_window_means(spec):
     # the check's tile residuals are max_offdiagonal of the whole means
-    cov = _with_cross_term(spec) if cross_term else joint_covariance(spec)
+    cov = joint_covariance(spec)
     rep = thermal_form_check(cov, spec)
     means = mean_evolved_covariance(cov, spec, WINDOWS, DT)
     assert rep.max_offdiag_avg.tolist() == [max_offdiagonal(m) for m in means]
@@ -288,13 +262,12 @@ def _with_tile_offset_terms(spec):
     return replace(cov, xx=cov.xx + bump, pp=cov.pp + bump)
 
 
-@pytest.mark.parametrize("modify", [None, _with_cross_term, _with_xp_block,
-                                    _with_tile_offset_terms],
-                         ids=["no-xp", "cross-term", "xp-block", "tile-offset"])
+@pytest.mark.parametrize("modify", [None, _with_tile_offset_terms],
+                         ids=["no-xp", "tile-offset"])
 @pytest.mark.parametrize("spec", _sweep_cases())
 def test_tiled_check_equals_full_window_means(spec, modify):
-    # the tiled walk reads every window's residual, the last window's
-    # occupancies and the flagged pairs exactly as the whole-matrix means do
+    # the tiled walk reads every window's residual and the last window's
+    # occupancies exactly as the whole-matrix means do
     cov = joint_covariance(spec) if modify is None else modify(spec)
     rep = thermal_form_check(cov, spec)
     means = mean_evolved_covariance(cov, spec, WINDOWS, DT)
@@ -302,8 +275,6 @@ def test_tiled_check_equals_full_window_means(spec, modify):
                           [max_offdiagonal(m) for m in means])
     assert np.array_equal(rep.gge_occupancies,
                           occupations_from_covariance(means[-1], spec))
-    rows, cols = np.nonzero(np.abs(cov.xp) > 1e-10)
-    assert rep.flagged_pairs == list(zip(rows + 1, cols + 1))
 
 
 @pytest.mark.parametrize("spec", [
@@ -328,7 +299,6 @@ def test_rotations_match_dense_congruence(spec):
     cov = joint_covariance(spec)
     tol = 2 * K * np.finfo(float).eps * np.max(np.abs(ref))
     np.testing.assert_allclose(sigma_matrix(cov), ref, rtol=0, atol=tol)
-    assert not cov.xp.any()
 
 
 def test_covariance_route_memory_bound():
@@ -376,7 +346,7 @@ def test_max_offdiagonal_skips_only_the_diagonal():
     # xp has no diagonal to skip: its (1, 1) entry counts, xx's does not
     xp = np.zeros((2, 2))
     xp[0, 0] = 0.25
-    cov = CovarianceMatrix(7.0 * np.eye(2), xp, 7.0 * np.eye(2))
+    cov = Sigma(7.0 * np.eye(2), xp, 7.0 * np.eye(2))
     assert max_offdiagonal(cov) == 0.25
 
 

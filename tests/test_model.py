@@ -10,12 +10,22 @@ from quenchlab.model import (ConfigError, FockExcitation, QuenchSpec,
 from conftest import stiffness_matrix
 
 
-@pytest.mark.parametrize("K", [1, 2, 3, 5, 10, 37, 64, 100])
+def _sine_every_entry(K):
+    """S_K with sin taken on each of its K^2 reduced arguments pi (k l mod
+    2(K+1))/(K+1): `sine_transform` gathers its entries from one period of
+    sines, to the bit."""
+    k = np.arange(1, K + 1)
+    kl = np.outer(k, k) % (2 * (K + 1))
+    return np.sqrt(2.0 / (K + 1)) * np.sin(np.pi * kl / (K + 1))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 10, 37, 64, 100, 129])
 def test_sine_transform_orthogonal_involution(K):
     s = sine_transform(K)
     eye = np.eye(K)
     assert np.max(np.abs(s @ s - eye)) < 1e-10
     assert np.max(np.abs(s - s.T)) < 1e-14
+    assert np.array_equal(s, _sine_every_entry(K))
 
 
 @pytest.mark.parametrize("K", [25, 200, 960, 1920])
@@ -27,6 +37,7 @@ def test_sine_transform_entries_match_40_digits(K):
     import mpmath
     mpmath.mp.dps = 40
     s = sine_transform(K)
+    assert np.array_equal(s, _sine_every_entry(K))
     rng = np.random.default_rng(K)
     picks = [(K, K), (K, K - 1), (K - 1, K - 1), (K // 2 + 1, K)]
     picks += [tuple(int(x) for x in rng.integers(1, K + 1, 2))
